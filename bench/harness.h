@@ -84,22 +84,26 @@ inline void print_banner(const char* title, const char* paper_ref) {
   std::printf("==============================================================\n");
 }
 
+/// `row_label` names what the rows are (log2 filter size unless a bench
+/// sweeps something else).
 inline void print_series_header(const char* metric,
-                                const std::vector<std::string>& filters) {
+                                const std::vector<std::string>& filters,
+                                const char* row_label = "log2size") {
   if (csv_mode()) {
-    std::printf("\nmetric,%s\nlog2size", metric);
+    std::printf("\nmetric,%s\n%s", metric, row_label);
     for (const auto& f : filters) std::printf(",%s", f.c_str());
     std::printf("\n");
     return;
   }
-  std::printf("\n-- %s --\n%-10s", metric, "log2size");
+  std::printf("\n-- %s --\n%-10s", metric, row_label);
   for (const auto& f : filters) std::printf("%12s", f.c_str());
   std::printf("\n");
 }
 
-inline void print_series_row(int log_size, const std::vector<double>& vals) {
+inline void print_series_row(const std::string& row,
+                             const std::vector<double>& vals) {
   if (csv_mode()) {
-    std::printf("%d", log_size);
+    std::printf("%s", row.c_str());
     for (double v : vals) {
       if (v < 0)
         std::printf(",");
@@ -109,7 +113,7 @@ inline void print_series_row(int log_size, const std::vector<double>& vals) {
     std::printf("\n");
     return;
   }
-  std::printf("%-10d", log_size);
+  std::printf("%-10s", row.c_str());
   for (double v : vals) {
     if (v < 0)
       std::printf("%12s", "-");
@@ -117,6 +121,10 @@ inline void print_series_row(int log_size, const std::vector<double>& vals) {
       std::printf("%12.1f", v);
   }
   std::printf("\n");
+}
+
+inline void print_series_row(int log_size, const std::vector<double>& vals) {
+  print_series_row(std::to_string(log_size), vals);
 }
 
 }  // namespace gf::bench

@@ -260,7 +260,7 @@ int main(int argc, char** argv) {
   }
 
   auto print_phase = [&](const char* label, const phase_result* res) {
-    bench::print_series_header(label, cols);
+    bench::print_series_header(label, cols, "keys/frame");
     for (size_t bi = 0; bi < std::size(kBatchSizes); ++bi) {
       double best = 0;
       std::vector<double> vals;
@@ -272,7 +272,6 @@ int main(int argc, char** argv) {
       vals.push_back(res[bi].inproc_mops);
       vals.push_back(res[bi].inproc_mops > 0 ? best / res[bi].inproc_mops
                                              : 0.0);
-      // Rows are batch sizes, not log2 filter sizes, in this sweep.
       bench::print_series_row(static_cast<int>(kBatchSizes[bi]), vals);
     }
   };
@@ -352,17 +351,17 @@ int main(int argc, char** argv) {
         "\nreactor sweep (batch=%zu, %d conns, 8 shards; last column is "
         "max-reactor / 1-reactor speedup):\n",
         batch, conns);
-    bench::print_series_header("reactor Mops/s", rcols);
-    auto rrow = [&](int tag, const std::vector<double>& v) {
+    bench::print_series_header("reactor Mops/s", rcols, "op");
+    auto rrow = [&](const char* op, const std::vector<double>& v) {
       std::vector<double> vals(v);
       vals.push_back(v[0] > 0 ? v.back() / v[0] : 0.0);
-      bench::print_series_row(tag, vals);
+      bench::print_series_row(op, vals);
     };
-    rrow(0, rins);
-    rrow(1, rqry);
+    rrow("insert", rins);
+    rrow("query", rqry);
     std::printf(
-        "(row 0 = insert, row 1 = query; speedup > 1 expected only on "
-        "multi-core hosts — single-core runs document handoff overhead)\n");
+        "(speedup > 1 expected only on multi-core hosts — single-core runs "
+        "document handoff overhead)\n");
   }
 
   // Acceptance: pipelined 4 Ki-key batches must reach ≥ 50% of in-process

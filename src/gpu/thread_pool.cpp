@@ -1,12 +1,53 @@
 #include "gpu/thread_pool.h"
 
+#include <pthread.h>
+
+#include <algorithm>
 #include <cstdlib>
+#include <new>
 
 namespace gf::gpu {
 
 namespace {
 thread_local const thread_pool* tls_owner = nullptr;
 }
+
+/// The live pools and the process-wide pthread_atfork hooks over them.  A
+/// child of fork() inherits every pool object but none of its worker
+/// threads; without the hooks its first launch waits forever for workers
+/// that do not exist.  Do not fork from inside a launch.
+struct fork_guard {
+  static std::mutex& mu() {
+    static std::mutex m;
+    return m;
+  }
+  static std::vector<thread_pool*>& pools() {
+    static std::vector<thread_pool*> p;
+    return p;
+  }
+  static void add(thread_pool* pool) {
+    static const int registered = ::pthread_atfork(prepare, parent, child);
+    (void)registered;
+    std::lock_guard lock(mu());
+    pools().push_back(pool);
+  }
+  static void remove(thread_pool* pool) {
+    std::lock_guard lock(mu());
+    std::erase(pools(), pool);
+  }
+  static void prepare() {
+    mu().lock();
+    for (thread_pool* p : pools()) p->fork_prepare();
+  }
+  static void parent() {
+    for (thread_pool* p : pools()) p->fork_parent();
+    mu().unlock();
+  }
+  static void child() {
+    for (thread_pool* p : pools()) p->fork_child();
+    mu().unlock();
+  }
+};
 
 thread_pool& thread_pool::instance() {
   static thread_pool pool(query_pool_size());
@@ -24,14 +65,14 @@ unsigned query_pool_size() {
   return hw == 0 ? 1 : hw;
 }
 
-thread_pool::thread_pool(unsigned num_workers) {
-  if (num_workers < 1) num_workers = 1;
-  workers_.reserve(num_workers - 1);
-  for (unsigned i = 1; i < num_workers; ++i)
-    workers_.emplace_back([this, i] { worker_loop(i); });
+thread_pool::thread_pool(unsigned num_workers)
+    : width_(num_workers < 1 ? 1 : num_workers) {
+  spawn_workers(epoch_);
+  fork_guard::add(this);
 }
 
 thread_pool::~thread_pool() {
+  fork_guard::remove(this);
   {
     std::lock_guard lock(mu_);
     stop_ = true;
@@ -42,8 +83,40 @@ thread_pool::~thread_pool() {
 
 bool thread_pool::in_worker() const { return tls_owner == this; }
 
+void thread_pool::spawn_workers(uint64_t epoch) {
+  workers_.reserve(width_ - 1);
+  for (auto i = static_cast<unsigned>(workers_.size()) + 1; i < width_; ++i)
+    workers_.emplace_back([this, i, epoch] { worker_loop(i, epoch); });
+}
+
+void thread_pool::fork_prepare() {
+  launch_mu_.lock();
+  mu_.lock();
+}
+
+void thread_pool::fork_parent() {
+  mu_.unlock();
+  launch_mu_.unlock();
+}
+
+void thread_pool::fork_child() {
+  // Only the forking thread exists here.  The worker handles name threads
+  // of the parent: overwrite them with empty handles (joining, detaching
+  // or destroying a joinable handle are all invalid).  The condition
+  // variables may still count the parent's parked workers as waiters, so
+  // they are rebuilt rather than destroyed.
+  for (std::thread& t : workers_) new (&t) std::thread();
+  workers_.clear();
+  new (&cv_start_) std::condition_variable();
+  new (&cv_done_) std::condition_variable();
+  job_ = nullptr;
+  remaining_ = 0;
+  mu_.unlock();
+  launch_mu_.unlock();
+}
+
 void thread_pool::run_on_all(const std::function<void(unsigned)>& fn) {
-  if (workers_.empty()) {
+  if (width_ == 1) {
     fn(0);
     return;
   }
@@ -66,6 +139,8 @@ void thread_pool::run_on_all(const std::function<void(unsigned)>& fn) {
     return;
   }
   std::lock_guard launch_guard(launch_mu_, std::adopt_lock);
+  // After a fork the child's pool has no workers until its first launch.
+  if (workers_.size() + 1 < width_) spawn_workers(epoch_);
   {
     std::lock_guard lock(mu_);
     job_ = &fn;
@@ -88,9 +163,8 @@ void thread_pool::run_on_all(const std::function<void(unsigned)>& fn) {
   job_ = nullptr;
 }
 
-void thread_pool::worker_loop(unsigned id) {
+void thread_pool::worker_loop(unsigned id, uint64_t seen_epoch) {
   tls_owner = this;
-  uint64_t seen_epoch = 0;
   for (;;) {
     const std::function<void(unsigned)>* job = nullptr;
     {

@@ -11,6 +11,10 @@
 //  * Nested launches execute inline on the calling worker (GPUs do not
 //    nest dynamic parallelism here either), which makes the primitives
 //    composable without deadlock.
+//  * fork() is safe: a pthread_atfork handler quiesces every live pool
+//    (holds its launch and state mutexes across the fork), and in the
+//    child — which inherits none of the worker threads — resets each pool
+//    so its workers re-spawn on the next launch.  size() never changes.
 #pragma once
 
 #include <atomic>
@@ -38,7 +42,7 @@ class thread_pool {
   thread_pool(const thread_pool&) = delete;
   thread_pool& operator=(const thread_pool&) = delete;
 
-  unsigned size() const { return static_cast<unsigned>(workers_.size()) + 1; }
+  unsigned size() const { return width_; }
 
   /// Run `fn(worker_id)` on every worker (worker 0 is the caller) and wait
   /// for completion.  `fn` must partition its own work; see parallel_for.
@@ -95,8 +99,19 @@ class thread_pool {
   bool in_worker() const;
 
  private:
-  void worker_loop(unsigned id);
+  friend struct fork_guard;
 
+  /// Start the missing workers; they wait for the launch after `epoch`.
+  /// Caller holds launch_mu_ (or is the constructor).
+  void spawn_workers(uint64_t epoch);
+  void worker_loop(unsigned id, uint64_t seen_epoch);
+  /// atfork hooks: quiesce before the fork, release in the parent, forget
+  /// the (absent) workers in the child.
+  void fork_prepare();
+  void fork_parent();
+  void fork_child();
+
+  unsigned width_;  ///< workers including the caller; fixed for life
   std::vector<std::thread> workers_;
   std::mutex launch_mu_;  ///< admits one top-level launch at a time
   std::mutex mu_;

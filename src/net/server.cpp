@@ -15,7 +15,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "gpu/launch.h"
 #include "net/codec.h"
 #include "net/mailbox.h"
 #include "net/replay_ring.h"
@@ -592,9 +591,11 @@ server_stats server::stats() const {
   s.subscriber_errors = subscriber_errors_.load(std::memory_order_relaxed);
   s.invites_failed = invites_failed_.load(std::memory_order_relaxed);
   s.feed_attached = feed_attached_.load(std::memory_order_relaxed);
-  s.feed_applied = feed_applied_.load(std::memory_order_relaxed);
+  // Acquire pairs with the feed's release (see the feed apply path).
+  s.feed_applied = feed_applied_.load(std::memory_order_acquire);
+  s.feed_last_seq = feed_last_seq_.load(std::memory_order_acquire);
+  // relaxed: stats snapshot continued — same single-writer monotone gauges.
   s.feed_gaps = feed_gaps_.load(std::memory_order_relaxed);
-  s.feed_last_seq = feed_last_seq_.load(std::memory_order_relaxed);
   s.feed_lost = feed_lost_.load(std::memory_order_relaxed);
   s.deltas_served = deltas_served_.load(std::memory_order_relaxed);
   s.wal_deltas_served = wal_deltas_served_.load(std::memory_order_relaxed);
@@ -2009,13 +2010,18 @@ void server::feed_frame(reactor& r, connection& c, const frame& f) {
     }
   }
   feed_expected_by_lane_[lane] = f.sequence + 1;
-  // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-  feed_last_seq_.store(f.sequence, std::memory_order_relaxed);
-  feed_applied_.fetch_add(1, std::memory_order_relaxed);
+  // Release: a single-loop replica publishes after the apply, so a stats()
+  // reader that sees this sequence also sees its effect on the store.
+  const auto publish = [&] {
+    feed_last_seq_.store(f.sequence, std::memory_order_release);
+    feed_applied_.fetch_add(1, std::memory_order_release);
+  };
   if (nr_ == 1) {
     handle_frame(r, c, f);  // applies, acks on this connection, chains
+    publish();
     return;
   }
+  publish();
   // Multi-reactor replica: chain the frame downstream in arrival order
   // (reactor 0 is the feed's owner, so this *is* the upstream
   // interleaving), then partition it to the owning reactors.
@@ -2133,27 +2139,17 @@ void server::handle_frame(reactor& r, connection& c, const frame& f) {
       }
       case opcode::query: {
         // Queries need per-key answers (a bitmap), which the aggregate
-        // apply() path cannot carry — so probe point-wise but in parallel
-        // over the pool; point queries are thread-safe on every backend.
-        // Workers partition by bitmap *word*, so every word has exactly
-        // one writer and the fill needs no atomics.
+        // apply() path cannot carry.  The store's per-key read tier
+        // answers the batch in one pool launch: each worker groups its key
+        // range by shard and every group is one batched backend probe.
         std::vector<uint64_t> keys = decode_keys(f);
         // relaxed: single-writer (event loop) telemetry; readers need no ordering.
         keys_.fetch_add(keys.size(), std::memory_order_relaxed);
+        std::vector<uint8_t> hits(keys.size());
+        store_.contains_each(keys, hits);
         std::vector<uint64_t> words(bitmap_words(keys.size()), 0);
-        gpu::launch_ranges(
-            words.size(), [&](unsigned, uint64_t wb, uint64_t we) {
-              for (uint64_t w = wb; w < we; ++w) {
-                uint64_t bits = 0;
-                const uint64_t base = w * 64;
-                const uint64_t end =
-                    std::min<uint64_t>(base + 64, keys.size());
-                for (uint64_t i = base; i < end; ++i)
-                  if (store_.contains(keys[i]))
-                    bits |= uint64_t{1} << (i - base);
-                words[w] = bits;
-              }
-            });
+        for (size_t i = 0; i < hits.size(); ++i)
+          words[i >> 6] |= uint64_t{hits[i]} << (i & 63);
         t_applied = obs::now_ns();
         append_out(c, encode_query_response(f.sequence, f.key_count, words));
         break;
@@ -2178,11 +2174,7 @@ void server::handle_frame(reactor& r, connection& c, const frame& f) {
         // relaxed: single-writer (event loop) telemetry; readers need no ordering.
         keys_.fetch_add(keys.size(), std::memory_order_relaxed);
         std::vector<uint64_t> counts(keys.size());
-        gpu::launch_ranges(keys.size(),
-                           [&](unsigned, uint64_t b, uint64_t e) {
-                             for (uint64_t i = b; i < e; ++i)
-                               counts[i] = store_.count(keys[i]);
-                           });
+        store_.count_each(keys, counts);
         t_applied = obs::now_ns();
         append_out(c, encode_count_response(f.sequence, counts));
         break;
@@ -2439,16 +2431,17 @@ void server::apply_work(reactor& r, const reactor_msg& w, reactor_msg& d) {
       d.b = br.erase_missing;
       break;
     }
+    // Reads probe this reactor's own shards on its own loop: every key in
+    // a work part belongs to the slice it owns, so no pool launch.
     case opcode::query: {
-      d.vals.resize(w.keys.size());
-      for (size_t i = 0; i < w.keys.size(); ++i)
-        d.vals[i] = store_.contains(w.keys[i]) ? 1 : 0;
+      std::vector<uint8_t> hits(w.keys.size());
+      store_.contains_each(w.keys, hits, store::filter_store::launch::caller);
+      d.vals.assign(hits.begin(), hits.end());
       break;
     }
     case opcode::count: {
       d.vals.resize(w.keys.size());
-      for (size_t i = 0; i < w.keys.size(); ++i)
-        d.vals[i] = store_.count(w.keys[i]);
+      store_.count_each(w.keys, d.vals, store::filter_store::launch::caller);
       break;
     }
     default:

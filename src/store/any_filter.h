@@ -27,6 +27,15 @@
 // APIs (Table 1): within one shard, callers must not run a bulk mutation
 // concurrently with other writers (the store's bulk/drain paths guarantee
 // this by running one logical thread per shard).
+//
+// The per-key read tier (contains_each / count_each) answers a batch key
+// by key: out[i] is exactly what contains(keys[i]) / count(keys[i]) would
+// return.  It runs serially on the calling thread (never a pool launch —
+// the store and the server decide where batches run), so a backend can
+// pipeline a batch's cache-line fetches the way the point TCF does.  Like
+// every bulk op it is host-phased: no concurrent writer on the filter
+// while a batch is probed (concurrent readers are fine).  The defaults
+// are the point loops.
 #pragma once
 
 #include <atomic>
@@ -128,6 +137,18 @@ class any_filter {
     return found;
   }
 
+  /// out[i] = contains(keys[i]) as 0/1; out.size() == keys.size().
+  virtual void contains_each(std::span<const uint64_t> keys,
+                             std::span<uint8_t> out) const {
+    for (size_t i = 0; i < keys.size(); ++i) out[i] = contains(keys[i]);
+  }
+
+  /// out[i] = count(keys[i]); out.size() == keys.size().
+  virtual void count_each(std::span<const uint64_t> keys,
+                          std::span<uint64_t> out) const {
+    for (size_t i = 0; i < keys.size(); ++i) out[i] = count(keys[i]);
+  }
+
   /// Remove one instance per batch occurrence; returns instances removed.
   virtual uint64_t erase_bulk(std::span<const uint64_t> keys) {
     uint64_t ok = 0;
@@ -196,6 +217,14 @@ class tcf_backend final : public any_filter {
   }
   uint64_t contains_bulk(std::span<const uint64_t> keys) const override {
     return filter_.count_contained(keys);
+  }
+  void contains_each(std::span<const uint64_t> keys,
+                     std::span<uint8_t> out) const override {
+    filter_.contains_each(keys, [&](size_t i, bool hit) { out[i] = hit; });
+  }
+  void count_each(std::span<const uint64_t> keys,
+                  std::span<uint64_t> out) const override {
+    filter_.contains_each(keys, [&](size_t i, bool hit) { out[i] = hit; });
   }
   uint64_t erase_bulk(std::span<const uint64_t> keys) override {
     return filter_.erase_bulk(keys);
@@ -393,6 +422,19 @@ class bulk_tcf_backend final : public any_filter {
   uint64_t contains_bulk(std::span<const uint64_t> keys) const override {
     std::shared_lock lk(mu_);
     return filter_.count_contained(keys);
+  }
+  // One shared lock per batch instead of one per key.
+  void contains_each(std::span<const uint64_t> keys,
+                     std::span<uint8_t> out) const override {
+    std::shared_lock lk(mu_);
+    for (size_t i = 0; i < keys.size(); ++i)
+      out[i] = filter_.contains(keys[i]);
+  }
+  void count_each(std::span<const uint64_t> keys,
+                  std::span<uint64_t> out) const override {
+    std::shared_lock lk(mu_);
+    for (size_t i = 0; i < keys.size(); ++i)
+      out[i] = filter_.contains(keys[i]);
   }
   uint64_t erase_bulk(std::span<const uint64_t> keys) override {
     std::unique_lock lk(mu_);

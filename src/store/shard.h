@@ -29,6 +29,9 @@
 //     are host-phased: at most one bulk mutation per shard at a time, and
 //     no concurrent point writers — the discipline the store's bulk/drain
 //     paths already follow (one logical thread per shard).
+//   * The per-key read tier (contains_each/count_each) is read-only but
+//     host-phased too: no concurrent writer on the shard while a batch is
+//     probed.  Concurrent readers are fine.
 //   * maintain() mutates the cascade itself and is host-phased like the
 //     bulk ops: do not run it concurrently with any operation on the
 //     shard.  The store's maintain() is called between batches.
@@ -136,6 +139,65 @@ class shard {
     for (const auto& f : levels_) c += f->count(key);
     if (c) stats_.query_hits.fetch_add(1, std::memory_order_relaxed);
     return c;
+  }
+
+  // -- Per-key read tier (host-phased, stats-counted) -------------------------
+  //
+  // out[i] is exactly contains(keys[i]) / count(keys[i]), and the stats
+  // move exactly as far as that point loop would — but they are bumped
+  // once per batch, and each level answers through its backend's batched
+  // probe (any_filter.h).  Serial on the calling thread.
+
+  /// Level 0 probes the whole batch; only its misses move deeper.
+  void contains_each(std::span<const uint64_t> keys,
+                     std::span<uint8_t> out) const {
+    if (keys.empty()) return;
+    levels_.front()->contains_each(keys, out);
+    if (levels_.size() > 1) {
+      std::vector<size_t> idx;
+      std::vector<uint64_t> rem;
+      for (size_t i = 0; i < keys.size(); ++i)
+        if (!out[i]) {
+          idx.push_back(i);
+          rem.push_back(keys[i]);
+        }
+      std::vector<uint8_t> hit;
+      for (size_t l = 1; l < levels_.size() && !rem.empty(); ++l) {
+        hit.resize(rem.size());
+        levels_[l]->contains_each(rem, hit);
+        size_t kept = 0;
+        for (size_t j = 0; j < rem.size(); ++j) {
+          if (hit[j]) {
+            out[idx[j]] = 1;
+            continue;
+          }
+          idx[kept] = idx[j];
+          rem[kept++] = rem[j];
+        }
+        idx.resize(kept);
+        rem.resize(kept);
+      }
+    }
+    uint64_t hits = 0;
+    for (uint8_t h : out) hits += h;
+    note_queries(keys.size(), hits);
+  }
+
+  /// Every level counts the whole batch; out[i] is the sum.
+  void count_each(std::span<const uint64_t> keys,
+                  std::span<uint64_t> out) const {
+    if (keys.empty()) return;
+    levels_.front()->count_each(keys, out);
+    if (levels_.size() > 1) {
+      std::vector<uint64_t> deeper(keys.size());
+      for (size_t l = 1; l < levels_.size(); ++l) {
+        levels_[l]->count_each(keys, deeper);
+        for (size_t i = 0; i < keys.size(); ++i) out[i] += deeper[i];
+      }
+    }
+    uint64_t hits = 0;
+    for (uint64_t c : out) hits += c != 0;
+    note_queries(keys.size(), hits);
   }
 
   bool erase(uint64_t key) {
@@ -315,6 +377,13 @@ class shard {
       // relaxed: overflow telemetry counter; readers tolerate staleness.
       metrics_->overflow_answered.fetch_add(instances,
                                             std::memory_order_relaxed);
+  }
+
+  void note_queries(uint64_t queries, uint64_t hits) const {
+    // relaxed: op_stats counter; read() snapshots tolerate staleness.
+    stats_.queries.fetch_add(queries, std::memory_order_relaxed);
+    // relaxed: op_stats counter; read() snapshots tolerate staleness.
+    if (hits) stats_.query_hits.fetch_add(hits, std::memory_order_relaxed);
   }
 
   bool cascade_insert(uint64_t key, uint64_t count) {
@@ -603,11 +672,8 @@ class shard {
       return;
     }
     std::vector<uint64_t> keys = gather_keys(run);
-    // relaxed: op_stats counter; read() snapshots tolerate staleness.
-    stats_.queries.fetch_add(run.size(), std::memory_order_relaxed);
     uint64_t hits = bulk_contains_keys(keys);
-    // relaxed: op_stats counter; read() snapshots tolerate staleness.
-    if (hits) stats_.query_hits.fetch_add(hits, std::memory_order_relaxed);
+    note_queries(run.size(), hits);
     r.query_hits += hits;
     r.query_misses += run.size() - hits;
   }

@@ -8,7 +8,7 @@
 // identical to a standalone filter and no fingerprint bits are "spent" on
 // routing.
 //
-// Three operation tiers, mirroring the paper's point/bulk split:
+// Four operation tiers, mirroring the paper's point/bulk split:
 //   * Point ops     — route to the owning shard, delegate to its backend's
 //                     thread-safe ops.  Any number of caller threads.
 //   * Async batched — enqueue_*() appends to per-shard queues; flush()
@@ -23,6 +23,9 @@
 //                     bulk-inserts each contiguous slice shard-parallel
 //                     through the backend's native bulk ops with §5.4
 //                     count-compression in front (store/shard.h).
+//   * Per-key reads — contains_each()/count_each() answer a batch key by
+//                     key: grouped by shard, one batched backend probe per
+//                     group and cascade level, at most one pool launch.
 //
 // Skew relief: routing is static, so a hot shard cannot shed load to its
 // neighbours — and filters cannot enumerate their keys, so it cannot be
@@ -243,26 +246,43 @@ class filter_store {
     return r;
   }
 
-  /// Parallel membership count over a batch (point-routed; queries need no
-  /// partitioning since they mutate nothing).  Each worker accumulates a
-  /// private partial and publishes it once — a shared atomic per hit would
-  /// bounce its cache line across every worker.
+  // -- Per-key read tier (host-phased) ---------------------------------------
+
+  /// Where a per-key read batch runs.
+  enum class launch {
+    pool,    ///< one pool launch; each worker probes a contiguous key range
+    caller,  ///< serially on the calling thread, no pool launch
+  };
+
+  /// out[i] = contains(keys[i]) as 0/1, with the same per-shard stats.
+  /// Each key range is grouped by owning shard and every group is one
+  /// shard::contains_each call, so each level answers through its
+  /// backend's batched probe.  At most one pool launch (none with
+  /// launch::caller — the multi-reactor server probes the slice it owns on
+  /// its own event loop).  Host-phased: no concurrent writers.
+  void contains_each(std::span<const uint64_t> keys, std::span<uint8_t> out,
+                     launch where = launch::pool) const {
+    probe_each(keys, out, where,
+               [](const shard& s, std::span<const uint64_t> k,
+                  std::span<uint8_t> o) { s.contains_each(k, o); });
+  }
+
+  /// out[i] = count(keys[i]); same grouping and launch rule as
+  /// contains_each().
+  void count_each(std::span<const uint64_t> keys, std::span<uint64_t> out,
+                  launch where = launch::pool) const {
+    probe_each(keys, out, where,
+               [](const shard& s, std::span<const uint64_t> k,
+                  std::span<uint64_t> o) { s.count_each(k, o); });
+  }
+
+  /// Number of batch keys the store answers positively (contains_each).
   uint64_t count_contained(std::span<const uint64_t> keys) const {
-    std::atomic<uint64_t> found{0};
-    gpu::launch_ranges(keys.size(),
-                       [&](unsigned, uint64_t begin, uint64_t end) {
-                         util::counters_scope cs(metrics_->gf_counters);
-                         uint64_t local = 0;
-                         for (uint64_t i = begin; i < end; ++i)
-                           local += shards_[shard_of(keys[i])]->contains(
-                                        keys[i])
-                                        ? 1
-                                        : 0;
-                         // relaxed: worker-private tally; the launch join publishes it to the reader.
-                         if (local)
-                           found.fetch_add(local, std::memory_order_relaxed);
-                       });
-    return found.load();
+    std::vector<uint8_t> hit(keys.size());
+    contains_each(keys, hit);
+    uint64_t found = 0;
+    for (uint8_t h : hit) found += h;
+    return found;
   }
 
   // -- Introspection ---------------------------------------------------------
@@ -377,6 +397,55 @@ class filter_store {
         out[cursor[shard_of(key_of(in[i]))]++] = in[i];
     });
     return offsets;
+  }
+
+  /// Runs contains_each()/count_each(): either one range on the caller
+  /// or one static range per pool worker.
+  template <class T, class Probe>
+  void probe_each(std::span<const uint64_t> keys, std::span<T> out,
+                  launch where, const Probe& probe) const {
+    if (where == launch::caller) {
+      probe_range(keys, out, probe);
+      return;
+    }
+    gpu::launch_ranges(keys.size(), [&](unsigned, uint64_t b, uint64_t e) {
+      probe_range(keys.subspan(b, e - b), out.subspan(b, e - b), probe);
+    });
+  }
+
+  /// Group one key range by owning shard (a serial counting sort), probe
+  /// each group with one shard call, and scatter the answers back.
+  template <class T, class Probe>
+  void probe_range(std::span<const uint64_t> keys, std::span<T> out,
+                   const Probe& probe) const {
+    const size_t n = keys.size();
+    if (n == 0) return;
+    util::counters_scope cs(metrics_->gf_counters);
+    const size_t m = shards_.size();
+    if (m == 1) {
+      probe(*shards_[0], keys, out);
+      return;
+    }
+    std::vector<uint32_t> sid(n);
+    std::vector<size_t> cursor(m + 1, 0);
+    for (size_t i = 0; i < n; ++i) ++cursor[(sid[i] = shard_of(keys[i])) + 1];
+    for (size_t s = 0; s < m; ++s) cursor[s + 1] += cursor[s];
+    std::vector<uint64_t> grouped(n);
+    std::vector<size_t> from(n);
+    for (size_t i = 0; i < n; ++i) {
+      const size_t p = cursor[sid[i]]++;
+      grouped[p] = keys[i];
+      from[p] = i;
+    }
+    // The scatter left cursor[s] at the end of group s.
+    std::vector<T> res(n);
+    for (size_t s = 0, b = 0; s < m; b = cursor[s++]) {
+      const size_t e = cursor[s];
+      if (b < e)
+        probe(*shards_[s], std::span<const uint64_t>(grouped).subspan(b, e - b),
+              std::span<T>(res).subspan(b, e - b));
+    }
+    for (size_t p = 0; p < n; ++p) out[from[p]] = res[p];
   }
 
   static void validate_config(const store_config& cfg) {

@@ -82,6 +82,11 @@ class backing_table {
     return false;
   }
 
+  /// Start fetching the first slot contains(h1, h2, ...) reads.
+  void prefetch(uint64_t h1, uint64_t h2) const {
+    __builtin_prefetch(&slots_[position(h1, h2, 0)]);
+  }
+
   /// Lookup returning the stored value bits.
   std::optional<uint16_t> find_value(uint64_t h1, uint64_t h2, uint16_t fp,
                                      unsigned val_bits) const {

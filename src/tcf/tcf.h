@@ -139,14 +139,32 @@ class tcf {
 
   /// Membership query: probes the two candidate blocks, then (for negative
   /// results) the backing table (§6.1's negative-query overhead).
-  bool contains(uint64_t key) const {
-    const hashed h = hash_key(key);
-    GF_COUNT(cache_lines_touched, 1);
-    if (block_find(blocks_[h.b1], h.fp) >= 0) return true;
-    GF_COUNT(cache_lines_touched, 1);
-    if (block_find(blocks_[h.b2], h.fp) >= 0) return true;
-    if (!cfg_.enable_backing) return false;
-    return backing_.contains(h.h1, h.h2, h.fp, ValBits);
+  bool contains(uint64_t key) const { return probe(hash_key(key)); }
+
+  /// Keys hashed ahead of the one being probed by contains_each().
+  static constexpr size_t kPrefetchDistance = 16;
+
+  /// Batched membership: calls sink(i, contains(keys[i])) for every i, in
+  /// order, on the calling thread (no pool launch).  A point probe spends
+  /// nearly all its time waiting on its block's cache line; this pipeline
+  /// hashes kPrefetchDistance keys ahead and prefetches both candidate
+  /// blocks and the first backing-table slot, so many line fetches are in
+  /// flight while earlier keys are probed.  The answer is contains()'s —
+  /// the same probe runs on the same hash.
+  template <class Sink>
+  void contains_each(std::span<const uint64_t> keys, Sink&& sink) const {
+    constexpr size_t kMask = kPrefetchDistance - 1;
+    static_assert((kPrefetchDistance & kMask) == 0);
+    hashed ring[kPrefetchDistance]{};
+    const size_t n = keys.size();
+    for (size_t i = 0; i < n && i < kPrefetchDistance; ++i)
+      ring[i] = prefetch(hash_key(keys[i]));
+    for (size_t i = 0; i < n; ++i) {
+      const hashed h = ring[i & kMask];
+      if (i + kPrefetchDistance < n)
+        ring[i & kMask] = prefetch(hash_key(keys[i + kPrefetchDistance]));
+      sink(i, probe(h));
+    }
   }
 
   /// Value lookup (ValBits > 0): value stored with the fingerprint, or
@@ -447,6 +465,28 @@ class tcf {
     } else {
       h.fp = remap_fingerprint<FpBits, block_type::kNeedsNonzeroNibble>(raw);
     }
+    return h;
+  }
+
+  /// contains() on an already-hashed key.
+  bool probe(const hashed& h) const {
+    GF_COUNT(cache_lines_touched, 1);
+    if (block_find(blocks_[h.b1], h.fp) >= 0) return true;
+    GF_COUNT(cache_lines_touched, 1);
+    if (block_find(blocks_[h.b2], h.fp) >= 0) return true;
+    if (!cfg_.enable_backing) return false;
+    return backing_.contains(h.h1, h.h2, h.fp, ValBits);
+  }
+
+  /// Start the line fetches probe(h) will need; returns h.  A block is
+  /// not line-aligned, so both of its end bytes are prefetched.
+  const hashed& prefetch(const hashed& h) const {
+    for (uint64_t b : {h.b1, h.b2}) {
+      const char* p = reinterpret_cast<const char*>(&blocks_[b]);
+      __builtin_prefetch(p);
+      __builtin_prefetch(p + sizeof(block_type) - 1);
+    }
+    if (cfg_.enable_backing) backing_.prefetch(h.h1, h.h2);
     return h;
   }
 

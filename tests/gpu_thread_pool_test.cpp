@@ -1,12 +1,28 @@
 #include "gpu/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "gpu/launch.h"
+#include "store/store.h"
+#include "util/xorwow.h"
+
+// TSan supports fork from a multi-threaded process only barely (the child
+// loses the runtime's background machinery), so the fork drill is skipped
+// there, as in persist_wal_test.
+#if defined(__SANITIZE_THREAD__)
+#define GF_TSAN_ACTIVE 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define GF_TSAN_ACTIVE 1
+#endif
+#endif
 
 namespace gf::gpu {
 namespace {
@@ -141,6 +157,63 @@ TEST(ThreadPool, ConcurrentMutationVisibleAfterJoin) {
   std::vector<uint64_t> data(10000, 0);
   launch_threads(data.size(), [&](uint64_t i) { data[i] = i * i; });
   for (uint64_t i = 0; i < data.size(); ++i) ASSERT_EQ(data[i], i * i);
+}
+
+TEST(ThreadPool, ForkChildRelaunchesWorkers) {
+#ifdef GF_TSAN_ACTIVE
+  GTEST_SKIP() << "fork from a multi-threaded process is unreliable under TSan";
+#endif
+  // A 4-worker pool that another thread keeps launching on while we fork,
+  // plus the process pool, started by a bulk insert.  The child inherits
+  // both pool objects but none of their worker threads: before the atfork
+  // hooks, its first launch waited forever on workers that did not exist.
+  thread_pool pool(4);
+  std::atomic<bool> stop{false};
+  std::thread launcher([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      std::atomic<uint64_t> n{0};
+      pool.parallel_for(0, 4096, 16, [&](uint64_t) {
+        n.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+  });
+  store::store_config cfg;
+  cfg.num_shards = 4;
+  cfg.capacity = 1 << 16;
+  store::filter_store st(cfg);
+  const auto keys = util::hashed_xorwow_items(1 << 14, 41);
+  ASSERT_EQ(st.insert_bulk(keys), keys.size());
+
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::alarm(30);  // watchdog: a hung launch ends the child by SIGALRM
+    std::atomic<uint64_t> sum{0};
+    pool.parallel_for(0, 1000, 8, [&](uint64_t i) {
+      sum.fetch_add(i, std::memory_order_relaxed);
+    });
+    const auto more = util::hashed_xorwow_items(1 << 14, 42);
+    const bool ok = sum.load() == 999u * 1000 / 2 && pool.size() == 4 &&
+                    st.insert_bulk(more) == more.size() &&
+                    st.count_contained(keys) == keys.size() &&
+                    st.count_contained(more) == more.size();
+    ::_exit(ok ? 0 : 1);
+  }
+  int ws = 0;
+  const pid_t waited = pid > 0 ? ::waitpid(pid, &ws, 0) : -1;
+  stop.store(true, std::memory_order_relaxed);
+  launcher.join();
+  ASSERT_GT(pid, 0);
+  ASSERT_EQ(waited, pid);
+  ASSERT_TRUE(WIFEXITED(ws)) << "child died by signal " << WTERMSIG(ws)
+                             << " (SIGALRM: a launch hung)";
+  EXPECT_EQ(WEXITSTATUS(ws), 0);
+  // The parent's pools keep working after the fork.
+  std::atomic<uint64_t> after{0};
+  pool.parallel_for(0, 1000, 8, [&](uint64_t) {
+    after.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(after.load(), 1000u);
+  EXPECT_EQ(st.count_contained(keys), keys.size());
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 //   * reactor-count clamping (more reactors than shards).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -59,6 +60,69 @@ net::server_config reactor_config(uint32_t reactors) {
   return cfg;
 }
 
+/// Drive one server and a direct store with the same stream, then compare
+/// every QUERY bitmap bit and COUNT value.  `grow` shrinks the store so
+/// MAINTAIN (sent to both sides after each chunk) grows overflow levels.
+void expect_wire_matches_direct(store::backend_kind backend,
+                                uint32_t reactors, bool grow) {
+  const std::string ctx = std::string(store::backend_name(backend)) +
+                          " reactors=" + std::to_string(reactors) +
+                          (grow ? " grown" : " flat");
+  auto scfg = shard_config();
+  scfg.backend = backend;
+  if (grow) scfg.capacity = 1 << 13;
+  net::server_config ncfg = reactor_config(reactors);
+  ncfg.maintain_every = 0;  // growth only where both sides maintain
+  live_server ls{std::move(ncfg), store::filter_store(scfg)};
+  store::filter_store direct(scfg);
+  auto cli = ls.connect();
+
+  auto keys = util::hashed_xorwow_items(20000, 23);
+  std::span<const uint64_t> span(keys);
+  for (size_t off = 0; off < keys.size(); off += 4096) {
+    auto chunk = span.subspan(off, std::min<size_t>(4096, keys.size() - off));
+    const auto wire = cli.insert(chunk);
+    std::vector<uint64_t> copy(chunk.begin(), chunk.end());
+    const uint64_t direct_ok = direct.insert_bulk(copy);
+    EXPECT_EQ(wire.ok, direct_ok) << ctx;
+    if (grow) {
+      cli.maintain();
+      direct.maintain();
+    }
+  }
+  if (grow) {
+    uint32_t depth = 1;
+    for (const auto& r : direct.report()) depth = std::max(depth, r.levels);
+    ASSERT_GT(depth, 1u) << ctx;
+  }
+  // Multiplicities above one, so COUNT answers more than membership.
+  const std::vector<uint64_t> hot(keys.begin(), keys.begin() + 64);
+  const std::vector<uint64_t> threes(hot.size(), 3);
+  cli.insert_counted(hot, threes);
+  std::vector<store::op> hot_ops;
+  for (uint64_t k : hot) hot_ops.push_back(store::make_insert(k, 3));
+  direct.apply(hot_ops);
+
+  // Membership: the wire bitmap must agree with the direct store per key
+  // (both sides saw the identical stream, partitioned or not).
+  auto probes = util::hashed_xorwow_items(30000, 57);
+  for (size_t i = 0; i < keys.size(); i += 3) probes.push_back(keys[i]);
+  const auto bitmap = cli.query_bitmap(std::span<const uint64_t>(probes));
+  for (size_t i = 0; i < probes.size(); ++i) {
+    const bool wire_hit = (bitmap[i >> 6] >> (i & 63)) & 1;
+    ASSERT_EQ(wire_hit, direct.contains(probes[i])) << ctx << " probe " << i;
+  }
+
+  // Counts fold back from every owner into one positional vector.
+  std::vector<uint64_t> cprobes(hot);
+  cprobes.insert(cprobes.end(), probes.begin(), probes.begin() + 2048);
+  const auto wire_counts = cli.counts(std::span<const uint64_t>(cprobes));
+  ASSERT_EQ(wire_counts.size(), cprobes.size()) << ctx;
+  for (size_t i = 0; i < cprobes.size(); ++i)
+    ASSERT_EQ(wire_counts[i], direct.count(cprobes[i]))
+        << ctx << " count " << i;
+}
+
 }  // namespace
 
 TEST(NetReactor, FourReactorEquivalence) {
@@ -73,26 +137,8 @@ TEST(NetReactor, FourReactorEquivalence) {
     auto chunk = span.subspan(off, std::min<size_t>(4096, keys.size() - off));
     const auto wire = cli.insert(chunk);
     std::vector<uint64_t> copy(chunk.begin(), chunk.end());
-    const uint64_t direct_ok = direct.insert_bulk(copy);
-    EXPECT_EQ(wire.ok, direct_ok);
+    EXPECT_EQ(wire.ok, direct.insert_bulk(copy));
   }
-
-  // Membership: the wire bitmap must agree with the direct store per key
-  // (both sides saw the identical stream, partitioned or not).
-  auto probes = util::hashed_xorwow_items(30000, 57);
-  for (size_t i = 0; i < keys.size(); i += 3) probes.push_back(keys[i]);
-  const auto bitmap =
-      cli.query_bitmap(std::span<const uint64_t>(probes));
-  for (size_t i = 0; i < probes.size(); ++i) {
-    const bool wire_hit = (bitmap[i >> 6] >> (i & 63)) & 1;
-    EXPECT_EQ(wire_hit, direct.contains(probes[i])) << "probe " << i;
-  }
-
-  // Counts fold back from up to four owners into one positional vector.
-  const auto wire_counts =
-      cli.counts(std::span<const uint64_t>(probes).subspan(0, 2048));
-  for (size_t i = 0; i < 2048; ++i)
-    EXPECT_EQ(wire_counts[i], direct.count(probes[i])) << "count " << i;
 
   // Erase a slice and re-check.
   auto victims = std::span<const uint64_t>(keys).subspan(0, 5000);
@@ -102,6 +148,13 @@ TEST(NetReactor, FourReactorEquivalence) {
   const auto direct_erase = direct.apply(ops);
   EXPECT_EQ(wire_erase.ok, direct_erase.erased);
   EXPECT_EQ(wire_erase.failed, direct_erase.erase_missing);
+
+  // QUERY and COUNT answers, TCF and GQF, flat and grown cascades, on the
+  // single-loop path and the multi-reactor path.
+  for (auto backend : {store::backend_kind::tcf, store::backend_kind::gqf})
+    for (uint32_t reactors : {1u, 4u})
+      for (bool grow : {false, true})
+        expect_wire_matches_direct(backend, reactors, grow);
 }
 
 TEST(NetReactor, ControlPlaneUnderTraffic) {

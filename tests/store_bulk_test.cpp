@@ -7,6 +7,8 @@
 #include <memory>
 #include <span>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "store/store.h"
@@ -397,6 +399,146 @@ TEST(StoreBulk, CascadeBulkEraseMatchesPointWalk) {
       mismatches += bulk->count(k) != point->count(k) ? 1 : 0;
     EXPECT_LE(mismatches, 4 * (point_ok - r.erased) + 2)
         << backend_name(backend);
+  }
+}
+
+// -- Per-key read tier --------------------------------------------------------
+//
+// contains_each/count_each must answer exactly like the point loop, key by
+// key, on every backend, at cascade depth 1 and on grown cascades, at the
+// TCF pipeline's edge batch sizes, with and without duplicate keys — and
+// move the shard stats exactly as far as the point loop does.
+
+namespace read_tier {
+
+constexpr size_t kDist = tcf::point_tcf::kPrefetchDistance;
+constexpr size_t kBatchSizes[] = {0, 1, kDist - 1, kDist, kDist + 1, 4096};
+
+/// Half inserted keys, half absent ones; with `dups`, every third key
+/// repeats an earlier one.
+std::vector<uint64_t> probes(std::span<const uint64_t> present, size_t n,
+                             bool dups) {
+  auto absent = util::hashed_xorwow_items(n + 1, 701 + n);
+  std::vector<uint64_t> out(n);
+  for (size_t i = 0; i < n; ++i)
+    out[i] = i % 2 ? absent[i] : present[(i * 7919) % present.size()];
+  if (dups)
+    for (size_t i = 3; i < n; i += 3) out[i] = out[i / 3];
+  return out;
+}
+
+/// A store whose shards grew overflow levels under maintain().
+store::filter_store grown_store(backend_kind backend,
+                                std::span<const uint64_t> keys) {
+  store::filter_store st(config(backend, 4, 4096));
+  store::maintain_config mcfg;
+  mcfg.max_levels = 4;
+  for (size_t lo = 0; lo < keys.size(); lo += 1024) {
+    st.insert_bulk(keys.subspan(lo, std::min<size_t>(1024, keys.size() - lo)));
+    st.maintain(mcfg);
+  }
+  return st;
+}
+
+uint32_t max_depth(const store::filter_store& st) {
+  uint32_t d = 0;
+  for (const auto& r : st.report()) d = std::max(d, r.levels);
+  return d;
+}
+
+/// Per-shard (queries, query_hits) moved by `fn`.
+template <class Fn>
+std::vector<std::pair<uint64_t, uint64_t>> stats_delta(
+    const store::filter_store& st, Fn&& fn) {
+  std::vector<std::pair<uint64_t, uint64_t>> d(st.num_shards());
+  for (uint32_t s = 0; s < st.num_shards(); ++s) {
+    const auto snap = st.shard_at(s).stats();
+    d[s] = {snap.queries, snap.query_hits};
+  }
+  fn();
+  for (uint32_t s = 0; s < st.num_shards(); ++s) {
+    const auto snap = st.shard_at(s).stats();
+    d[s] = {snap.queries - d[s].first, snap.query_hits - d[s].second};
+  }
+  return d;
+}
+
+void expect_matches_point(const store::filter_store& st,
+                          std::span<const uint64_t> batch,
+                          const std::string& what) {
+  using launch = store::filter_store::launch;
+  for (launch where : {launch::pool, launch::caller}) {
+    const std::string ctx =
+        what + (where == launch::pool ? " pool" : " caller");
+    std::vector<uint8_t> point_hit(batch.size()), hit(batch.size(), 7);
+    const auto point_q = stats_delta(st, [&] {
+      for (size_t i = 0; i < batch.size(); ++i)
+        point_hit[i] = st.contains(batch[i]);
+    });
+    const auto each_q =
+        stats_delta(st, [&] { st.contains_each(batch, hit, where); });
+    ASSERT_EQ(hit, point_hit) << ctx;
+    EXPECT_EQ(each_q, point_q) << ctx;
+
+    std::vector<uint64_t> point_count(batch.size()), count(batch.size(), 7);
+    const auto point_c = stats_delta(st, [&] {
+      for (size_t i = 0; i < batch.size(); ++i)
+        point_count[i] = st.count(batch[i]);
+    });
+    const auto each_c =
+        stats_delta(st, [&] { st.count_each(batch, count, where); });
+    ASSERT_EQ(count, point_count) << ctx;
+    EXPECT_EQ(each_c, point_c) << ctx;
+  }
+}
+
+}  // namespace read_tier
+
+TEST(StoreBulk, ContainsEachAndCountEachMatchPointLoop) {
+  for (backend_kind backend : kAllBackends) {
+    auto keys = util::hashed_xorwow_items(12288, 711);
+    store::filter_store flat(config(backend, 4, 1 << 15));
+    flat.insert_bulk(keys);
+    ASSERT_EQ(read_tier::max_depth(flat), 1u) << backend_name(backend);
+    auto grown = read_tier::grown_store(backend, keys);
+    ASSERT_GT(read_tier::max_depth(grown), 1u) << backend_name(backend);
+    // Counts above one, so count_each's per-level sums are exercised.
+    if (flat.shard_at(0).filter().supports_counting()) {
+      flat.insert(keys[0], 3);
+      grown.insert(keys[0], 3);
+    }
+
+    for (const auto* st : {&flat, &grown})
+      for (size_t n : read_tier::kBatchSizes)
+        for (bool dups : {false, true}) {
+          auto batch = read_tier::probes(keys, n, dups);
+          read_tier::expect_matches_point(
+              *st, batch,
+              std::string(backend_name(backend)) +
+                  (st == &flat ? " flat" : " grown") + " n=" +
+                  std::to_string(n) + (dups ? " dups" : ""));
+        }
+  }
+}
+
+TEST(StoreBulk, ShardContainsEachMatchesPointWalkOnGrownCascade) {
+  for (backend_kind backend : kAllBackends) {
+    auto keys = util::hashed_xorwow_items(6144, 721);
+    auto sh = cascade::grown_shard(backend, keys);
+    ASSERT_GT(sh->level_count(), 1u) << backend_name(backend);
+    for (size_t n : read_tier::kBatchSizes) {
+      auto batch = read_tier::probes(keys, n, /*dups=*/true);
+      std::vector<uint8_t> hit(n);
+      std::vector<uint64_t> count(n);
+      sh->contains_each(batch, hit);
+      sh->count_each(batch, count);
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hit[i], sh->contains(batch[i]) ? 1 : 0)
+            << backend_name(backend) << " n=" << n << " i=" << i;
+        ASSERT_EQ(count[i], sh->count(batch[i]))
+            << backend_name(backend) << " n=" << n << " i=" << i;
+      }
+    }
   }
 }
 

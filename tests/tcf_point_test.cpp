@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include "util/xorwow.h"
 
@@ -182,6 +184,37 @@ TEST(TcfPoint, MemoryAccountingSane) {
   double bpi = f.bits_per_item(keys.size());
   EXPECT_GT(bpi, 16.0);
   EXPECT_LT(bpi, 19.5);  // paper Table 2 reports 16.7 for the TCF
+}
+
+TEST(TcfPoint, ContainsEachMatchesContainsWithBackingTable) {
+  // Filled until the first refusal, some keys live in the backing table,
+  // so the batched probe must fall through both blocks to it exactly as
+  // contains() does.  The 12-bit packed variant checks the pipeline on
+  // the straddling layout.
+  const auto pool = util::hashed_xorwow_items(1 << 14, 17);
+  const auto absent = util::hashed_xorwow_items(1 << 14, 18);
+  auto check = [&](auto& filter) {
+    std::vector<uint64_t> batch;
+    for (size_t i = 0; i < pool.size() && filter.insert(pool[i]); ++i) {
+      batch.push_back(pool[i]);
+      batch.push_back(absent[i]);
+    }
+    ASSERT_GT(filter.backing_size(), 0u);
+    constexpr size_t d = point_tcf::kPrefetchDistance;
+    for (size_t n : {size_t{0}, size_t{1}, d - 1, d, d + 1, batch.size()}) {
+      const std::span<const uint64_t> part(batch.data(), n);
+      size_t calls = 0;
+      filter.contains_each(part, [&](size_t i, bool hit) {
+        ASSERT_EQ(i, calls++);
+        ASSERT_EQ(hit, filter.contains(part[i])) << "n=" << n << " i=" << i;
+      });
+      EXPECT_EQ(calls, n);
+    }
+  };
+  point_tcf f(1 << 14);
+  check(f);
+  tcf_12_16 g(1 << 14);
+  check(g);
 }
 
 }  // namespace
