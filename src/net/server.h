@@ -1,17 +1,20 @@
 // net::server — the sharded filter store as a TCP service.
 //
-// Wire path: N poll-driven reactor threads (server_config::reactors; the
-// default of 1 preserves the original single-loop behavior bit-for-bit).
-// One acceptor (reactor 0) distributes inbound connections round-robin by
-// handing the raw fd to the target reactor over its mailbox; each reactor
-// then runs its own poll loop with per-connection frame decoders and write
-// buffers.  Every reactor owns a disjoint contiguous slice of the store's
-// shards: decoded batches are partitioned once at decode time by owning
-// reactor (per key, via filter_store::shard_of — the client's shard_hint is
-// advisory and never trusted for routing) and handed to owners over
-// bounded SPSC mailboxes (net/mailbox.h); results fold back on the
-// requesting reactor, which releases the one wire response.  Within each
-// part the store's bulk machinery — filter_store::insert_bulk for key
+// Wire path: N poll-driven reactor threads (server_config::reactors), one
+// dispatch path at every count — `--reactors 1` is one reactor that owns
+// every shard.  One acceptor (reactor 0) distributes inbound connections
+// round-robin by handing the raw fd to the target reactor over its
+// mailbox; each reactor then runs its own poll loop with per-connection
+// frame decoders and write buffers.  Every reactor owns a disjoint
+// contiguous slice of the store's shards: decoded batches are partitioned
+// once at decode time by owning reactor (per key, via
+// filter_store::shard_of — the client's shard_hint is advisory and never
+// trusted for routing) and handed to owners over bounded SPSC mailboxes
+// (net/mailbox.h); results fold back on the requesting reactor, which
+// releases the one wire response.  A reactor that owns every shard skips
+// the partition (its part is the whole batch, in request order) and reads
+// through the thread pool, which no other reactor contends for.  Within
+// each part the store's bulk machinery — filter_store::insert_bulk for key
 // batches, filter_store::apply for op batches — keeps the paper's
 // batch-amortization lesson (§4.2/§5.4) intact across the socket.
 //
@@ -28,24 +31,31 @@
 // Replication (net/replication.h): a connection that sends SYNC becomes a
 // *subscriber* — it receives the snapshot (chunked frames) and, from that
 // exact stream position on, a copy of every mutating batch the server
-// applies.  A multi-reactor server advances one replication sequence *lane
-// per reactor* (net/lane.h: lane id in the sequence's top byte); the
+// applies.  The server advances one replication sequence *lane per
+// reactor* (net/lane.h: lane id in the sequence's top byte); a multi-lane
 // snapshot transfer is prefixed with a lane table naming every lane's
 // position, subscribers receive all lanes on their one connection, and a
-// replica tracks gaps and resume positions per lane.  A single-reactor
-// server stamps lane 0 only, whose sequences are the plain pre-lane
-// integers.  A server in replica mode (read_only + attach_feed) applies
-// the stream coming down its *feed* connection (reactor 0 owns it), acks
-// each frame, detects per-lane sequence gaps, refuses client mutations
+// replica tracks gaps and resume positions per lane.  A one-reactor server
+// stamps lane 0 only, whose sequences are the plain integers 1, 2, 3, ...
+// — cadence MAINTAIN frames included — so its stream, snapshots, resume
+// responses and WAL are the pre-lane ones.  A server in replica mode
+// (read_only + attach_feed) applies the stream coming down its *feed*
+// connection (reactor 0 owns it and, once its own part of a frame is
+// applied, forwards the frame downstream in arrival order), acks each
+// frame, detects per-lane sequence gaps, refuses client mutations
 // in-band, and keeps serving reads if the primary dies.  A multi-reactor
 // server only follows a feed read-only.
 //
-// Control-plane frames (STATS / MAINTAIN / SNAPSHOT / SYNC) on a
-// multi-reactor server execute on reactor 0 inside a stop-the-world
-// barrier: every other reactor parks at its loop top, reactor 0 drains all
-// mailboxes, runs the operation against the quiesced store, and releases
-// the barrier.  This is what makes a metrics scrape, a snapshot, or a SYNC
-// bootstrap observe one consistent cut of all lanes.
+// Control-plane frames (STATS / MAINTAIN / SNAPSHOT / SYNC), and the
+// maintain cadence, execute on reactor 0 inside a stop-the-world barrier:
+// inline when they arrive on reactor 0, posted to it otherwise.  Every
+// other reactor parks at its loop top, reactor 0 drains all mailboxes,
+// runs the operation against the quiesced store, and releases the
+// barrier (with no other reactor, the barrier is a plain call).  This is
+// what makes a metrics scrape, a snapshot, or a SYNC bootstrap observe one
+// consistent cut of all lanes — including every frame pipelined ahead of
+// it on the same connection.  The 1-reactor metrics exposition keeps the
+// pre-lane schema: no lane="k" labels, no per-reactor gauge families.
 //
 // Hostile input: a structurally malformed frame (frame.h) or a payload
 // that disagrees with its opcode's shape (codec.h) condemns the
@@ -89,6 +99,8 @@ class durability_engine;  // src/persist/durability.h
 
 namespace gf::net {
 
+class replay_ring;  // net/replay_ring.h
+
 struct server_config {
   std::string bind_addr = "127.0.0.1";
   uint16_t port = 0;  ///< 0 = ephemeral; read the real one via port()
@@ -106,12 +118,14 @@ struct server_config {
   /// Run store.maintain() after every N mutating op frames (0 disables):
   /// sustained skewed wire traffic grows hot-shard overflow cascades
   /// (store/shard.h) without any client having to send MAINTAIN.  The
-  /// loop is the store's only writer, so the pass is host-phased by
-  /// construction.  On a replica the feed's forwarded MAINTAIN frames
-  /// drive growth instead, keeping cascade shapes in lockstep with the
-  /// primary (feed traffic never triggers the local cadence).  With
-  /// multiple reactors the cadence is per reactor and the pass runs under
-  /// the stop-the-world barrier, replicated as per-lane ranged frames.
+  /// cadence counts per reactor; the pass runs on reactor 0 under the
+  /// stop-the-world barrier (before the triggering batch when that batch
+  /// arrived on reactor 0), so it is host-phased by construction, and is
+  /// replicated as one frame per lane (ranged to the lane's shard slice
+  /// unless the slice is the whole store).  On a replica the feed's
+  /// forwarded MAINTAIN frames drive growth instead, keeping cascade
+  /// shapes in lockstep with the primary (feed traffic never triggers the
+  /// local cadence).
   uint32_t maintain_every = 64;
   int backlog = 64;
   /// Event capacity of the in-memory trace ring (obs/trace.h): frame
@@ -122,10 +136,11 @@ struct server_config {
 
   // -- Multi-reactor wire path ----------------------------------------------
 
-  /// Reactor (event loop) thread count.  1 — the default — is the original
-  /// single-loop server, bit-for-bit.  Above 1, reactor k owns the
-  /// contiguous shard slice [k*S/N, (k+1)*S/N) and replication lane k;
-  /// clamped to kMaxLanes and to the store's shard count.
+  /// Reactor (event loop) thread count; reactor k owns the contiguous
+  /// shard slice [k*S/N, (k+1)*S/N) and replication lane k.  Clamped to
+  /// kMaxLanes and to the store's shard count.  1 — the default — is one
+  /// reactor owning every shard: it streams lane 0's plain sequences and
+  /// keeps the pre-lane metrics exposition.
   uint32_t reactors = 1;
 
   // -- Replication ----------------------------------------------------------
@@ -186,8 +201,8 @@ struct server_config {
   /// mutating batch — auto-maintain's synthesized frames included — is
   /// appended at the same point it is fed to subscribers (each reactor
   /// appending its own lane's segment stream — wal-dir/lane-<k>/),
-  /// checkpoints run when due (under the stop-the-world barrier on a
-  /// multi-reactor server), and a reconnecting replica whose resume
+  /// reactor 0 checkpoints between frames when one is due (under the
+  /// stop-the-world barrier), and a reconnecting replica whose resume
   /// position has wrapped out of a replay ring is served a delta read
   /// back from the WAL instead of a whole snapshot.  Null disables
   /// durability (PR 8 behavior).
@@ -292,16 +307,16 @@ class server {
   server_stats stats() const;
 
   /// Prometheus-style text exposition of every registered metric (what the
-  /// STATS request with shard_hint = kStatsMetricsHint returns — which, on
-  /// a multi-reactor server, renders under the stop-the-world barrier so
-  /// counters never tear).  Reads live store state: call from the loop
-  /// thread (the wire path does) or while run() is not live.
+  /// STATS request with shard_hint = kStatsMetricsHint returns — which
+  /// renders under the stop-the-world barrier so counters never tear).
+  /// Reads live store state: call from the loop thread (the wire path
+  /// does) or while run() is not live.
   std::string metrics_text() const { return registry_.render(); }
 
   /// Recent events as chrome://tracing JSON (the STATS request with
   /// shard_hint = kStatsTraceHint; examples/store_server.cpp's --trace-out
-  /// writes it after run() returns).  Multi-reactor: per-reactor rings
-  /// merge into one export, tid = reactor id + 1.  Same threading
+  /// writes it after run() returns).  Per-reactor rings merge into one
+  /// export in timestamp order, tid = reactor id + 1.  Same threading
   /// contract as metrics_text().
   std::string trace_json() const;
 
@@ -320,34 +335,35 @@ class server {
   /// was condemned.
   bool drain_frames(reactor& r, connection& c);
   bool flush_writes(reactor& r, connection& c);  ///< false when peer gone
+  /// Client frames: data ops go through route_batch, control ops (and
+  /// the maintain cadence) through control().
   void handle_frame(reactor& r, connection& c, const frame& f);
-  /// Multi-reactor dispatch: data ops partition to owners, control ops
-  /// travel to reactor 0 as ctrl messages.
-  void handle_frame_mt(reactor& r, connection& c, const frame& f,
-                       bool from_feed, bool mutating);
+  /// Close out one frame's timing: apply/encode stages, per-opcode
+  /// latency, and its trace event.
+  void record_frame(reactor& r, opcode op, uint32_t key_count,
+                    uint64_t t_start, uint64_t t_applied);
   void serve_sync(reactor& r, connection& c, const frame& f);
   void serve_snapshot(reactor& r, connection& c, const frame& f);
   void serve_resume(reactor& r, connection& c, const frame& f);
   void handle_invite(reactor& r, connection& c, const frame& f);
   void feed_frame(reactor& r, connection& c, const frame& f);
   void subscriber_ack(reactor& r, connection& c, const frame& f);
-  /// Stamp a just-applied mutation with its stream sequence on reactor
-  /// r's lane, copy it to every subscriber, append it to the WAL, and
-  /// record it in r's replay ring.  Returns the stamped sequence.
-  uint64_t replicate(reactor& r, const frame& f, bool from_feed);
-  /// Replica chain-forwarding at nr_ > 1: propagate a feed frame (its
-  /// upstream lane stamp intact) to WAL, subscribers, and the lane's ring
-  /// at arrival time, before the owners apply it.
+  /// Stamp a just-applied mutation with the next stream sequence on
+  /// reactor r's lane and fan it out.  Returns the stamped sequence.
+  uint64_t replicate(reactor& r, const frame& f);
+  /// Replica chain-forwarding: advance the feed frame's lane (its upstream
+  /// stamp intact) and fan it out, in arrival order.
   void chain_forward(reactor& r, const frame& f);
-  void forward_to_subs(reactor& r, uint64_t seq,
+  /// Encode `f` stamped with `seq` once, append it to the WAL, copy it to
+  /// every subscriber, and keep it in `ring` (when non-null).
+  void fan_out(reactor& r, const frame& f, uint64_t seq, replay_ring* ring);
+  void forward_to_subs(reactor& r,
                        const std::shared_ptr<std::vector<uint8_t>>& bytes);
-  void deliver_to_sub(reactor& r, sub_entry& s,
-                      const std::vector<uint8_t>& bytes);
-  void register_subscriber(reactor& r, connection& c,
+  void deliver_to_sub(sub_entry& s, const std::vector<uint8_t>& bytes);
+  void register_subscriber(connection& c,
                            std::span<const uint64_t> acked_lanes,
                            size_t queued_bytes);
-  void recompute_acked(reactor& r);
-  uint64_t live_subscribers(const reactor& r) const;
+  void recompute_acked();
   /// Queue a mutating op's pair response — immediately, or parked behind
   /// the ack gate when cfg_.ack_replicas demands replica acknowledgment.
   /// `stream_seqs` holds one sequence per lane the batch landed on.
@@ -361,7 +377,7 @@ class server {
   /// everything still parked (shutdown).
   void service_acks(reactor& r, uint64_t now_ns, bool flush_deadline = false);
   /// Fire due timers: reconnect attempts, ack deadlines, feed idleness,
-  /// multi-reactor checkpoints.
+  /// checkpoints (reactor 0).
   void service_timers(reactor& r, uint64_t now_ns);
   /// Milliseconds until the nearest timer, -1 when none is armed.
   int poll_timeout_ms(const reactor& r, uint64_t now_ns) const;
@@ -373,6 +389,10 @@ class server {
   /// 0 owns it); one expected-next sequence per lane.
   void adopt_feed(socket_fd fd, frame_decoder dec,
                   std::vector<uint64_t> next_seqs);
+  /// Swap in a store of a new lineage (bootstrap invite, snapshot
+  /// re-sync) positioned at `lane_lasts`; caller holds the barrier.
+  void replace_store(store::filter_store st,
+                     std::span<const uint64_t> lane_lasts);
   void sweep_dead(reactor& r);
   void condemn(reactor& r, connection& c, const std::string& why);
   void append_out(connection& c, std::vector<uint8_t> bytes);
@@ -381,21 +401,31 @@ class server {
   /// histogram registrations point into the store's metrics bundle.
   void register_metrics();
 
-  // -- Multi-reactor machinery ----------------------------------------------
+  // -- Reactor machinery ----------------------------------------------------
 
-  /// Partition a data batch by owning reactor, apply the local part
-  /// inline, hand remote parts to their owners, and park the response
-  /// until every part folded back.
+  /// Give reactor k the contiguous shard slice [k*S/N, (k+1)*S/N) of the
+  /// current store.
+  void assign_shards();
+  bool owns_every_shard(const reactor& r) const;
+  /// Apply a data batch: partition it by owning reactor (unless r owns
+  /// every shard), apply the local part inline, hand remote parts to their
+  /// owners, and park the response until every part folded back.
   void route_batch(reactor& r, connection& c, const frame& f, bool from_feed,
                    uint64_t t_start);
   /// Execute one part on its owning reactor, filling the done reply.
-  void apply_work(reactor& r, const reactor_msg& w, reactor_msg& d);
-  void complete_part(reactor& r, uint64_t ticket, reactor_msg& d);
+  /// `whole` is the request frame when the part is all of it.
+  void apply_work(reactor& r, const reactor_msg& w, reactor_msg& d,
+                  const frame* whole = nullptr);
+  void complete_part(reactor& r, uint64_t ticket, const reactor_msg& d);
   void finish_resp(reactor& r, pending_resp& p);
-  void exec_ctrl(reactor& r, reactor_msg& m);
-  /// Stop-the-world maintenance over every reactor's slice, replicated as
-  /// per-lane ranged frames; responds on `c` when non-null.
-  void maintain_all_slices(reactor& r, connection* c, uint64_t client_seq,
+  /// Run a control op (c == nullptr: a cadence maintain) on reactor 0:
+  /// inline when r is reactor 0, posted to it otherwise.
+  void control(reactor& r, connection* c, const frame& f, uint64_t t_start);
+  void exec_ctrl(reactor& r, connection* c, const frame& f, uint64_t t_start);
+  /// Stop-the-world maintenance over every reactor's slice (within the
+  /// request's range, if any), replicated per lane; responds on `c` when
+  /// non-null.
+  void maintain_all_slices(reactor& r, connection* c, const frame& f,
                            uint64_t t_start);
   std::string stats_json_text(uint64_t t_now) const;
   bool process_inboxes(reactor& r);
@@ -403,17 +433,20 @@ class server {
   void post(reactor& from, uint32_t to, reactor_msg&& m);
   void wake(uint32_t k);
   /// Park a non-zero reactor while a stop-the-world section runs.
-  void park_for_stw(reactor& r);
-  /// Run `fn` with every other reactor parked and all mailboxes drained.
+  void park_for_stw();
+  /// Run `fn` with every other reactor parked and all mailboxes drained
+  /// (a plain call after the drain when already inside a barrier, when
+  /// the reactor threads are not running, or with no other reactor).
   void stw(const std::function<void()>& fn);
-  /// stw() when not already inside one; plain call otherwise.
-  void run_quiesced(const std::function<void()>& fn);
   void drain_all_inboxes_quiesced();
 
   uint32_t active_lanes() const;
-  /// Stream position: lane 0's scalar when one lane exists (the legacy
-  /// meaning), else the summed lane-local positions.
+  /// Stream position: the summed lane-local positions (lane 0's plain
+  /// sequence when one lane exists).
   uint64_t repl_position() const;
+  /// Record a lane-stamped position as its lane's tip (and the local
+  /// reactor's lane counter, for a lane this server owns).
+  void advance_lane(uint64_t stamped);
   std::vector<uint64_t> current_lane_seqs() const;
 
   server_config cfg_;
@@ -437,7 +470,7 @@ class server {
   uint32_t stw_exited_ = 0;  ///< guarded by stw_mu_
   bool in_stw_ = false;      ///< reactor-0-thread flag
 
-  // Subscriber registry (nr_ > 1): shared across reactors so any lane's
+  // Subscriber registry: shared across reactors so any lane's
   // replicate() can fan out.  The vector is guarded by subs_mu_; each
   // entry's ack state is atomic (written by the subscriber's owning
   // reactor, read by gating reactors).
@@ -459,7 +492,6 @@ class server {
   std::atomic<uint64_t> bytes_in_{0};
   std::atomic<uint64_t> bytes_out_{0};
 
-  std::atomic<uint64_t> repl_seq_{0};
   std::atomic<uint64_t> subscribers_{0};
   std::atomic<uint64_t> frames_forwarded_{0};
   std::atomic<uint64_t> subscriber_drops_{0};

@@ -8,7 +8,9 @@
 //     reactor, including ones whose only connections are idle or parked
 //     mid-frame — a stop that only woke reactor 0 deadlocks the join;
 //   * control-plane ops (STATS/MAINTAIN/SNAPSHOT) executing on reactor 0
-//     under the stop-the-world barrier while data traffic flows;
+//     under the stop-the-world barrier while data traffic flows, at one
+//     reactor and at four, and reading the writes pipelined ahead of them
+//     on the same connection;
 //   * reactor-count clamping (more reactors than shards).
 #include <gtest/gtest.h>
 
@@ -26,6 +28,7 @@
 #include "net/server.h"
 #include "net/socket.h"
 #include "store/store.h"
+#include "store/store_io.h"
 #include "util/xorwow.h"
 
 using namespace gf;
@@ -123,6 +126,13 @@ void expect_wire_matches_direct(store::backend_kind backend,
         << ctx << " count " << i;
 }
 
+/// The store's item count from a STATS JSON report.
+uint64_t items_of(const std::string& js) {
+  const size_t at = js.find("\"items\":");
+  EXPECT_NE(at, std::string::npos) << js.substr(0, 160);
+  return at == std::string::npos ? 0 : std::stoull(js.substr(at + 8));
+}
+
 }  // namespace
 
 TEST(NetReactor, FourReactorEquivalence) {
@@ -158,47 +168,127 @@ TEST(NetReactor, FourReactorEquivalence) {
 }
 
 TEST(NetReactor, ControlPlaneUnderTraffic) {
-  live_server ls{reactor_config(4), store::filter_store(shard_config())};
+  // Control ops run on reactor 0 at every reactor count: inline when they
+  // arrive there, posted to it (and run under the stop-the-world barrier)
+  // otherwise.
+  for (uint32_t reactors : {1u, 4u}) {
+    live_server ls{reactor_config(reactors),
+                   store::filter_store(shard_config())};
 
-  // Background data traffic across several connections (round-robin lands
-  // them on different reactors) while control ops stop the world.
-  std::atomic<bool> stop{false};
-  std::thread pounder([&] {
+    // Background data traffic across several connections (round-robin
+    // lands them on different reactors) while control ops stop the world.
+    std::atomic<bool> stop{false};
+    std::thread pounder([&] {
+      auto cli = ls.connect();
+      auto keys = util::hashed_xorwow_items(512, 91);
+      while (!stop.load(std::memory_order_relaxed)) {
+        cli.insert(std::span<const uint64_t>(keys));
+        cli.query_bitmap(std::span<const uint64_t>(keys));
+      }
+    });
+
     auto cli = ls.connect();
-    auto keys = util::hashed_xorwow_items(512, 91);
-    while (!stop.load(std::memory_order_relaxed)) {
-      cli.insert(std::span<const uint64_t>(keys));
-      cli.query_bitmap(std::span<const uint64_t>(keys));
+    const std::string want = "\"reactors\":" + std::to_string(reactors);
+    for (int i = 0; i < 10; ++i) {
+      const std::string js = cli.stats_json();
+      EXPECT_NE(js.find(want), std::string::npos) << reactors;
+      const auto m = cli.maintain();
+      (void)m;
+      cli.ping();
     }
-  });
-
-  auto cli = ls.connect();
-  for (int i = 0; i < 10; ++i) {
-    const std::string js = cli.stats_json();
-    EXPECT_NE(js.find("\"reactors\":4"), std::string::npos);
-    const auto m = cli.maintain();
-    (void)m;
-    cli.ping();
+    // Per-reactor gauge families exist only when there are reactors to
+    // tell apart (the one-reactor exposition is the pre-lane schema).
+    const std::string metrics = cli.metrics_text();
+    EXPECT_EQ(metrics.find("gf_reactor_handoffs_total") != std::string::npos,
+              reactors > 1);
+    stop.store(true, std::memory_order_relaxed);
+    pounder.join();
   }
-  const std::string metrics = cli.metrics_text();
-  EXPECT_NE(metrics.find("gf_reactor_handoffs_total"), std::string::npos);
-  stop.store(true, std::memory_order_relaxed);
-  pounder.join();
 }
 
 TEST(NetReactor, SnapshotOnReactorZero) {
   const std::string path = std::filesystem::temp_directory_path() /
                            "gf_reactor_snapshot_test.gfsnap";
+  for (uint32_t reactors : {1u, 4u}) {
+    std::remove(path.c_str());
+    net::server_config cfg = reactor_config(reactors);
+    cfg.snapshot_path = path;
+    live_server ls{std::move(cfg), store::filter_store(shard_config())};
+    auto cli = ls.connect();
+    auto keys = util::hashed_xorwow_items(4096, 7);
+    cli.insert(std::span<const uint64_t>(keys));
+    const uint64_t bytes = cli.snapshot();
+    EXPECT_GT(bytes, 0u) << reactors;
+    EXPECT_TRUE(std::filesystem::exists(path)) << reactors;
+  }
   std::remove(path.c_str());
-  net::server_config cfg = reactor_config(4);
-  cfg.snapshot_path = path;
-  live_server ls{std::move(cfg), store::filter_store(shard_config())};
-  auto cli = ls.connect();
-  auto keys = util::hashed_xorwow_items(4096, 7);
-  cli.insert(std::span<const uint64_t>(keys));
-  const uint64_t bytes = cli.snapshot();
-  EXPECT_GT(bytes, 0u);
-  EXPECT_TRUE(std::filesystem::exists(path));
+}
+
+// Read-your-writes through the control plane: a STATS and a SNAPSHOT
+// pipelined behind INSERT/ERASE frames on one connection must observe
+// those frames — whether the connection's reactor runs the control op
+// inline (reactor 0) or posts it to reactor 0 behind the batch parts it
+// already handed to other reactors.
+TEST(NetReactor, ControlOpsReadTheirOwnWrites) {
+  const std::string path = std::filesystem::temp_directory_path() /
+                           "gf_reactor_ryw_test.gfsnap";
+  for (uint32_t reactors : {1u, 4u}) {
+    std::remove(path.c_str());
+    net::server_config cfg = reactor_config(reactors);
+    cfg.snapshot_path = path;
+    live_server ls{std::move(cfg), store::filter_store(shard_config())};
+    // Accept is round-robin from reactor 0: the first connection lands on
+    // reactor 0, the second on reactor 1 (at one reactor, both on 0).
+    auto on_zero = ls.connect();
+    on_zero.ping();
+    auto on_one = ls.connect();
+    on_one.ping();
+
+    // Every key belongs to the last reactor's slice (shards [6, 8) at four
+    // reactors), so neither requesting reactor applies any of it itself:
+    // the control op must wait for a part it handed off.
+    const store::filter_store layout(shard_config());
+    uint64_t items = 0;
+    uint64_t seed = 300;
+    for (int round = 0; round < 8; ++round) {
+      net::client* cli = round % 2 == 0 ? &on_zero : &on_one;
+      const std::string ctx = "reactors=" + std::to_string(reactors) +
+                              (cli == &on_zero ? " conn on 0" : " conn on 1") +
+                              " round " + std::to_string(round);
+      std::vector<uint64_t> keys;
+      for (uint64_t k : util::hashed_xorwow_items(8192, ++seed))
+        if (layout.shard_of(k) >= 6 && keys.size() < 1024) keys.push_back(k);
+      ASSERT_EQ(keys.size(), 1024u);
+      std::span<const uint64_t> span(keys);
+      const uint64_t s_ins = cli->submit_insert(span);
+      const uint64_t s_erase = cli->submit_erase(span.subspan(0, 256));
+      const uint64_t s_stats = cli->submit_control(net::opcode::stats);
+      const uint64_t s_snap = cli->submit_control(net::opcode::snapshot);
+
+      ASSERT_EQ(net::decode_pair_response(
+                    cli->expect_ok(s_ins, net::opcode::insert))
+                    .ok,
+                keys.size())
+          << ctx;
+      ASSERT_EQ(net::decode_pair_response(
+                    cli->expect_ok(s_erase, net::opcode::erase))
+                    .ok,
+                256u)
+          << ctx;
+      const uint64_t pipelined = items_of(
+          net::decode_text(cli->expect_ok(s_stats, net::opcode::stats)));
+      cli->expect_ok(s_snap, net::opcode::snapshot);
+      // Every part has folded back by now: a fresh STATS is the truth.
+      const uint64_t settled = items_of(cli->stats_json());
+      EXPECT_GT(settled, items) << ctx;
+      items = settled;
+      EXPECT_EQ(pipelined, settled) << ctx;
+      const store::filter_store snap = store::load_store(path);
+      EXPECT_EQ(snap.size(), settled) << ctx;
+      for (size_t i = 256; i < keys.size(); ++i)
+        ASSERT_TRUE(snap.contains(keys[i])) << ctx << " key " << i;
+    }
+  }
   std::remove(path.c_str());
 }
 

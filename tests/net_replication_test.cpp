@@ -8,7 +8,8 @@
 //   * replicas refuse client mutations in-band and keep serving reads at
 //     the last acknowledged stream position when the primary dies;
 //   * stream sequence gaps (dropped or replayed frames) surface in STATS;
-//   * forwarded + synthesized MAINTAIN keeps cascade growth in lockstep;
+//   * forwarded + synthesized MAINTAIN keeps cascade growth in lockstep,
+//     on a lane-0 stream of plain consecutive sequences;
 //   * a primary's invite attaches a standby replica (--replicate-to);
 //   * replicas chain (A -> B -> C) because feed-applied mutations forward
 //     downstream with their upstream sequence.
@@ -356,6 +357,17 @@ TEST(NetReplication, ForwardedMaintainKeepsCascadesInLockstep) {
   for (const auto& rep : primary.srv.store().report())
     max_levels = std::max(max_levels, rep.levels);
   EXPECT_GT(max_levels, 1u) << "flood never grew a cascade";
+
+  // Lane-0 stream shape: the replica bootstrapped at sequence 0 and then
+  // applied every frame gap-free, and its last sequence equals the count
+  // it applied — so the stream, synthesized MAINTAIN frames included, is
+  // exactly the plain sequences 1..n.
+  const net::server_stats ps = primary.srv.stats();
+  const net::server_stats rs = replica.srv.stats();
+  EXPECT_GT(ps.repl_seq, keys.size() / 512) << "no cadence MAINTAIN frames";
+  EXPECT_EQ(ps.repl_seq, rs.feed_last_seq);
+  EXPECT_EQ(rs.feed_last_seq, rs.feed_applied);
+  EXPECT_EQ(rs.feed_gaps, 0u);
 
   replica.stop();
   primary.stop();

@@ -24,6 +24,13 @@ Checks enforced:
    SPSC ring.  The mailboxes are lock-free only under that ownership
    discipline, so every site states whose lane it runs on.
 
+4. reactor-count-branch: every comparison of the reactor count (nr_)
+   against 1 or 2 in src/net/ must carry a "single-loop:" comment (same
+   line or above, like the relaxed rule) naming the observable reason the
+   one-reactor server behaves differently there.  The server has one
+   dispatch path at every reactor count; the comment keeps a second one
+   from growing back unnoticed.
+
 Exit status: 0 clean, 1 violations (printed one per line as
 file:line: message).
 """
@@ -47,6 +54,9 @@ CHECK_RE = re.compile(r"check_batch_size\s*\(")
 MAILBOX_OP_RE = re.compile(r"inbox\w*\s*\[[^\]]*\]\s*->\s*push\s*\(|\btry_pop\s*\(")
 MAILBOX_DEFN_RE = re.compile(r"^\s*(?:\[\[nodiscard\]\]\s*)?(?:bool|void)\s+\w+\s*\(")
 LANE_RE = re.compile(r"lane:")
+NR_BRANCH_RE = re.compile(
+    r"\bnr_\s*(?:==|!=|<=|>=|<|>)\s*[12]\b|\b[12]\s*(?:==|!=|<=|>=|<|>)\s*nr_\b")
+SINGLE_LOOP_RE = re.compile(r"single-loop:")
 # A new function starts at an unindented definition line ("inline ...",
 # "class ...", templates, etc.) — good enough to scope the codec check.
 FUNC_START_RE = re.compile(r"^[a-zA-Z/]")
@@ -88,6 +98,22 @@ def check_mailbox_ownership(path: Path, lines: list[str],
         )
 
 
+def check_reactor_count_branches(path: Path, lines: list[str],
+                                 errors: list[str]) -> None:
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]  # prose about nr_ is not a branch
+        if not NR_BRANCH_RE.search(code) or SINGLE_LOOP_RE.search(line):
+            continue
+        window = lines[max(0, i - LOOKBACK_LINES):i]
+        if any(SINGLE_LOOP_RE.search(w) for w in window):
+            continue
+        errors.append(
+            f"{path.relative_to(REPO)}:{i + 1}: reactor-count comparison "
+            f'without a "single-loop:" comment (same line or above) naming '
+            f"why one reactor differs here"
+        )
+
+
 def check_codec_narrowing(path: Path, lines: list[str],
                           errors: list[str]) -> None:
     func_start = 0
@@ -113,6 +139,8 @@ def main() -> int:
         lines = path.read_text(encoding="utf-8").splitlines()
         check_relaxed(path, lines, errors)
         check_mailbox_ownership(path, lines, errors)
+        if path.parent == REPO / "src" / "net":
+            check_reactor_count_branches(path, lines, errors)
 
     codec = REPO / "src" / "net" / "codec.h"
     check_codec_narrowing(codec, codec.read_text(encoding="utf-8").splitlines(),
