@@ -13,9 +13,17 @@
 // sweep still validates the partitioning machinery).  Columns are shard
 // counts.
 //
+// A last section measures the bulk TCF's per-frame cost at two fixed table
+// sizes (2^16 and 2^22 slots, whatever --sizes says): 1024-key INSERT and
+// ERASE frames into a table held at 60 % load.  A bulk launch covers only
+// the blocks a frame touches, so the larger table may cost more per frame
+// through cache misses, never through work proportional to its size; CI
+// bounds the 2^22 / 2^16 ratio.
+//
 // --json FILE appends one JSON object per measurement (plus derived
 // bulk-vs-point speedups and insert-failure rates) so CI can track the
 // perf trajectory per PR.
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -29,7 +37,9 @@
 #include "gpu/launch.h"
 #include "gpu/thread_pool.h"
 #include "store/store.h"
+#include "tcf/bulk_tcf.h"
 #include "util/json.h"
+#include "util/timer.h"
 #include "util/zipf.h"
 
 using namespace gf;
@@ -205,6 +215,47 @@ void sweep_backend(store::backend_kind backend,
   }
 }
 
+constexpr uint64_t kFrameKeys = 1024;
+constexpr int kFrameSizes[] = {16, 22};
+constexpr int kFramesTimed = 256;
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
+
+/// Median microseconds per 1024-key INSERT and ERASE frame on a bulk TCF
+/// held at 60 % load: each timed insert frame of fresh keys is followed
+/// by a timed erase of the same frame, so the load never drifts.
+void btcf_frame_cost() {
+  std::vector<std::string> cols = {"insert", "erase"};
+  bench::print_series_header("btcf 1024-key frame us (60% load)", cols);
+  for (int log_size : kFrameSizes) {
+    tcf::bulk_tcf<> f(uint64_t{1} << log_size);
+    const uint64_t prefill = f.capacity() * 60 / 100;
+    auto keys = util::hashed_xorwow_items(
+        prefill + kFramesTimed * kFrameKeys, 9500 + log_size);
+    f.insert_bulk(std::span<const uint64_t>(keys).first(prefill));
+    std::vector<double> ins_us, era_us;
+    for (int i = 0; i < kFramesTimed; ++i) {
+      std::span<const uint64_t> frame(keys.data() + prefill + i * kFrameKeys,
+                                      kFrameKeys);
+      util::wall_timer t;
+      f.insert_bulk(frame);
+      ins_us.push_back(t.seconds() * 1e6);
+      t.reset();
+      f.erase_bulk(frame);
+      era_us.push_back(t.seconds() * 1e6);
+    }
+    std::vector<double> vals = {median(ins_us), median(era_us)};
+    bench::print_series_row(log_size, vals);
+    emit_json(store::backend_kind::bulk_tcf, 1, log_size,
+              "btcf_frame_insert_us", vals[0]);
+    emit_json(store::backend_kind::bulk_tcf, 1, log_size,
+              "btcf_frame_erase_us", vals[1]);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -227,6 +278,7 @@ int main(int argc, char** argv) {
   sweep_backend(store::backend_kind::gqf, opts);
   sweep_backend(store::backend_kind::blocked_bloom, opts);
   sweep_backend(store::backend_kind::bulk_tcf, opts);
+  btcf_frame_cost();
 
   if (g_json) std::fclose(g_json);
   return 0;

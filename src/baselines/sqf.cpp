@@ -277,27 +277,24 @@ uint64_t sqf::insert_bulk(std::span<const uint64_t> keys) {
   gpu::launch_threads(n, [&](uint64_t i) { hashes[i] = hash_of(keys[i]); });
   par::radix_sort(hashes, static_cast<int>(q_bits_ + r_bits_));
 
-  const uint64_t regions = total_slots_ / kSqfRegionSlots + 1;
-  auto bounds = par::region_boundaries(hashes, regions, [&](uint64_t h) {
-    return (h >> r_bits_) / kSqfRegionSlots;
-  });
-
   // SQF inserts walk backward to the cluster start, so active regions keep
-  // two idle regions on each side: stride-4 phases.
+  // two idle regions on each side: stride-4 phases over the touched regions.
+  auto region_of = [&](uint64_t h) { return (h >> r_bits_) / kSqfRegionSlots; };
+  const auto phases =
+      par::phase_buckets(par::touched_runs(hashes, region_of), /*stride=*/4);
   std::atomic<uint64_t> placed{0};
   std::atomic<uint64_t> defer_cursor{0};
   std::vector<uint64_t> defer_buf(n);
 
-  for (uint64_t parity = 0; parity < 4; ++parity) {
-    const uint64_t phase_regions = (regions + 3 - parity) / 4;
+  for (const auto& phase : phases) {
     gpu::launch_threads(
-        phase_regions,
-        [&](uint64_t pi) {
-          uint64_t region = 4 * pi + parity;
+        phase.size(),
+        [&](uint64_t ri) {
+          const auto [region, begin, end] = phase[ri];
           uint64_t limit = (region + 2) * kSqfRegionSlots;
           if (limit > total_slots_) limit = total_slots_;
           uint64_t local = 0;
-          for (uint64_t i = bounds[region]; i < bounds[region + 1]; ++i) {
+          for (uint64_t i = begin; i < end; ++i) {
             bool deferred = false;
             if (insert_hash_bounded(hashes[i], limit, &deferred))
               ++local;

@@ -131,6 +131,8 @@ void thread_pool::run_on_all(const std::function<void(unsigned)>& fn) {
   // exclusivity is never traded for a blocking wait that could stall an
   // event loop behind a long foreign launch.
   if (!launch_mu_.try_lock()) {
+    // relaxed: monotone statistic; no data is published through it.
+    contended_launches_.fetch_add(1, std::memory_order_relaxed);
     const thread_pool* prev_inline = tls_owner;
     tls_owner = this;
     const unsigned p = size();

@@ -98,6 +98,13 @@ class thread_pool {
   /// True when the calling thread is one of this pool's workers.
   bool in_worker() const;
 
+  /// Top-level launches that found the pool busy with another thread's
+  /// launch and ran inline on their caller (see run_on_all).  Monotone.
+  uint64_t contended_launches() const {
+    // relaxed: monotone statistic; no data is published through it.
+    return contended_launches_.load(std::memory_order_relaxed);
+  }
+
  private:
   friend struct fork_guard;
 
@@ -121,6 +128,7 @@ class thread_pool {
   uint64_t epoch_ = 0;
   unsigned remaining_ = 0;
   bool stop_ = false;
+  std::atomic<uint64_t> contended_launches_{0};
 };
 
 }  // namespace gf::gpu

@@ -10,8 +10,10 @@
 //
 // Batches are sorted first (§5.3 "Sorting hashes") — remainders then enter
 // each run in sorted order and almost never shift already-stored items —
-// and region buffer boundaries come from successor search over the sorted
-// batch instead of atomics (§5.3).  For skewed batches, the map-reduce
+// and region buffers are the batch's touched runs, found by one linear
+// scan over the sorted batch instead of atomics (§5.3); each phase
+// launches one thread per touched region of its parity, so a small batch
+// never pays for the whole table.  For skewed batches, the map-reduce
 // option compresses duplicates into (item, count) pairs before insertion
 // (§5.4), turning hot-key storms into single counted inserts.
 //
@@ -41,20 +43,18 @@ struct bulk_stats {
 
 namespace detail {
 
-/// Run one even/odd phase: each active region's sorted span is inserted by
-/// exactly one logical thread, bounded to stay short of the next active
-/// region; refusals are deferred.
+/// Run one even/odd phase over the touched regions of one parity: each
+/// region's sorted span is inserted by exactly one logical thread, bounded
+/// to stay short of the next active region; refusals are deferred.
 template <class SlotT, class Emit>
 void run_phase(gqf_filter<SlotT>& f, std::span<const uint64_t> hashes,
                std::span<const uint64_t> counts,
-               std::span<const uint64_t> bounds, uint64_t parity,
-               Emit&& defer) {
-  const uint64_t num_regions = bounds.size() - 1;
-  const uint64_t phase_regions = (num_regions + 1 - parity) / 2;
+               std::span<const par::touched_run> runs, Emit&& defer) {
+  const uint64_t num_regions = f.num_regions();
   gpu::launch_threads(
-      phase_regions,
-      [&](uint64_t pi) {
-        uint64_t region = 2 * pi + parity;
+      runs.size(),
+      [&](uint64_t ri) {
+        const auto [region, begin, end] = runs[ri];
         // Stop one metadata block short of the next active region: its
         // first operation reads run_end(q-1), which touches the preceding
         // block's offset word; keeping our writes out of that block makes
@@ -63,7 +63,7 @@ void run_phase(gqf_filter<SlotT>& f, std::span<const uint64_t> hashes,
         uint64_t limit = (region + 2) * kRegionSlots - kBlockSlots;
         if (region + 2 >= num_regions || limit > f.total_slots())
           limit = f.total_slots();
-        for (uint64_t i = bounds[region]; i < bounds[region + 1]; ++i) {
+        for (uint64_t i = begin; i < end; ++i) {
           uint64_t c = counts.empty() ? 1 : counts[i];
           if (!f.insert_hash_bounded(hashes[i], c, limit)) defer(hashes[i], c);
         }
@@ -80,9 +80,10 @@ void insert_sorted_hashes(gqf_filter<SlotT>& f,
                           std::span<const uint64_t> hashes,
                           std::span<const uint64_t> counts,
                           bulk_stats& stats) {
-  auto bounds = par::region_boundaries(
-      hashes, f.num_regions(),
-      [&](uint64_t h) { return f.region_of_hash(h); });
+  const auto phases = par::phase_buckets(
+      par::touched_runs(hashes,
+                        [&](uint64_t h) { return f.region_of_hash(h); }),
+      /*stride=*/2);
 
   // Deferred items land in a preallocated array through a shared cursor.
   std::vector<uint64_t> defer_h(hashes.size());
@@ -95,8 +96,7 @@ void insert_sorted_hashes(gqf_filter<SlotT>& f,
     defer_c[at] = c;
   };
 
-  run_phase(f, hashes, counts, bounds, /*parity=*/0, defer);
-  run_phase(f, hashes, counts, bounds, /*parity=*/1, defer);
+  for (const auto& phase : phases) run_phase(f, hashes, counts, phase, defer);
 
   // Serial cleanup: items whose region neighbourhood was too dense (only
   // happens near capacity) get unbounded single-threaded inserts.
@@ -201,25 +201,24 @@ uint64_t bulk_erase(gqf_filter<SlotT>& f, std::span<const uint64_t> keys) {
   std::vector<uint64_t> hashes(n);
   gpu::launch_threads(n, [&](uint64_t i) { hashes[i] = f.hash_of(keys[i]); });
   par::radix_sort(hashes, static_cast<int>(f.fingerprint_bits()));
-  auto bounds = par::region_boundaries(
-      hashes, f.num_regions(),
-      [&](uint64_t h) { return f.region_of_hash(h); });
 
   // Deletion rewrites whole clusters and peeks one slot past the cluster
   // on both sides, so active regions need two idle regions between them:
   // a stride-4 phase schedule (the paper's even-odd shifter peeks less;
   // see DESIGN.md §4).
+  const auto phases = par::phase_buckets(
+      par::touched_runs(hashes,
+                        [&](uint64_t h) { return f.region_of_hash(h); }),
+      /*stride=*/4);
   std::atomic<uint64_t> removed{0};
-  for (uint64_t parity = 0; parity < 4; ++parity) {
-    const uint64_t phase_regions = (f.num_regions() + 3 - parity) / 4;
+  for (const auto& phase : phases) {
     gpu::launch_threads(
-        phase_regions,
-        [&](uint64_t pi) {
-          uint64_t region = 4 * pi + parity;
-          uint64_t begin = bounds[region], end = bounds[region + 1];
+        phase.size(),
+        [&](uint64_t ri) {
+          const par::touched_run& run = phase[ri];
           // Descending order: larger remainders first (§6.4).
           uint64_t local = 0;
-          for (uint64_t i = end; i > begin; --i)
+          for (uint64_t i = run.end; i > run.begin; --i)
             if (f.remove_hash(hashes[i - 1], 1)) ++local;
           // relaxed: worker-private tally; the launch join publishes it to the reader.
           if (local) removed.fetch_add(local, std::memory_order_relaxed);

@@ -5,13 +5,13 @@
 // storing dynamic graphs on GPUs."
 //
 // This is that claim, implemented: a Robin Hood (key, value) table whose
-// bulk path sorts the batch by home slot, partitions it into 8192-slot
-// regions via successor search, and runs two phases of region-exclusive
-// insertions — the same recipe as the GQF's bulk API (§5.3), applied to a
-// table with displacement chains instead of runs.  Sorting additionally
-// kills the displacement work (each arrival's home is >= the previous
-// one's, so chains never re-displace sorted predecessors), mirroring the
-// §5.3 shift-work collapse.  `ablation_gqf` measures both effects.
+// bulk path sorts the batch by home slot, splits it into the 8192-slot
+// regions it touches with one linear scan, and runs two phases of
+// region-exclusive insertions — the same recipe as the GQF's bulk API
+// (§5.3), applied to a table with displacement chains instead of runs.
+// Sorting additionally kills the displacement work (each arrival's home is
+// >= the previous one's, so chains never re-displace sorted predecessors),
+// mirroring the §5.3 shift-work collapse.  `ablation_gqf` measures both effects.
 #pragma once
 
 #include <atomic>
@@ -93,22 +93,20 @@ class even_odd_table {
     });
     radix_sort_by_key(homes, order, util::log2_ceil(capacity_) + 1);
 
-    const uint64_t regions = capacity_ / kRegionSlots;
-    auto bounds = region_boundaries(homes, regions, [](uint64_t h) {
-      return h / kRegionSlots;
-    });
+    const auto phases = phase_buckets(
+        touched_runs(homes, [](uint64_t h) { return h / kRegionSlots; }),
+        /*stride=*/2);
 
     std::vector<uint64_t> defer_idx(n);
     std::atomic<uint64_t> cursor{0};
-    for (uint64_t parity = 0; parity < 2; ++parity) {
-      const uint64_t phase_regions = (regions + 1 - parity) / 2;
+    for (const auto& phase : phases) {
       gpu::launch_threads(
-          phase_regions,
-          [&](uint64_t pi) {
-            uint64_t region = 2 * pi + parity;
+          phase.size(),
+          [&](uint64_t ri) {
+            const auto [region, begin, end] = phase[ri];
             uint64_t limit = (region + 2) * kRegionSlots;
             if (limit > capacity_) limit = capacity_;
-            for (uint64_t i = bounds[region]; i < bounds[region + 1]; ++i) {
+            for (uint64_t i = begin; i < end; ++i) {
               uint64_t idx = order[i];
               // relaxed: cursor hands out disjoint indices; data is read after the join.
               if (!insert_bounded(keys[idx], values[idx], limit))

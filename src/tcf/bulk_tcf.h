@@ -17,15 +17,19 @@
 //  * Blocks are larger (128 slots of 16-bit fingerprints by default),
 //    giving the measured ~0.3-0.4% false-positive rate at 16 bits/item.
 //
-// Phasing (each phase sorts its items by target block, giving every block
-// exactly one writer — no atomics needed inside a phase):
+// Phasing (each phase sorts its items by target block; one linear scan
+// splits the sorted batch into touched-block runs and one logical thread
+// takes each run, so every touched block has exactly one writer — no
+// atomics needed inside a phase — and a phase costs O(batch), not
+// O(blocks)):
 //   A. shortcut:   primary-assigned items fill their block to the 0.75
 //                  shortcut cutoff;
 //   B. POTC:       deferred items, sorted by secondary block, fill the
 //                  secondary to capacity;
 //   C. spill-back: still-deferred items return to the primary block and
 //                  fill it to capacity;
-//   D. backing:    the residue goes to the shared backing table.
+//   D. backing:    the residue goes to the shared backing table (or
+//                  fails when the backing table is disabled).
 #pragma once
 
 #include <atomic>
@@ -123,9 +127,13 @@ class bulk_tcf {
                  &residue_unused, /*payload_is_next_target=*/false);
     }
 
-    // Phase D: residue goes to the backing table.
+    // Phase D: residue goes to the backing table.  With the backing table
+    // disabled the residue fails, as in point insert: contains() would
+    // never look for it there.
     uint64_t failed = 0;
-    if (!residue_keys.empty()) {
+    if (!cfg_.enable_backing) {
+      failed = residue_keys.size();
+    } else if (!residue_keys.empty()) {
       std::atomic<uint64_t> fails{0};
       gpu::launch_threads(residue_keys.size(), [&](uint64_t i) {
         uint16_t fp = static_cast<uint16_t>(residue_keys[i] & 0xFFFF);
@@ -408,10 +416,17 @@ class bulk_tcf {
     return lo < fills_[block] && s[lo] == fp;
   }
 
+  /// The blocks a sorted (block << 16 | fp) phase batch touches, with each
+  /// block's span of the batch.
+  static std::vector<par::touched_run> touched_blocks(
+      std::span<const uint64_t> items) {
+    return par::touched_runs(items, [](uint64_t v) { return v >> 16; });
+  }
+
   /// One insert phase: `items` are (target block << 16 | fp), sorted.  For
-  /// each target block, zip-merge the stored list with the incoming list
-  /// up to `fill_limit` occupied slots; overflow items are emitted as
-  /// (next target << 16 | fp) into `out_keys`/`out_payload`.
+  /// each touched target block, zip-merge the stored list with the
+  /// incoming list up to `fill_limit` occupied slots; overflow items are
+  /// emitted as (next target << 16 | fp) into `out_keys`/`out_payload`.
   /// When `payload_is_next_target` the payload holds the block index the
   /// overflow should try next; otherwise overflow keeps the current
   /// encoding (used by phase C, whose overflow goes to the backing table).
@@ -421,8 +436,7 @@ class bulk_tcf {
                   std::vector<uint64_t>* out_payload,
                   bool payload_is_next_target = true) {
     const uint64_t n = items.size();
-    auto bounds = par::region_boundaries(items, num_blocks_,
-                                         [](uint64_t v) { return v >> 16; });
+    const auto runs = touched_blocks(items);
     // Overflow is collected through a shared cursor into preallocated
     // arrays (mirrors the paper's pointer-marked buffers, §5.3).
     std::vector<uint64_t> ov_keys(n);
@@ -430,10 +444,9 @@ class bulk_tcf {
     std::atomic<uint64_t> ov_cursor{0};
 
     gpu::launch_threads(
-        num_blocks_,
-        [&](uint64_t b) {
-          uint64_t begin = bounds[b], end = bounds[b + 1];
-          if (begin == end) return;
+        runs.size(),
+        [&](uint64_t r) {
+          const auto [b, begin, end] = runs[r];
           uint16_t* stored = &slots_[b * NumSlots];
           unsigned fill = fills_[b];
           unsigned budget = fill_limit > fill ? fill_limit - fill : 0;
@@ -492,17 +505,15 @@ class bulk_tcf {
                    std::vector<uint64_t>* out_payload,
                    bool payload_is_next_target = false) {
     const uint64_t n = items.size();
-    auto bounds = par::region_boundaries(items, num_blocks_,
-                                         [](uint64_t v) { return v >> 16; });
+    const auto runs = touched_blocks(items);
     std::vector<uint64_t> ms_keys(n);
     std::vector<uint64_t> ms_payload(n);
     std::atomic<uint64_t> ms_cursor{0};
 
     gpu::launch_threads(
-        num_blocks_,
-        [&](uint64_t b) {
-          uint64_t begin = bounds[b], end = bounds[b + 1];
-          if (begin == end) return;
+        runs.size(),
+        [&](uint64_t r) {
+          const auto [b, begin, end] = runs[r];
           uint16_t* stored = &slots_[b * NumSlots];
           unsigned fill = fills_[b];
 

@@ -57,6 +57,26 @@ TEST(EvenOddTable, BulkMatchesPoint) {
   }
 }
 
+TEST(EvenOddTable, SmallBatchIntoManyRegionsMatchesPoint) {
+  // 2^20 slots = 128+ regions and a 300-key batch: the phases launch over
+  // the few touched regions, and the result equals a point-built table.
+  auto keys = util::hashed_xorwow_items(300, 19);
+  std::vector<uint64_t> values(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) values[i] = i * 7;
+
+  even_odd_table bulk(1 << 20), point(1 << 20);
+  auto stats = bulk.bulk_insert(keys, values);
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.inserted, keys.size());
+  for (size_t i = 0; i < keys.size(); ++i)
+    ASSERT_TRUE(point.insert(keys[i], values[i]));
+  EXPECT_EQ(bulk.size(), point.size());
+  for (size_t i = 0; i < keys.size(); ++i)
+    ASSERT_EQ(bulk.find(keys[i]), point.find(keys[i])) << i;
+  auto absent = util::hashed_xorwow_items(300, 20);
+  for (uint64_t k : absent) ASSERT_FALSE(bulk.find(k).has_value());
+}
+
 TEST(EvenOddTable, BulkDuplicateKeysLastWriteWins) {
   // Within a batch duplicates resolve to *some* instance's value (phased
   // order is deterministic per region); across batches the later batch

@@ -141,6 +141,30 @@ TEST(ThreadPool, ConcurrentLaunchesWithNestedLaunchesInside) {
   EXPECT_EQ(total.load(), uint64_t{kLaunchers} * 8 * 100);
 }
 
+TEST(ThreadPool, ContendedLaunchIsCounted) {
+  // Thread A's launch holds the pool until thread B's launch has finished,
+  // so B must find the pool busy, run inline, and advance the count; A's
+  // own (admitted) launch does not.
+  thread_pool pool(2);
+  const uint64_t before = pool.contended_launches();
+  std::atomic<bool> a_running{false};
+  std::atomic<bool> b_done{false};
+  std::thread a([&] {
+    pool.run_on_all([&](unsigned w) {
+      if (w != 0) return;
+      a_running.store(true);
+      while (!b_done.load()) std::this_thread::yield();
+    });
+  });
+  while (!a_running.load()) std::this_thread::yield();
+  unsigned b_ids = 0;
+  pool.run_on_all([&](unsigned) { ++b_ids; });
+  b_done.store(true);
+  a.join();
+  EXPECT_EQ(b_ids, 2u);  // every worker id, serially on this thread
+  EXPECT_EQ(pool.contended_launches(), before + 1);
+}
+
 TEST(ThreadPool, SequentialLaunchesReuseWorkers) {
   // Many short launches in a row: exercises the epoch handshake.
   std::atomic<uint64_t> total{0};

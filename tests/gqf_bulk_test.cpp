@@ -136,5 +136,32 @@ TEST(GqfBulk, CountedBatchesViaMapReduce) {
   EXPECT_GT(exact, ref.size() * 99 / 100);
 }
 
+TEST(GqfBulk, SmallBatchIntoManyRegionsMatchesPointBuilt) {
+  // 2^20 slots = 128+ regions; a 600-key batch (every third key doubled)
+  // touches a few hundred of them at most.  Bulk insert and bulk erase
+  // must leave exactly the counts a point-built filter holds.
+  gqf_filter<uint8_t> bulk(20, 8), point(20, 8);
+  auto distinct = util::hashed_xorwow_items(400, 17);
+  std::vector<uint64_t> batch;
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    batch.push_back(distinct[i]);
+    if (i % 3 == 0) batch.push_back(distinct[i]);
+  }
+  auto stats = bulk_insert(bulk, batch);
+  EXPECT_EQ(stats.inserted, batch.size());
+  for (uint64_t k : batch) ASSERT_TRUE(point.insert(k));
+  std::string why;
+  ASSERT_TRUE(bulk.validate(&why)) << why;
+  EXPECT_EQ(bulk.size(), point.size());
+  for (uint64_t k : distinct) ASSERT_EQ(bulk.query(k), point.query(k)) << k;
+
+  std::vector<uint64_t> gone(batch.begin(), batch.begin() + batch.size() / 2);
+  EXPECT_EQ(bulk_erase(bulk, gone), gone.size());
+  for (uint64_t k : gone) ASSERT_TRUE(point.remove_hash(point.hash_of(k)));
+  ASSERT_TRUE(bulk.validate(&why)) << why;
+  EXPECT_EQ(bulk.size(), point.size());
+  for (uint64_t k : distinct) ASSERT_EQ(bulk.query(k), point.query(k)) << k;
+}
+
 }  // namespace
 }  // namespace gf::gqf

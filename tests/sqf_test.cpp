@@ -76,6 +76,22 @@ TEST(Sqf, BulkInsertMatchesSequential) {
   EXPECT_TRUE(blk.validate());
 }
 
+TEST(Sqf, SmallBatchIntoManyRegionsMatchesSequential) {
+  // 2^20 slots = 128+ regions and a 500-key batch: the stride-4 phases
+  // launch over the touched regions only, and the filter answers exactly
+  // as a sequentially built one.
+  auto keys = util::hashed_xorwow_items(500, 21);
+  auto absent = util::hashed_xorwow_items(5000, 22);
+  sqf seq(20, 5), blk(20, 5);
+  for (uint64_t k : keys) seq.insert(k);
+  EXPECT_EQ(blk.insert_bulk(keys), seq.size());
+  EXPECT_EQ(blk.size(), seq.size());
+  EXPECT_TRUE(blk.validate());
+  for (uint64_t k : keys) ASSERT_TRUE(blk.contains(k));
+  for (uint64_t k : absent) ASSERT_EQ(blk.contains(k), seq.contains(k)) << k;
+  EXPECT_EQ(blk.count_contained(absent), seq.count_contained(absent));
+}
+
 TEST(Sqf, DeleteRestoresAbsence) {
   sqf f(13, 13);
   auto keys = util::hashed_xorwow_items(f.num_slots() / 2, 6);

@@ -3,8 +3,12 @@
 // for every block size and any batch slicing.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
+#include <string>
 #include <tuple>
 
+#include "gpu/thread_pool.h"
 #include "tcf/bulk_tcf.h"
 #include "util/xorwow.h"
 
@@ -91,6 +95,154 @@ TEST(BulkTcfProperty, RepeatedBatchOfOneKey) {
   EXPECT_GE(inserted, 256u);
   EXPECT_LE(inserted, 300u);
   EXPECT_EQ(f.size(), inserted);
+}
+
+uint64_t fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+uint64_t save_digest(const bulk_tcf<>& f) {
+  std::ostringstream out;
+  f.save(out);
+  return fnv1a(out.str());
+}
+
+/// A fixed-seed stream of 1024-key wire-sized frames: three INSERT frames
+/// of fresh keys, then one ERASE frame of the oldest live keys, until the
+/// table holds 60 % of capacity.  The live set is always the contiguous
+/// window keys[lo, hi).  At pool width 1 the bulk phases are deterministic,
+/// so the saved bytes are pinned to `width1_digest`: the launch shape may
+/// change, the placement may not.
+void run_frame_stream(int log_slots, uint64_t width1_digest) {
+  constexpr uint64_t kFrame = 1024;
+  bulk_tcf<> f(uint64_t{1} << log_slots);
+  const uint64_t target = f.capacity() * 60 / 100;
+  auto keys = util::hashed_xorwow_items(2 * target, 1600 + log_slots);
+  uint64_t lo = 0, hi = 0, expect_size = 0;
+  for (uint64_t frame = 0; hi - lo < target; ++frame) {
+    if (frame % 4 == 3) {
+      expect_size -= f.erase_bulk({keys.data() + lo, kFrame});
+      lo += kFrame;
+    } else {
+      ASSERT_LE(hi + kFrame, keys.size());
+      expect_size += f.insert_bulk({keys.data() + hi, kFrame});
+      hi += kFrame;
+    }
+    ASSERT_EQ(f.size(), expect_size) << "frame " << frame;
+    if (frame % 32 == 0) {
+      ASSERT_TRUE(f.validate()) << "frame " << frame;
+    }
+  }
+  EXPECT_TRUE(f.validate());
+  EXPECT_EQ(f.size(), hi - lo);  // nothing refused, nothing lost
+  std::span<const uint64_t> live(keys.data() + lo, hi - lo);
+  EXPECT_EQ(f.count_contained(live), live.size());
+  if (gpu::thread_pool::instance().size() == 1) {
+    EXPECT_EQ(save_digest(f), width1_digest) << "2^" << log_slots;
+  }
+}
+
+// The digests were recorded with a launch over every block of the table
+// (the paper's full grid), so they pin that launching over the touched
+// blocks only places every fingerprint identically.
+TEST(BulkTcfProperty, FrameStreamPlacementIsPinned2e16) {
+  run_frame_stream(16, 0x687ff97113e722f9ull);
+}
+
+TEST(BulkTcfProperty, FrameStreamPlacementIsPinned2e20) {
+  run_frame_stream(20, 0xe0247dc9c4b4ce4full);
+}
+
+/// Keys drawn until `want` of them satisfy `pred(b1)` for the primary block
+/// b1 of a bulk_tcf<16, Slots> with `blocks` blocks.
+template <class Pred>
+std::vector<uint64_t> keys_with_primary(uint64_t blocks, size_t want,
+                                        uint64_t seed, Pred&& pred) {
+  std::vector<uint64_t> out;
+  util::xorwow rng(seed);
+  while (out.size() < want) {
+    uint64_t k = rng.next64();
+    if (pred(util::fast_range(util::murmur64(k), blocks))) out.push_back(k);
+  }
+  return out;
+}
+
+TEST(BulkTcfProperty, BatchInOneBlockTouchesOnlyItsCandidates) {
+  // One touched primary block in a 2^16-slot table: only that block and
+  // the batch's secondaries may change.
+  bulk_tcf<> f(1 << 16);
+  const uint64_t blocks = f.num_blocks();
+  auto batch = keys_with_primary(blocks, 120, 11,
+                                 [](uint64_t b1) { return b1 == 200; });
+  std::set<uint64_t> allowed = {200};
+  for (uint64_t k : batch)
+    allowed.insert(util::fast_range(util::mix64_b(k), blocks));
+  EXPECT_EQ(f.insert_bulk(batch), batch.size());
+  EXPECT_TRUE(f.validate());
+  EXPECT_EQ(f.count_contained(batch), batch.size());
+  uint64_t stored = 0;
+  f.for_each([&](uint64_t block, uint16_t) {
+    EXPECT_TRUE(allowed.count(block)) << "block " << block;
+    ++stored;
+  });
+  EXPECT_EQ(stored, batch.size());
+  EXPECT_EQ(f.erase_bulk(batch), batch.size());
+  EXPECT_EQ(f.size(), 0u);
+  EXPECT_TRUE(f.validate());
+}
+
+TEST(BulkTcfProperty, BatchTouchingEveryBlock) {
+  // Four keys per primary block, every block: the run list is as long as
+  // the table, and every block still gets exactly one writer.
+  bulk_tcf<> f(1 << 14);
+  const uint64_t blocks = f.num_blocks();
+  std::vector<uint64_t> per_block(blocks, 0);
+  std::vector<uint64_t> batch;
+  util::xorwow rng(12);
+  while (batch.size() < 4 * blocks) {
+    uint64_t k = rng.next64();
+    uint64_t b1 = util::fast_range(util::murmur64(k), blocks);
+    if (per_block[b1] < 4) {
+      ++per_block[b1];
+      batch.push_back(k);
+    }
+  }
+  EXPECT_EQ(f.insert_bulk(batch), batch.size());
+  EXPECT_TRUE(f.validate());
+  EXPECT_EQ(f.count_contained(batch), batch.size());
+  std::vector<uint64_t> fill(blocks, 0);
+  f.for_each([&](uint64_t block, uint16_t) {
+    if (block < blocks) ++fill[block];
+  });
+  for (uint64_t b = 0; b < blocks; ++b) EXPECT_EQ(fill[b], 4u) << b;
+  EXPECT_EQ(f.erase_bulk(batch), batch.size());
+  EXPECT_EQ(f.size(), 0u);
+  EXPECT_TRUE(f.validate());
+}
+
+TEST(BulkTcfProperty, EraseBatchMissingEveryBlockReachesBacking) {
+  // 300 copies of one key: 256 fill its two candidate blocks, the rest go
+  // to the backing table.  Erasing 256 copies empties both blocks; the
+  // next erase batch then misses both blocks for every key and must be
+  // served by the backing table alone.
+  bulk_tcf<16, 128> f(1 << 12);
+  std::vector<uint64_t> batch(300, 0xfeedbeef);
+  const uint64_t inserted = f.insert_bulk(batch);
+  ASSERT_GT(inserted, 256u);
+  const uint64_t in_backing = f.backing_size();
+  ASSERT_EQ(in_backing, inserted - 256);
+  EXPECT_EQ(f.erase_bulk({batch.data(), 256}), 256u);
+  EXPECT_EQ(f.backing_size(), in_backing);
+  EXPECT_EQ(f.erase_bulk({batch.data(), in_backing}), in_backing);
+  EXPECT_EQ(f.backing_size(), 0u);
+  EXPECT_EQ(f.size(), 0u);
+  EXPECT_FALSE(f.contains(0xfeedbeef));
+  EXPECT_TRUE(f.validate());
 }
 
 }  // namespace

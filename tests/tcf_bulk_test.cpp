@@ -122,5 +122,21 @@ TEST(BulkTcf, OverfillReportsFailures) {
   EXPECT_TRUE(f.validate());
 }
 
+TEST(BulkTcf, BackingDisabledHasNoFalseNegatives) {
+  // With the backing table off, the phase-C residue must fail rather than
+  // land in a table that contains() never probes: every key reported as
+  // placed is answered.
+  tcf_config cfg;
+  cfg.enable_backing = false;
+  bulk_tcf<> f(1 << 16, cfg);
+  auto keys = util::hashed_xorwow_items(f.capacity() * 97 / 100, 16);
+  uint64_t placed = f.insert_bulk(keys);
+  EXPECT_LT(placed, keys.size());  // the residue is refused, not hidden
+  EXPECT_GE(f.count_contained(keys), placed);
+  EXPECT_EQ(f.backing_size(), 0u);
+  EXPECT_EQ(f.size(), placed);
+  EXPECT_TRUE(f.validate());
+}
+
 }  // namespace
 }  // namespace gf::tcf
