@@ -33,9 +33,24 @@
 //   --backend tcf|gqf|bbf|btcf   store backend (default tcf)
 //   --reactors N                 cap the reactor sweep at N loops
 //                                (default 4; 1 skips the sweep)
-//   --json FILE                  append one JSON object per measurement
-//                                (schema: BENCH_net_throughput.json) so CI
-//                                can track the perf trajectory per PR
+//   --json FILE                  write one JSON object per line per
+//                                measurement (record below); CI gates the
+//                                reactor sweep on it and uploads it
+//
+// JSON record:
+//   bench     "net_throughput"
+//   backend   tcf | gqf | blocked_bloom | bulk_tcf
+//   phase     insert | query
+//   batch     keys per wire frame
+//   conns     client connections; 0 for aggregate rows (replicated_mops,
+//             inproc_mops, convergence_ratio)
+//   reactors  server event loops: the sweep's count on reactor_mops rows,
+//             1 on every other row
+//   metric    wire_mops, replicated_mops, inproc_mops, convergence_ratio
+//             (best wire / in-process at that batch size; the acceptance
+//             line asserts >= 0.5 at the largest batch), reactor_mops
+//             (largest batch, max conns, 8 shards)
+//   value     4 decimal places: Mops/s, or a ratio
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -69,10 +84,7 @@ void emit_json(store::backend_kind backend, const char* phase, size_t batch,
                uint32_t reactors = 1) {
   if (!g_json) return;
   // One JSON-line per measurement, same writer/format discipline as
-  // store_scaling's emitter — the trajectory schema CI assembles into
-  // BENCH_net_throughput.json.  conns is 0 for rows that aren't a
-  // per-connection wire measurement (in-proc, replicated, ratios);
-  // reactors is 1 everywhere except the reactor sweep's rows.
+  // store_scaling's emitter (record: see the file comment).
   util::json_writer w;
   w.object_begin()
       .field("bench", "net_throughput")

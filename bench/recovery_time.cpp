@@ -24,9 +24,18 @@
 //
 // Flags (bench/harness.h): --full sweeps more keys; plus
 //   --backend tcf|gqf|bbf|btcf   store backend (default tcf)
-//   --json FILE                  append one JSON object per measurement
-//                                (schema: BENCH_recovery_time.json) so CI
-//                                can track the perf trajectory per PR
+//   --json FILE                  write one JSON object per line per
+//                                measurement (record below); CI uploads it
+//
+// JSON record:
+//   bench         "recovery_time"
+//   backend       tcf | gqf | blocked_bloom | bulk_tcf
+//   scenario      snapshot_only | wal_full_replay | checkpoint_tail_10 |
+//                 checkpoint_tail_1 (the 10 % / 1 % frame tails above)
+//   keys          store size in keys at restart time
+//   delta_frames  WAL frames this restart replayed (0 for snapshot_only)
+//   metric        restart_ms | replayed_frames
+//   value         4 decimal places (ms, or a frame count)
 #include <cstdint>
 #include <cstdio>
 #include <cstring>

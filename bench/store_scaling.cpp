@@ -20,9 +20,23 @@
 // through cache misses, never through work proportional to its size; CI
 // bounds the 2^22 / 2^16 ratio.
 //
-// --json FILE appends one JSON object per measurement (plus derived
-// bulk-vs-point speedups and insert-failure rates) so CI can track the
-// perf trajectory per PR.
+// --json FILE writes one JSON object per line per measurement (plus
+// derived bulk-vs-point speedups and insert-failure rates); CI gates on
+// it and uploads it as an artifact.  Record:
+//   bench     "store_scaling"
+//   backend   tcf | gqf | blocked_bloom | bulk_tcf
+//   shards    store shard count of this measurement
+//   log2size  log2 of the per-shard filter capacity
+//   metric    point_insert_mops, point_insert_fail_rate, bulk_insert_mops,
+//             bulk_insert_fail_rate, bulk_vs_point_speedup,
+//             zipf_insert_mops, zipf_insert_fail_rate,
+//             zipf_overflow_maint_mops, zipf_overflow_maint_fail_rate,
+//             zipf_overflow_maint_depth, zipf_overflow_nomaint_mops,
+//             zipf_overflow_nomaint_fail_rate, batched_ops_mops,
+//             bulk_query_mops, btcf_frame_insert_us, btcf_frame_erase_us
+//   value     4 decimal places: Mops/s unless the name says otherwise
+//             (*_fail_rate is a fraction in [0,1], *_depth a cascade
+//             level count, *_us microseconds per frame)
 #include <algorithm>
 #include <atomic>
 #include <cstdio>

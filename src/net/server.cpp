@@ -12,6 +12,9 @@
 #include <cstring>
 #include <exception>
 #include <filesystem>
+#include <iterator>
+#include <stdexcept>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -65,7 +68,115 @@ std::string peer_ip(int fd) {
     throw std::runtime_error("gf: inet_ntop failed");
   return buf;
 }
+
+// -- Counter table ------------------------------------------------------------
+// Each stored stat is named once, here: its exposition name and labels, its
+// kind, and its STATS JSON section and key.  stats(), register_metrics()
+// and stats_json() walk these rows.
+
+/// A counter is monotone and a gauge instantaneous; a flag is a 0/1 gauge
+/// that the STATS JSON prints as a boolean.
+enum class stat_kind : uint8_t { counter, gauge, flag };
+using enum stat_kind;
+
+struct stat_row {
+  uint64_t server_stats::* field;
+  const char* metric;   ///< exposition name
+  const char* labels;   ///< exposition labels, no braces
+  stat_kind kind;
+  const char* section;  ///< STATS JSON object
+  const char* key;      ///< STATS JSON key
+};
+
+using ss = server_stats;
+/// In exposition order: counters and gauges render as two runs, each in
+/// row order, with the derived families registered between rows.
+constexpr stat_row kStatRows[] = {
+    {&ss::frames_served, "gf_server_frames_total", "", counter, "server", "frames_served"},
+    {&ss::keys_processed, "gf_server_keys_total", "", counter, "server", "keys_processed"},
+    {&ss::protocol_errors, "gf_server_protocol_errors_total", "", counter, "server", "protocol_errors"},
+    {&ss::bytes_in, "gf_server_bytes_total", R"(dir="in")", counter, "server", "bytes_in"},
+    {&ss::bytes_out, "gf_server_bytes_total", R"(dir="out")", counter, "server", "bytes_out"},
+    {&ss::connections_accepted, "gf_server_connections_total", R"(event="accepted")", counter, "server", "connections_accepted"},
+    {&ss::connections_closed, "gf_server_connections_total", R"(event="closed")", counter, "server", "connections_closed"},
+    {&ss::read_only_refusals, "gf_server_read_only_refusals_total", "", counter, "replication", "read_only_refusals"},
+    {&ss::frames_forwarded, "gf_repl_frames_forwarded_total", "", counter, "replication", "frames_forwarded"},
+    {&ss::subscriber_drops, "gf_repl_dropped_subscribers_total", "", counter, "replication", "subscriber_drops"},
+    {&ss::subscriber_errors, "gf_repl_subscriber_errors_total", "", counter, "replication", "subscriber_errors"},
+    {&ss::invites_failed, "gf_repl_invites_failed_total", "", counter, "replication", "invites_failed"},
+    {&ss::feed_applied, "gf_repl_feed_applied_total", "", counter, "replication", "feed_applied"},
+    {&ss::feed_gaps, "gf_repl_feed_gaps_total", "", counter, "replication", "feed_gaps"},
+    {&ss::feed_lost, "gf_repl_feed_lost_total", "", counter, "replication", "feed_lost"},
+    {&ss::feed_reconnects, "gf_repl_reconnects_total", "", counter, "replication", "feed_reconnects"},
+    {&ss::reconnect_failures, "gf_repl_reconnect_failures_total", "", counter, "replication", "reconnect_failures"},
+    {&ss::resyncs_delta, "gf_repl_resyncs_total", R"(kind="delta")", counter, "replication", "resyncs_delta"},
+    {&ss::resyncs_snapshot, "gf_repl_resyncs_total", R"(kind="snapshot")", counter, "replication", "resyncs_snapshot"},
+    {&ss::deltas_served, "gf_repl_deltas_served_total", "", counter, "replication", "deltas_served"},
+    {&ss::ack_waits, "gf_repl_ack_waits_total", "", counter, "replication", "ack_waits"},
+    {&ss::ack_degraded, "gf_repl_ack_degraded_total", "", counter, "replication", "ack_degraded"},
+    {&ss::subscribers, "gf_repl_subscribers", "", gauge, "replication", "subscribers"},
+    {&ss::subscriber_acked, "gf_repl_subscriber_acked", "", gauge, "replication", "subscriber_acked"},
+    {&ss::feed_attached, "gf_repl_feed_attached", "", flag, "replication", "feed_attached"},
+    {&ss::feed_last_seq, "gf_repl_feed_last_seq", "", gauge, "replication", "feed_last_seq"},
+    {&ss::wal_deltas_served, "gf_repl_wal_deltas_served_total", "", counter, "replication", "wal_deltas_served"},
+};
+
+/// The row of stored field f.  Not a constant expression for a field
+/// without one, so live<f>() does not compile.
+constexpr size_t row_of(uint64_t server_stats::* f) {
+  for (size_t i = 0; i < std::size(kStatRows); ++i)
+    if (kStatRows[i].field == f) return i;
+  throw std::logic_error("gf: server_stats field without a counter-table row");
+}
+
+static_assert(std::size(kStatRows) == kStoredServerStats,
+              "every stored server_stats field needs a row");
+
+/// persist::durability_stats, the same way: the exposition names and the
+/// keys of the STATS JSON "durability" object.
+struct durability_row {
+  uint64_t persist::durability_stats::* field;
+  const char* metric;
+  stat_kind kind;
+  const char* key;
+};
+
+using ds = persist::durability_stats;
+constexpr durability_row kDurabilityRows[] = {
+    {&ds::wal_bytes, "gf_wal_bytes_total", counter, "wal_bytes"},
+    {&ds::wal_frames, "gf_wal_frames_total", counter, "wal_frames"},
+    {&ds::wal_fsyncs, "gf_wal_fsyncs_total", counter, "wal_fsyncs"},
+    {&ds::segments_rotated, "gf_wal_segments_rotated_total", counter, "segments_rotated"},
+    {&ds::checkpoints, "gf_checkpoints_total", counter, "checkpoints"},
+    {&ds::wal_segments, "gf_wal_segments", gauge, "wal_segments"},
+    {&ds::last_seq, "gf_wal_last_seq", gauge, "wal_last_seq"},
+    {&ds::checkpoint_seq, "gf_checkpoint_seq", gauge, "checkpoint_seq"},
+    {&ds::checkpoint_bytes, "gf_checkpoint_bytes", gauge, "checkpoint_bytes"},
+    {&ds::recovery_replayed_frames, "gf_recovery_replayed_frames", gauge, "recovery_replayed_frames"},
+    {&ds::recovery_truncated_bytes, "gf_recovery_truncated_bytes", gauge, "recovery_truncated_bytes"},
+    {&ds::recovery_gaps, "gf_recovery_gaps", gauge, "recovery_gaps"},
+};
+static_assert(std::size(kDurabilityRows) == sizeof(ds) / sizeof(uint64_t),
+              "every durability_stats field needs a row");
 }  // namespace
+
+/// A stored stat's live cell.
+struct server::stat_cell {
+  std::atomic<uint64_t>& a;
+  // relaxed: a cell is telemetry that orders no other memory — except
+  // feed_applied and feed_last_seq, which the feed apply path publishes
+  // with release on `a` itself.
+  void add(uint64_t n = 1) const { a.fetch_add(n, std::memory_order_relaxed); }
+  void sub(uint64_t n = 1) const { a.fetch_sub(n, std::memory_order_relaxed); }
+  void set(uint64_t v) const { a.store(v, std::memory_order_relaxed); }
+  uint64_t get() const { return a.load(std::memory_order_relaxed); }
+};
+
+template <uint64_t server_stats::* F>
+server::stat_cell server::live() const {
+  constexpr size_t row = row_of(F);
+  return {live_[row]};
+}
 
 struct server::connection {
   /// What the frames on this connection mean:
@@ -281,9 +392,17 @@ void server::assign_shards() {
 
 void server::register_metrics() {
   registry_ = obs::metrics_registry();
-  // relaxed: metrics scrapes are monotone gauges; staleness is acceptable.
-  auto relaxed = [](const std::atomic<uint64_t>& a) {
-    return a.load(std::memory_order_relaxed);
+  auto add = [this](stat_kind kind, const char* name, const char* labels,
+                    auto read) {
+    if (kind == counter)
+      registry_.add_counter(name, labels, std::move(read));
+    else
+      registry_.add_gauge(name, labels, std::move(read));
+  };
+  auto add_rows = [&](size_t from, size_t to) {
+    for (size_t i = from; i < to; ++i)
+      add(kStatRows[i].kind, kStatRows[i].metric, kStatRows[i].labels,
+          [cell = stat_cell{live_[i]}] { return cell.get(); });
   };
 
   // Build identity and uptime.
@@ -292,150 +411,58 @@ void server::register_metrics() {
       std::string("version=\"") + obs::kVersion + "\",compiler=\"" +
           obs::metrics_registry::escape_label_value(obs::kCompiler) +
           "\",build=\"" + obs::kBuildType + "\"",
-      [] { return 1.0; });
+      [] { return 1; });
   registry_.add_gauge("gf_uptime_seconds", "", [this] {
     return static_cast<double>(obs::now_ns() - start_ns_) / 1e9;
   });
 
-  // Wire plane.
-  registry_.add_counter("gf_server_frames_total", "",
-                        [this, relaxed] { return relaxed(frames_); });
-  registry_.add_counter("gf_server_keys_total", "",
-                        [this, relaxed] { return relaxed(keys_); });
-  registry_.add_counter("gf_server_protocol_errors_total", "",
-                        [this, relaxed] { return relaxed(protocol_errors_); });
-  registry_.add_counter("gf_server_bytes_total", "dir=\"in\"",
-                        [this, relaxed] { return relaxed(bytes_in_); });
-  registry_.add_counter("gf_server_bytes_total", "dir=\"out\"",
-                        [this, relaxed] { return relaxed(bytes_out_); });
-  registry_.add_counter("gf_server_connections_total", "event=\"accepted\"",
-                        [this, relaxed] { return relaxed(accepted_); });
-  registry_.add_counter("gf_server_connections_total", "event=\"closed\"",
-                        [this, relaxed] { return relaxed(closed_); });
-  registry_.add_counter("gf_server_read_only_refusals_total", "",
-                        [this, relaxed] {
-                          return relaxed(read_only_refusals_);
-                        });
+  // Wire plane, then the replication plane, with the derived families in
+  // their places between the stored rows.
+  constexpr size_t kReplRows = row_of(&server_stats::frames_forwarded);
+  constexpr size_t kFeedRows = row_of(&server_stats::feed_attached);
+  add_rows(0, kReplRows);
   registry_.add_counter("gf_trace_events_total", "", [this] {
     uint64_t n = 0;
     for (const auto& r : reactors_) n += r->trace.recorded();
     return n;
   });
-
-  // Replication plane.
-  registry_.add_counter("gf_repl_frames_forwarded_total", "",
-                        [this, relaxed] { return relaxed(frames_forwarded_); });
-  registry_.add_counter("gf_repl_dropped_subscribers_total", "",
-                        [this, relaxed] { return relaxed(subscriber_drops_); });
-  registry_.add_counter("gf_repl_subscriber_errors_total", "",
-                        [this, relaxed] {
-                          return relaxed(subscriber_errors_);
-                        });
-  registry_.add_counter("gf_repl_invites_failed_total", "",
-                        [this, relaxed] { return relaxed(invites_failed_); });
-  registry_.add_counter("gf_repl_feed_applied_total", "",
-                        [this, relaxed] { return relaxed(feed_applied_); });
-  registry_.add_counter("gf_repl_feed_gaps_total", "",
-                        [this, relaxed] { return relaxed(feed_gaps_); });
-  registry_.add_counter("gf_repl_feed_lost_total", "",
-                        [this, relaxed] { return relaxed(feed_lost_); });
-  registry_.add_counter("gf_repl_reconnects_total", "",
-                        [this, relaxed] { return relaxed(feed_reconnects_); });
-  registry_.add_counter("gf_repl_reconnect_failures_total", "",
-                        [this, relaxed] {
-                          return relaxed(reconnect_failures_);
-                        });
-  registry_.add_counter("gf_repl_resyncs_total", "kind=\"delta\"",
-                        [this, relaxed] { return relaxed(resyncs_delta_); });
-  registry_.add_counter("gf_repl_resyncs_total", "kind=\"snapshot\"",
-                        [this, relaxed] { return relaxed(resyncs_snapshot_); });
-  registry_.add_counter("gf_repl_deltas_served_total", "",
-                        [this, relaxed] { return relaxed(deltas_served_); });
-  registry_.add_counter("gf_repl_ack_waits_total", "",
-                        [this, relaxed] { return relaxed(ack_waits_); });
-  registry_.add_counter("gf_repl_ack_degraded_total", "",
-                        [this, relaxed] { return relaxed(ack_degraded_); });
   registry_.add_gauge("gf_repl_replay_ring_bytes", "", [this] {
     size_t n = 0;
     for (const auto& r : reactors_) n += r->ring.bytes();
-    return static_cast<double>(n);
+    return n;
   });
   registry_.add_gauge("gf_repl_replay_ring_frames", "", [this] {
     size_t n = 0;
     for (const auto& r : reactors_) n += r->ring.size();
-    return static_cast<double>(n);
+    return n;
   });
-  registry_.add_gauge("gf_repl_seq", "", [this] {
-    return static_cast<double>(repl_position());
-  });
-  registry_.add_gauge("gf_repl_subscribers", "", [this, relaxed] {
-    return static_cast<double>(relaxed(subscribers_));
-  });
-  registry_.add_gauge("gf_repl_subscriber_acked", "", [this, relaxed] {
-    return static_cast<double>(relaxed(subscriber_acked_));
-  });
+  registry_.add_gauge("gf_repl_seq", "", [this] { return repl_position(); });
+  add_rows(kReplRows, kFeedRows);
   // Lag: stream positions the slowest live subscriber still owes us.
-  registry_.add_gauge("gf_repl_lag_frames", "", [this, relaxed] {
-    if (relaxed(subscribers_) == 0) return 0.0;
+  registry_.add_gauge("gf_repl_lag_frames", "", [this] {
+    if (live<&server_stats::subscribers>().get() == 0) return uint64_t{0};
     const uint64_t seq = repl_position();
-    const uint64_t acked = relaxed(subscriber_acked_);
-    return seq > acked ? static_cast<double>(seq - acked) : 0.0;
+    const uint64_t acked = live<&server_stats::subscriber_acked>().get();
+    return seq > acked ? seq - acked : 0;
   });
   // Ack age: seconds since any subscriber last acknowledged progress.
-  registry_.add_gauge("gf_repl_ack_age_seconds", "", [this, relaxed] {
-    const uint64_t last = relaxed(last_ack_ns_);
-    if (relaxed(subscribers_) == 0 || last == 0) return 0.0;
+  registry_.add_gauge("gf_repl_ack_age_seconds", "", [this] {
+    // relaxed: a scrape of a single-writer timestamp; staleness is fine.
+    const uint64_t last = last_ack_ns_.load(std::memory_order_relaxed);
+    if (live<&server_stats::subscribers>().get() == 0 || last == 0)
+      return 0.0;
     return static_cast<double>(obs::now_ns() - last) / 1e9;
   });
-  registry_.add_gauge("gf_repl_feed_attached", "", [this, relaxed] {
-    return static_cast<double>(relaxed(feed_attached_));
-  });
-  registry_.add_gauge("gf_repl_feed_last_seq", "", [this, relaxed] {
-    return static_cast<double>(relaxed(feed_last_seq_));
-  });
-  registry_.add_counter("gf_repl_wal_deltas_served_total", "",
-                        [this, relaxed] {
-                          return relaxed(wal_deltas_served_);
-                        });
+  add_rows(kFeedRows, std::size(kStatRows));
 
   // Durability plane (src/persist/): registered only when a WAL is armed —
   // the engine's counters are loop-thread plain fields, and scrapes render
   // on the loop (metrics_text's threading contract).
   if (cfg_.durability != nullptr) {
     persist::durability_engine* d = cfg_.durability;
-    registry_.add_counter("gf_wal_bytes_total", "", [d] {
-      return static_cast<double>(d->stats().wal_bytes);
-    });
-    registry_.add_counter("gf_wal_frames_total", "", [d] {
-      return static_cast<double>(d->stats().wal_frames);
-    });
-    registry_.add_counter("gf_wal_fsyncs_total", "", [d] {
-      return static_cast<double>(d->stats().wal_fsyncs);
-    });
-    registry_.add_counter("gf_wal_segments_rotated_total", "", [d] {
-      return static_cast<double>(d->stats().segments_rotated);
-    });
-    registry_.add_counter("gf_checkpoints_total", "", [d] {
-      return static_cast<double>(d->stats().checkpoints);
-    });
-    registry_.add_gauge("gf_wal_segments", "", [d] {
-      return static_cast<double>(d->stats().wal_segments);
-    });
-    registry_.add_gauge("gf_wal_last_seq", "", [d] {
-      return static_cast<double>(d->stats().last_seq);
-    });
-    registry_.add_gauge("gf_checkpoint_seq", "", [d] {
-      return static_cast<double>(d->stats().checkpoint_seq);
-    });
-    registry_.add_gauge("gf_checkpoint_bytes", "", [d] {
-      return static_cast<double>(d->stats().checkpoint_bytes);
-    });
-    registry_.add_gauge("gf_recovery_replayed_frames", "", [d] {
-      return static_cast<double>(d->stats().recovery_replayed_frames);
-    });
-    registry_.add_gauge("gf_recovery_truncated_bytes", "", [d] {
-      return static_cast<double>(d->stats().recovery_truncated_bytes);
-    });
+    for (const durability_row& row : kDurabilityRows)
+      add(row.kind, row.metric, "",
+          [d, f = row.field] { return d->stats().*f; });
     registry_.add_histogram("gf_wal_fsync_ns", "", d->fsync_hist());
     registry_.add_histogram("gf_checkpoint_duration_ns", "",
                             d->checkpoint_hist());
@@ -471,25 +498,20 @@ void server::register_metrics() {
   registry_.add_counter("gf_store_overflow_answered_total", "", [this] {
     return store_.metrics().overflow_answered.load(std::memory_order_relaxed);
   });
-  registry_.add_gauge("gf_store_items", "", [this] {
-    return static_cast<double>(store_.size());
-  });
-  registry_.add_gauge("gf_store_provisioned_capacity", "", [this] {
-    return static_cast<double>(store_.provisioned_capacity());
-  });
-  registry_.add_gauge("gf_store_memory_bytes", "", [this] {
-    return static_cast<double>(store_.memory_bytes());
-  });
+  registry_.add_gauge("gf_store_items", "", [this] { return store_.size(); });
+  registry_.add_gauge("gf_store_provisioned_capacity", "",
+                      [this] { return store_.provisioned_capacity(); });
+  registry_.add_gauge("gf_store_memory_bytes", "",
+                      [this] { return store_.memory_bytes(); });
   registry_.add_gauge("gf_store_load_factor", "",
                       [this] { return store_.load_factor(); });
-  registry_.add_gauge("gf_store_shards", "", [this] {
-    return static_cast<double>(store_.num_shards());
-  });
+  registry_.add_gauge("gf_store_shards", "",
+                      [this] { return store_.num_shards(); });
   registry_.add_gauge("gf_store_cascade_max_depth", "", [this] {
     uint32_t depth = 0;
     for (uint32_t s = 0; s < store_.num_shards(); ++s)
       depth = std::max(depth, store_.shard_at(s).level_count());
-    return static_cast<double>(depth);
+    return depth;
   });
 
   // Structural GF_COUNT counters, scoped to this server's store.  Always
@@ -559,17 +581,15 @@ void server::register_metrics() {
     for (uint32_t k = 0; k < nr_; ++k) {
       reactor* r = reactors_[k].get();
       const std::string lbl = "reactor=\"" + std::to_string(k) + "\"";
-      registry_.add_gauge("gf_reactor_connections", lbl, [r] {
-        return static_cast<double>(r->conns.size());
-      });
+      registry_.add_gauge("gf_reactor_connections", lbl,
+                          [r] { return r->conns.size(); });
       registry_.add_gauge("gf_reactor_mailbox_depth", lbl, [r] {
         size_t n = 0;
         for (const auto& box : r->inboxes) n += box->depth();
-        return static_cast<double>(n);
+        return n;
       });
-      registry_.add_counter("gf_reactor_handoffs_total", lbl, [r] {
-        return static_cast<double>(r->handoffs);
-      });
+      registry_.add_counter("gf_reactor_handoffs_total", lbl,
+                            [r] { return r->handoffs; });
     }
   }
   registry_.add_histogram("gf_store_bulk_shard_ns", "path=\"insert\"",
@@ -596,38 +616,13 @@ void server::request_stop() {
 
 server_stats server::stats() const {
   server_stats s;
-  // relaxed: stats snapshot: independent monotone gauges, single-writer
-  s.connections_accepted = accepted_.load(std::memory_order_relaxed);
-  s.connections_closed = closed_.load(std::memory_order_relaxed);
-  s.frames_served = frames_.load(std::memory_order_relaxed);
-  s.keys_processed = keys_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.bytes_in = bytes_in_.load(std::memory_order_relaxed);
-  s.bytes_out = bytes_out_.load(std::memory_order_relaxed);
+  // The position first: the feed path publishes its stats before it moves
+  // the position, so a reader that sees a position sees them too.
   s.repl_seq = repl_position();
-  // relaxed: stats snapshot continued — same single-writer monotone gauges.
-  s.subscribers = subscribers_.load(std::memory_order_relaxed);
-  s.frames_forwarded = frames_forwarded_.load(std::memory_order_relaxed);
-  s.subscriber_drops = subscriber_drops_.load(std::memory_order_relaxed);
-  s.subscriber_acked = subscriber_acked_.load(std::memory_order_relaxed);
-  s.subscriber_errors = subscriber_errors_.load(std::memory_order_relaxed);
-  s.invites_failed = invites_failed_.load(std::memory_order_relaxed);
-  s.feed_attached = feed_attached_.load(std::memory_order_relaxed);
-  // Acquire pairs with the feed's release (see the feed apply path).
-  s.feed_applied = feed_applied_.load(std::memory_order_acquire);
-  s.feed_last_seq = feed_last_seq_.load(std::memory_order_acquire);
-  // relaxed: stats snapshot continued — same single-writer monotone gauges.
-  s.feed_gaps = feed_gaps_.load(std::memory_order_relaxed);
-  s.feed_lost = feed_lost_.load(std::memory_order_relaxed);
-  s.deltas_served = deltas_served_.load(std::memory_order_relaxed);
-  s.wal_deltas_served = wal_deltas_served_.load(std::memory_order_relaxed);
-  s.ack_waits = ack_waits_.load(std::memory_order_relaxed);
-  s.ack_degraded = ack_degraded_.load(std::memory_order_relaxed);
-  s.feed_reconnects = feed_reconnects_.load(std::memory_order_relaxed);
-  s.reconnect_failures = reconnect_failures_.load(std::memory_order_relaxed);
-  s.resyncs_delta = resyncs_delta_.load(std::memory_order_relaxed);
-  s.resyncs_snapshot = resyncs_snapshot_.load(std::memory_order_relaxed);
-  s.read_only_refusals = read_only_refusals_.load(std::memory_order_relaxed);
+  // Acquire pairs with the feed apply path's release on feed_applied and
+  // feed_last_seq; the other cells need no ordering and pay nothing extra.
+  for (size_t i = 0; i < std::size(kStatRows); ++i)
+    s.*kStatRows[i].field = live_[i].load(std::memory_order_acquire);
   return s;
 }
 
@@ -713,8 +708,7 @@ void server::adopt_feed(socket_fd fd, frame_decoder dec,
     // very start, where "nothing applied" is the lane-stamped zero.
     advance_lane(lane_local(next) == 0 ? lane_seq(l, 0) : next - 1);
   }
-  // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-  feed_attached_.store(1, std::memory_order_relaxed);
+  live<&server_stats::feed_attached>().set(1);
   reactor& r0 = *reactors_[0];
   r0.conns.push_back(std::move(conn));
   // The sync handshake's decoder may already hold live stream frames that
@@ -738,8 +732,7 @@ void server::send_invites() {
       // Fire-and-forget: the standby replica dials back and SYNCs like
       // any other subscriber; nothing to wait for here.
     } catch (const std::exception&) {
-      // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-      invites_failed_.fetch_add(1, std::memory_order_relaxed);
+      live<&server_stats::invites_failed>().add();
     }
   }
 }
@@ -755,8 +748,7 @@ void server::sweep_dead(reactor& r) {
     any_dead = true;
     switch (r.conns[i]->kind) {
       case connection::role::subscriber:
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        subscribers_.fetch_sub(1, std::memory_order_relaxed);
+        live<&server_stats::subscribers>().sub();
         if (r.conns[i]->sub != nullptr) {
           r.conns[i]->sub->alive.store(false, std::memory_order_release);
           std::lock_guard<std::mutex> lk(subs_mu_);
@@ -767,9 +759,8 @@ void server::sweep_dead(reactor& r) {
         // The primary is gone.  Keep serving reads from the last applied
         // sequence — that is the whole point of a replica — and, when a
         // supervisor is configured, start dialing it back.
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        feed_attached_.store(0, std::memory_order_relaxed);
-        feed_lost_.fetch_add(1, std::memory_order_relaxed);
+        live<&server_stats::feed_attached>().set(0);
+        live<&server_stats::feed_lost>().add();
         if (!cfg_.feed_addr.empty() && !reconnect_pending_)
           schedule_reconnect(obs::now_ns());
         break;
@@ -781,8 +772,10 @@ void server::sweep_dead(reactor& r) {
     std::erase_if(r.pending_acks, [&](const pending_ack& p) {
       return p.conn == r.conns[i].get();
     });
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    closed_.fetch_add(1, std::memory_order_relaxed);
+    // The feed is this server's own outbound connection (adopt_feed);
+    // only accepted ones count as closed.
+    if (r.conns[i]->kind != connection::role::feed)
+      live<&server_stats::connections_closed>().add();
     r.conns.erase(r.conns.begin() + static_cast<std::ptrdiff_t>(i));
   }
   if (!any_dead) return;
@@ -1009,8 +1002,7 @@ void server::accept_ready(reactor& r) {
     socket_fd s(fd);
     set_nonblocking(fd);
     set_nodelay(fd);
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    accepted_.fetch_add(1, std::memory_order_relaxed);
+    live<&server_stats::connections_accepted>().add();
     const uint32_t target = rr_next_++ % nr_;
     if (target == r.id) {
       auto conn =
@@ -1148,14 +1140,12 @@ void server::read_ready(reactor& r, connection& c) {
     if (n == 0) {
       // EOF with a partial frame buffered = the peer truncated a frame.
       if (c.dec.buffered() > 0 && !c.dec.poisoned())
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+        live<&server_stats::protocol_errors>().add();
       flush_writes(r, c);  // best-effort: a half-closed peer may still read
       c.dead = true;
       return;
     }
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    bytes_in_.fetch_add(static_cast<uint64_t>(n), std::memory_order_relaxed);
+    live<&server_stats::bytes_in>().add(static_cast<uint64_t>(n));
     if (c.kind == connection::role::feed) feed_last_rx_ns_ = obs::now_ns();
     c.dec.feed(buf, static_cast<size_t>(n));
 
@@ -1184,8 +1174,7 @@ bool server::flush_writes(reactor& r, connection& c) {
       alive = false;
       break;
     }
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    bytes_out_.fetch_add(static_cast<uint64_t>(w), std::memory_order_relaxed);
+    live<&server_stats::bytes_out>().add(static_cast<uint64_t>(w));
     c.out_pos += static_cast<size_t>(w);
   }
   if (alive && c.out_pos >= c.out.size()) {
@@ -1198,8 +1187,7 @@ bool server::flush_writes(reactor& r, connection& c) {
 
 void server::condemn(reactor& r, connection& c, const std::string& why) {
   (void)why;  // counted, not logged: a hostile peer can spam arbitrary bytes
-  // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-  protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+  live<&server_stats::protocol_errors>().add();
   // Best-effort flush: frames served *before* the stream broke deserve
   // their responses (a pipelined client may have real answers queued
   // behind the first bad byte).  What the kernel buffer will not take is
@@ -1239,8 +1227,7 @@ void server::chain_forward(reactor& r, const frame& f) {
 
 void server::fan_out(reactor& r, const frame& f, uint64_t seq,
                      replay_ring* ring) {
-  // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-  if (subscribers_.load(std::memory_order_relaxed) == 0 &&
+  if (live<&server_stats::subscribers>().get() == 0 &&
       (ring == nullptr || ring->budget() == 0) && cfg_.durability == nullptr)
     return;
   // Re-encode straight from the decoded frame's fields with the stream
@@ -1272,8 +1259,7 @@ void server::forward_to_subs(
   }
   for (auto& s : subs) {
     if (!s->alive.load(std::memory_order_acquire)) continue;
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    frames_forwarded_.fetch_add(1, std::memory_order_relaxed);
+    live<&server_stats::frames_forwarded>().add();
     if (s->reactor_id == r.id) {
       deliver_to_sub(*s, *bytes);
     } else {
@@ -1296,8 +1282,7 @@ void server::deliver_to_sub(sub_entry& s, const std::vector<uint8_t>& bytes) {
   // bound.  The replica sees the EOF, counts a lost feed, and — with a
   // supervisor — comes back with a resume request that the ring answers.
   if (c->out.size() - c->out_pos > c->queue_cap) {
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    subscriber_drops_.fetch_add(1, std::memory_order_relaxed);
+    live<&server_stats::subscriber_drops>().add();
     c->dead = true;
     s.alive.store(false, std::memory_order_release);
   }
@@ -1322,8 +1307,7 @@ void server::register_subscriber(connection& c,
     std::lock_guard<std::mutex> lk(subs_mu_);
     subs_.push_back(std::move(entry));
   }
-  // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-  subscribers_.fetch_add(1, std::memory_order_relaxed);
+  live<&server_stats::subscribers>().add();
   recompute_acked();
 }
 
@@ -1332,8 +1316,7 @@ void server::subscriber_ack(reactor& r, connection& c, const frame& f) {
     // The replica failed *applying* a forwarded frame (its handler threw):
     // its store may have diverged.  Count it and hold the ack watermark —
     // STATS must not report a diverged replica as caught up.
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    subscriber_errors_.fetch_add(1, std::memory_order_relaxed);
+    live<&server_stats::subscriber_errors>().add();
     return;
   }
   const uint64_t now = obs::now_ns();
@@ -1369,8 +1352,7 @@ void server::recompute_acked() {
     if (first || sum < min_sum) min_sum = sum;
     first = false;
   }
-  // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-  subscriber_acked_.store(first ? 0 : min_sum, std::memory_order_relaxed);
+  live<&server_stats::subscriber_acked>().set(first ? 0 : min_sum);
 }
 
 // -- Ack-gated writes ---------------------------------------------------------
@@ -1391,14 +1373,12 @@ void server::queue_mutation_response(reactor& r, connection& c,
     append_out(c, encode_pair_response(op, client_seq, key_count, a, b));
     return;
   }
-  // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-  ack_waits_.fetch_add(1, std::memory_order_relaxed);
-  // relaxed: gate sizing only; a stale count degrades, never hangs.
-  if (subscribers_.load(std::memory_order_relaxed) < cfg_.ack_replicas) {
+  live<&server_stats::ack_waits>().add();
+  // Gate sizing only: a stale count degrades, never hangs.
+  if (live<&server_stats::subscribers>().get() < cfg_.ack_replicas) {
     // Not enough replicas even attached: degrade immediately rather than
     // making the client sit out a deadline that cannot be met.
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    ack_degraded_.fetch_add(1, std::memory_order_relaxed);
+    live<&server_stats::ack_degraded>().add();
     append_out(c, encode_pair_response(op, client_seq, key_count, a, b,
                                        wire_status::ok_async));
     return;
@@ -1411,8 +1391,8 @@ void server::queue_mutation_response(reactor& r, connection& c,
 
 void server::service_acks(reactor& r, uint64_t now_ns, bool flush_deadline) {
   if (r.pending_acks.empty()) return;
-  // relaxed: gate sizing only; a stale count degrades, never hangs.
-  const uint64_t live = subscribers_.load(std::memory_order_relaxed);
+  // Gate sizing only: a stale count degrades, never hangs.
+  const uint64_t attached = live<&server_stats::subscribers>().get();
   std::vector<std::shared_ptr<sub_entry>> subs;
   {
     std::lock_guard<std::mutex> lk(subs_mu_);
@@ -1440,12 +1420,11 @@ void server::service_acks(reactor& r, uint64_t now_ns, bool flush_deadline) {
       return true;
     }
     if (flush_deadline || now_ns >= p.deadline_ns ||
-        live < cfg_.ack_replicas) {
+        attached < cfg_.ack_replicas) {
       // Deadline, shutdown, or the quorum became unreachable: the write
       // is applied and replicating asynchronously — say so in-band and
       // move on.  Never a hang.
-      // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-      ack_degraded_.fetch_add(1, std::memory_order_relaxed);
+      live<&server_stats::ack_degraded>().add();
       append_out(*p.conn, encode_pair_response(p.op, p.client_seq,
                                                p.key_count, p.a, p.b,
                                                wire_status::ok_async));
@@ -1510,27 +1489,23 @@ void server::try_resync_feed() {
                     cfg_.snapshot_path, cfg_.max_frame_bytes,
                     cfg_.resync_timeout_ms, cfg_.connector);
     if (rr.kind == resync_kind::snapshot) {
-      // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-      resyncs_snapshot_.fetch_add(1, std::memory_order_relaxed);
+      live<&server_stats::resyncs_snapshot>().add();
       stw([&] { replace_store(std::move(*rr.store), rr.lane_seqs); });
       attach_feed(std::move(rr.feed), std::move(rr.dec),
                   std::span<const uint64_t>(rr.lane_seqs));
     } else {
-      // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-      resyncs_delta_.fetch_add(1, std::memory_order_relaxed);
+      live<&server_stats::resyncs_delta>().add();
       // The store we have is still the right one; the replayed frames
       // arrive on the adopted connection exactly like live stream
       // traffic, starting at each lane's last + 1.
       attach_feed(std::move(rr.feed), std::move(rr.dec),
                   std::span<const uint64_t>(lasts));
     }
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    feed_reconnects_.fetch_add(1, std::memory_order_relaxed);
+    live<&server_stats::feed_reconnects>().add();
     reactors_[0]->trace.add("repl", "resync", t0, obs::now_ns() - t0, "kind",
                             rr.kind == resync_kind::delta ? 0 : 1);
   } catch (const std::exception&) {
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    reconnect_failures_.fetch_add(1, std::memory_order_relaxed);
+    live<&server_stats::reconnect_failures>().add();
     schedule_reconnect(obs::now_ns());
   }
 }
@@ -1548,8 +1523,7 @@ void server::replace_store(store::filter_store st,
   for (auto& rx : reactors_) {
     for (auto& sub : rx->conns)
       if (!sub->dead && sub->kind == connection::role::subscriber) {
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        subscriber_drops_.fetch_add(1, std::memory_order_relaxed);
+        live<&server_stats::subscriber_drops>().add();
         sub->dead = true;
       }
     rx->ring.clear();
@@ -1570,8 +1544,7 @@ void server::service_timers(reactor& r, uint64_t now_ns) {
   service_acks(r, now_ns);
   if (r.id == 0) {
     if (cfg_.feed_idle_timeout_ms != 0 &&
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        feed_attached_.load(std::memory_order_relaxed) != 0 &&
+        live<&server_stats::feed_attached>().get() != 0 &&
         now_ns - feed_last_rx_ns_ >
             uint64_t{cfg_.feed_idle_timeout_ms} * 1'000'000ull) {
       for (auto& c : r.conns)
@@ -1592,8 +1565,7 @@ int server::poll_timeout_ms(const reactor& r, uint64_t now_ns) const {
   if (r.id == 0) {
     if (reconnect_pending_) next = std::min(next, reconnect_at_ns_);
     if (cfg_.feed_idle_timeout_ms != 0 &&
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        feed_attached_.load(std::memory_order_relaxed) != 0)
+        live<&server_stats::feed_attached>().get() != 0)
       next = std::min<uint64_t>(
           next, feed_last_rx_ns_ +
                     uint64_t{cfg_.feed_idle_timeout_ms} * 1'000'000ull);
@@ -1707,10 +1679,9 @@ void server::serve_resume(reactor& r, connection& c, const frame& f) {
       const size_t out_bytes = out.size();
       append_out(c, std::move(out));
       register_subscriber(c, std::span<const uint64_t>(lasts), out_bytes);
-      // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-      deltas_served_.fetch_add(1, std::memory_order_relaxed);
+      live<&server_stats::deltas_served>().add();
       if (any_wal) {
-        wal_deltas_served_.fetch_add(1, std::memory_order_relaxed);
+        live<&server_stats::wal_deltas_served>().add();
         r.trace.add("repl", "wal_delta_serve", obs::now_ns(), 0, "frames",
                     replayed);
       } else {
@@ -1767,8 +1738,7 @@ void server::serve_snapshot(reactor& r, connection& c, const frame& f) {
 void server::handle_invite(reactor& r, connection& c, const frame& f) {
   // Only a standby replica (read-only, not yet fed) takes an invite: on
   // anything else a hostile invite would overwrite a live store.
-  // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-  if (!cfg_.read_only || feed_attached_.load(std::memory_order_relaxed)) {
+  if (!cfg_.read_only || live<&server_stats::feed_attached>().get()) {
     append_out(c, encode_error_response(opcode::sync, f.sequence,
                                         wire_status::unsupported,
                                         "not a standby replica"));
@@ -1824,8 +1794,7 @@ void server::feed_frame(reactor& r, connection& c, const frame& f) {
     // we can get — with the gap on record; a supervised feed *can* close
     // the gap, so the connection is condemned and the re-sync path
     // replays exactly the missed frames instead of accepting a hole.
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    feed_gaps_.fetch_add(1, std::memory_order_relaxed);
+    live<&server_stats::feed_gaps>().add();
     r.trace.add("repl", "feed_gap", obs::now_ns(), 0, "expected", expected);
     if (f.sequence < expected) return;
     if (!cfg_.feed_addr.empty()) {
@@ -1834,8 +1803,7 @@ void server::feed_frame(reactor& r, connection& c, const frame& f) {
     }
   }
   feed_expected_by_lane_[lane] = f.sequence + 1;
-  // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-  frames_.fetch_add(1, std::memory_order_relaxed);
+  live<&server_stats::frames_served>().add();
   const uint64_t t_start = obs::now_ns();
   if (f.op == opcode::maintain) {
     // The primary replicated this maintain at a consistent cut of all
@@ -1861,8 +1829,10 @@ void server::feed_frame(reactor& r, connection& c, const frame& f) {
   // reactor owns every shard), so a stats() reader that sees this
   // sequence also sees its effect on the store — and before the stream
   // position moves, so a reader that sees the position sees these too.
-  feed_last_seq_.store(f.sequence, std::memory_order_release);
-  feed_applied_.fetch_add(1, std::memory_order_release);
+  live<&server_stats::feed_last_seq>().a.store(f.sequence,
+                                              std::memory_order_release);
+  live<&server_stats::feed_applied>().a.fetch_add(1,
+                                                  std::memory_order_release);
   // Chain the frame downstream in arrival order (reactor 0 is the feed's
   // owner, so this *is* the upstream interleaving).
   chain_forward(r, f);
@@ -1871,16 +1841,14 @@ void server::feed_frame(reactor& r, connection& c, const frame& f) {
 // -- Frame handling -----------------------------------------------------------
 
 void server::handle_frame(reactor& r, connection& c, const frame& f) {
-  // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-  frames_.fetch_add(1, std::memory_order_relaxed);
+  live<&server_stats::frames_served>().add();
   const uint64_t t_start = obs::now_ns();
   const bool mutating = is_mutating(f.op);
   // A replica takes mutations only from its feed; clients get an in-band
   // error and keep their connection (they meant well — they just talked
   // to the wrong end of the topology).
   if ((mutating || f.op == opcode::maintain) && cfg_.read_only) {
-    // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-    read_only_refusals_.fetch_add(1, std::memory_order_relaxed);
+    live<&server_stats::read_only_refusals>().add();
     append_out(c, encode_error_response(
                       f.op, f.sequence, wire_status::unsupported,
                       "read-only replica: send mutations to the primary"));
@@ -1948,8 +1916,7 @@ void server::route_batch(reactor& r, connection& c, const frame& f,
   else
     w.keys = decode_keys(f);
   const size_t n = w.keys.size();
-  // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-  keys_.fetch_add(n, std::memory_order_relaxed);
+  live<&server_stats::keys_processed>().add(n);
   if (n == 0) {
     // Empty batch: answer inline — there is nothing to apply or gate on.
     if (f.op == opcode::query)
@@ -2185,7 +2152,7 @@ void server::exec_ctrl(reactor& r, connection* c, const frame& f,
           else if (f.shard_hint == kStatsTraceHint)
             text = trace_json();
           else
-            text = stats_json_text(obs::now_ns());
+            text = stats_json();
           t_applied = obs::now_ns();
           append_out(*c, encode_stats_response(f.sequence, text));
           break;
@@ -2274,15 +2241,24 @@ void server::maintain_all_slices(reactor& r, connection* c, const frame& f,
 
 // -- Exposition ---------------------------------------------------------------
 
-std::string server::stats_json_text(uint64_t t_now) const {
+std::string server::stats_json() const {
   // The store report plus the server identity and the replication
   // plane — role, stream position, subscriber lag, and (on a replica)
   // feed health and gap count, so divergence is observable over the
-  // wire.
+  // wire.  The stored stats come from the counter tables.
   util::json_writer w;
   w.object_begin();
   store::report_json_fields(store_, w);
   const server_stats s = stats();
+  auto stat_fields = [&](std::string_view section) {
+    for (const stat_row& row : kStatRows) {
+      if (row.section != section) continue;
+      if (row.kind == flag)
+        w.field(row.key, s.*row.field != 0);
+      else
+        w.field(row.key, s.*row.field);
+    }
+  };
   size_t ack_pending = 0, ring_frames = 0, ring_bytes = 0;
   for (const auto& rx : reactors_) {
     ack_pending += rx->pending_acks.size();
@@ -2295,43 +2271,21 @@ std::string server::stats_json_text(uint64_t t_now) const {
       .field("compiler", obs::kCompiler)
       .field("counters_enabled", obs::kCountersEnabled)
       .field("uptime_seconds",
-             static_cast<double>(t_now - start_ns_) / 1e9, 3)
-      .field("reactors", nr_)
-      .field("frames_served", s.frames_served)
-      .field("keys_processed", s.keys_processed)
-      .field("protocol_errors", s.protocol_errors)
-      .field("bytes_in", s.bytes_in)
-      .field("bytes_out", s.bytes_out);
+             static_cast<double>(obs::now_ns() - start_ns_) / 1e9, 3)
+      .field("reactors", nr_);
+  stat_fields("server");
   w.object_end();
   w.key("replication").object_begin();
   w.field("role",
           cfg_.read_only || s.feed_attached ? "replica" : "primary")
       .field("read_only", cfg_.read_only)
       .field("repl_seq", s.repl_seq)
-      .field("lanes", active_lanes())
-      .field("subscribers", s.subscribers)
-      .field("frames_forwarded", s.frames_forwarded)
-      .field("subscriber_acked", s.subscriber_acked)
-      .field("subscriber_drops", s.subscriber_drops)
-      .field("subscriber_errors", s.subscriber_errors)
-      .field("feed_attached", s.feed_attached != 0)
-      .field("feed_last_seq", s.feed_last_seq)
-      .field("feed_applied", s.feed_applied)
-      .field("feed_gaps", s.feed_gaps)
-      .field("feed_lost", s.feed_lost)
-      .field("feed_reconnects", s.feed_reconnects)
-      .field("reconnect_failures", s.reconnect_failures)
-      .field("resyncs_delta", s.resyncs_delta)
-      .field("resyncs_snapshot", s.resyncs_snapshot)
-      .field("deltas_served", s.deltas_served)
-      .field("wal_deltas_served", s.wal_deltas_served)
-      .field("ack_replicas", cfg_.ack_replicas)
-      .field("ack_waits", s.ack_waits)
-      .field("ack_degraded", s.ack_degraded)
+      .field("lanes", active_lanes());
+  stat_fields("replication");
+  w.field("ack_replicas", cfg_.ack_replicas)
       .field("ack_pending", ack_pending)
       .field("ring_frames", ring_frames)
-      .field("ring_bytes", ring_bytes)
-      .field("read_only_refusals", s.read_only_refusals);
+      .field("ring_bytes", ring_bytes);
   w.object_end();
   w.key("durability").object_begin();
   w.field("armed", cfg_.durability != nullptr);
@@ -2339,20 +2293,9 @@ std::string server::stats_json_text(uint64_t t_now) const {
     const persist::durability_stats d = cfg_.durability->stats();
     w.field("wal_dir", cfg_.durability->dir())
         .field("fsync",
-               persist::fsync_policy_name(cfg_.durability->policy()))
-        .field("wal_bytes", d.wal_bytes)
-        .field("wal_frames", d.wal_frames)
-        .field("wal_fsyncs", d.wal_fsyncs)
-        .field("wal_segments", d.wal_segments)
-        .field("segments_rotated", d.segments_rotated)
-        .field("wal_last_seq", d.last_seq)
-        .field("checkpoints", d.checkpoints)
-        .field("checkpoint_seq", d.checkpoint_seq)
-        .field("checkpoint_bytes", d.checkpoint_bytes)
-        .field("recovery_replayed_frames", d.recovery_replayed_frames)
-        .field("recovery_truncated_bytes", d.recovery_truncated_bytes)
-        .field("recovery_gaps", d.recovery_gaps)
-        .field("wal_deltas_served", s.wal_deltas_served);
+               persist::fsync_policy_name(cfg_.durability->policy()));
+    for (const durability_row& row : kDurabilityRows)
+      w.field(row.key, d.*row.field);
   }
   w.object_end();
   w.object_end();

@@ -227,7 +227,13 @@ struct server_config {
   connect_fn connector;
 };
 
-/// Plain-value counters snapshot (readable while the loop runs).
+/// Plain-value snapshot of the server's counters and gauges (readable
+/// while the loop runs).  Every field but repl_seq is stored: server.cpp's
+/// counter table gives each one row — its exposition name and labels,
+/// counter or gauge, its STATS JSON section and key — and stats(), the
+/// metrics exposition and the STATS JSON all walk that table, so the three
+/// surfaces agree by construction.  A field added here without a row does
+/// not compile.  Every field is a uint64_t.
 struct server_stats {
   uint64_t connections_accepted = 0;
   uint64_t connections_closed = 0;
@@ -271,6 +277,10 @@ struct server_stats {
   uint64_t read_only_refusals = 0;
 };
 
+/// server_stats fields with a live cell: all but the derived repl_seq.
+inline constexpr size_t kStoredServerStats =
+    sizeof(server_stats) / sizeof(uint64_t) - 1;
+
 class server {
  public:
   /// Binds immediately (throws on failure); serving starts with run().
@@ -304,6 +314,8 @@ class server {
   /// Wake every reactor and make run() return.  Async-signal-safe.
   void request_stop();
 
+  /// Every stored stat plus the derived repl_seq; the same values the
+  /// metrics exposition and the STATS JSON report.
   server_stats stats() const;
 
   /// Prometheus-style text exposition of every registered metric (what the
@@ -312,6 +324,11 @@ class server {
   /// Reads live store state: call from the loop thread (the wire path
   /// does) or while run() is not live.
   std::string metrics_text() const { return registry_.render(); }
+
+  /// The STATS JSON document (what a plain STATS request returns): the
+  /// store report plus the server, replication and durability sections.
+  /// Same threading contract as metrics_text().
+  std::string stats_json() const;
 
   /// Recent events as chrome://tracing JSON (the STATS request with
   /// shard_hint = kStatsTraceHint; examples/store_server.cpp's --trace-out
@@ -327,6 +344,12 @@ class server {
   struct pending_resp;
   struct pending_ack;
   struct reactor;
+  struct stat_cell;
+
+  /// The live cell of stored field F (its counter-table row, found at
+  /// compile time); its operations carry the one memory-order argument.
+  template <uint64_t server_stats::* F>
+  stat_cell live() const;
 
   void reactor_loop(reactor& r);
   void accept_ready(reactor& r);
@@ -427,7 +450,6 @@ class server {
   /// non-null.
   void maintain_all_slices(reactor& r, connection* c, const frame& f,
                            uint64_t t_start);
-  std::string stats_json_text(uint64_t t_now) const;
   bool process_inboxes(reactor& r);
   void dispatch_msg(reactor& r, reactor_msg& m);
   void post(reactor& from, uint32_t to, reactor_msg&& m);
@@ -484,34 +506,9 @@ class server {
   /// Next expected feed sequence per lane (reactor-0 state).
   std::map<uint32_t, uint64_t> feed_expected_by_lane_;
 
-  std::atomic<uint64_t> accepted_{0};
-  std::atomic<uint64_t> closed_{0};
-  std::atomic<uint64_t> frames_{0};
-  std::atomic<uint64_t> keys_{0};
-  std::atomic<uint64_t> protocol_errors_{0};
-  std::atomic<uint64_t> bytes_in_{0};
-  std::atomic<uint64_t> bytes_out_{0};
-
-  std::atomic<uint64_t> subscribers_{0};
-  std::atomic<uint64_t> frames_forwarded_{0};
-  std::atomic<uint64_t> subscriber_drops_{0};
-  std::atomic<uint64_t> subscriber_acked_{0};
-  std::atomic<uint64_t> subscriber_errors_{0};
-  std::atomic<uint64_t> invites_failed_{0};
-  std::atomic<uint64_t> feed_attached_{0};
-  std::atomic<uint64_t> feed_applied_{0};
-  std::atomic<uint64_t> feed_gaps_{0};
-  std::atomic<uint64_t> feed_last_seq_{0};
-  std::atomic<uint64_t> feed_lost_{0};
-  std::atomic<uint64_t> read_only_refusals_{0};
-  std::atomic<uint64_t> deltas_served_{0};
-  std::atomic<uint64_t> wal_deltas_served_{0};
-  std::atomic<uint64_t> ack_waits_{0};
-  std::atomic<uint64_t> ack_degraded_{0};
-  std::atomic<uint64_t> feed_reconnects_{0};
-  std::atomic<uint64_t> reconnect_failures_{0};
-  std::atomic<uint64_t> resyncs_delta_{0};
-  std::atomic<uint64_t> resyncs_snapshot_{0};
+  /// Live values of the stored server_stats fields, indexed by counter-
+  /// table row.  mutable: live() hands cells out to const readers too.
+  mutable std::array<std::atomic<uint64_t>, kStoredServerStats> live_{};
   bool ever_fed_ = false;  ///< a feed was attached at least once — i.e.
                            ///< this server's data has a real lineage
   bool invites_sent_ = false;

@@ -1,13 +1,18 @@
 // Metrics registry with a Prometheus-style text exposition.
 //
 // The registry is a declaration surface: components register named
-// counters (monotone uint64), gauges (instantaneous double), and latency
-// histograms once at startup, each as a name + label string + a way to
-// read the current value.  Counters and gauges are pull-based closures so
-// registration never changes how a component stores its state — existing
-// atomics (server_stats, op_stats, util::op_counters) are scraped in
-// place.  Histograms register by pointer and are snapshotted at render
-// time.
+// counters (monotone uint64), gauges, and latency histograms once at
+// startup, each as a name + label string + a way to read the current
+// value.  Counters and gauges are pull-based closures, so registration
+// never changes how a component stores its state: net::server registers
+// one closure per row of its counter table (the same table its stats()
+// and STATS JSON walk), the store its op_stats sums and util::op_counters.
+// Histograms register by pointer and are snapshotted at render time.
+//
+// A gauge renders by its reader's return type: an integer reader as an
+// exact decimal integer (stream positions, item and byte counts — a
+// lane-stamped sequence is past 2^56, where a double has long stopped
+// counting by one), a floating-point reader with %.6g (ratios, seconds).
 //
 // render() produces the classic text format, one `name{labels} value` per
 // line with `# TYPE` headers, so CI and operators can scrape with grep
@@ -28,7 +33,9 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "obs/histogram.h"
@@ -46,8 +53,16 @@ class metrics_registry {
   void add_counter(std::string name, std::string labels, counter_fn read) {
     counters_.push_back({std::move(name), std::move(labels), std::move(read)});
   }
-  void add_gauge(std::string name, std::string labels, gauge_fn read) {
-    gauges_.push_back({std::move(name), std::move(labels), std::move(read)});
+  /// `read` returns an integer (rendered exact) or a floating-point value
+  /// (rendered %.6g); see the file comment.
+  template <class Read>
+  void add_gauge(std::string name, std::string labels, Read read) {
+    std::variant<counter_fn, gauge_fn> fn;
+    if constexpr (std::is_floating_point_v<std::invoke_result_t<Read&>>)
+      fn = gauge_fn(std::move(read));
+    else
+      fn = counter_fn(std::move(read));
+    gauges_.push_back({std::move(name), std::move(labels), std::move(fn)});
   }
   /// The histogram must outlive the registry (registries live on the
   /// component that owns the histograms, so this is structural).
@@ -93,7 +108,11 @@ class metrics_registry {
     last_type_name = nullptr;
     for (const auto& g : gauges_) {
       type_line(g.name, "gauge");
-      append_sample(out, g.name, g.labels, nullptr, g.read());
+      std::visit(
+          [&](const auto& read) {
+            append_sample(out, g.name, g.labels, nullptr, read());
+          },
+          g.read);
     }
     last_type_name = nullptr;
     for (const auto& h : histograms_) {
@@ -109,7 +128,7 @@ class metrics_registry {
   };
   struct gauge_entry {
     std::string name, labels;
-    gauge_fn read;
+    std::variant<counter_fn, gauge_fn> read;  ///< integer or fractional
   };
   struct histogram_entry {
     std::string name, labels;

@@ -697,3 +697,44 @@ TEST(NetFault, MultiReactorPrimarySigkillWalRecovery) {
     EXPECT_TRUE(recovered.contains(k)) << "acknowledged key lost: " << k;
   std::filesystem::remove_all(dir);
 }
+
+TEST(NetFault, ReplicaCountsOnlyInboundConnections) {
+  // A replica's feed is its own outbound connection: losing it, and the
+  // supervisor's replacement, are no accepted connection closing, so
+  // connections_closed must never outrun connections_accepted.
+  auto primary =
+      std::make_unique<live_server>(store::filter_store(small_config()));
+  const uint16_t port = primary->srv.port();
+  primary->connect().insert(util::hashed_xorwow_items(2000, 2401));
+  auto scfg = supervised_config(port);
+  scfg.connector = nullptr;  // the fault here is process death
+  scfg.reconnect_base_ms = 5;
+  auto sr = net::sync_from("127.0.0.1", port);
+  live_server replica(std::move(sr.store), scfg, std::move(sr.feed),
+                      std::move(sr.dec), sr.repl_seq + 1);
+
+  // The primary dies and a fresh one comes back on the same port; the
+  // replica loses its feed, reconnects and re-syncs.
+  primary.reset();
+  ASSERT_TRUE(
+      wait_until([&] { return replica.srv.stats().feed_lost >= 1; }));
+  net::server_config rcfg;
+  rcfg.port = port;
+  live_server restarted{store::filter_store(small_config()), rcfg};
+  ASSERT_TRUE(wait_until([&] {
+    const net::server_stats s = replica.srv.stats();
+    return s.feed_reconnects >= 1 && s.feed_attached == 1;
+  }));
+
+  EXPECT_EQ(replica.srv.stats().connections_closed, 0u);
+
+  // One inbound client comes and goes.
+  const uint64_t closed_before = replica.srv.stats().connections_closed;
+  replica.connect().ping();
+  ASSERT_TRUE(wait_until([&] {
+    return replica.srv.stats().connections_closed > closed_before;
+  }));
+  const net::server_stats s = replica.srv.stats();
+  EXPECT_EQ(s.connections_accepted, 1u);
+  EXPECT_LE(s.connections_closed, s.connections_accepted);
+}

@@ -58,6 +58,25 @@ TEST(ObsRegistry, CounterAndGaugeRendering) {
   EXPECT_NE(text.find("test_load 0.25\n"), std::string::npos);
 }
 
+TEST(ObsRegistry, IntegerGaugesRenderExact) {
+  // Stream positions and byte counts are gauges too; %.6g would print
+  // 1234567 as 1.23457e+06 and a lane-1 sequence as 7.20576e+16.
+  obs::metrics_registry reg;
+  const uint64_t lane1_seq = (uint64_t{1} << 56) | 1234;
+  reg.add_gauge("test_seq", "", [] { return uint64_t{1234567}; });
+  reg.add_gauge("test_lane_seq", "", [&] { return lane1_seq; });
+  reg.add_gauge("test_ratio", "", [] { return 1234567.0; });
+
+  const std::string text = reg.render();
+  EXPECT_NE(text.find("\ntest_seq 1234567\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("\ntest_lane_seq 72057594037929170\n"),
+            std::string::npos)
+      << text;
+  // A floating-point reader keeps the compact %.6g form.
+  EXPECT_NE(text.find("\ntest_ratio 1.23457e+06\n"), std::string::npos)
+      << text;
+}
+
 TEST(ObsRegistry, CountersMonotoneAcrossRenders) {
   obs::metrics_registry reg;
   uint64_t work = 0;
