@@ -41,13 +41,14 @@
 //     startup; replicas attaching via --replica-of need no flag here).
 //   * A --replica-of replica *supervises* its feed: if the primary dies
 //     or the stream gaps, it reconnects with jittered exponential backoff
-//     and re-syncs — by replayed delta when the primary's replay ring
-//     still covers the gap, by full snapshot otherwise.
+//     and re-syncs — by replayed delta when the primary's replication log
+//     still holds the whole gap, by full snapshot otherwise.
 //   * --ack-replicas N gates mutating client responses on N subscriber
 //     acks; --ack-timeout-ms bounds the wait (on expiry the response is
 //     released with wire_status::ok_async — applied, durability softened).
-//   * --replay-ring-mb sizes the primary's replay ring (delta re-sync
-//     window); 0 disables deltas and forces snapshot re-syncs.
+//   * --replay-ring-mb sizes the in-memory tier of the primary's
+//     replication log (the delta re-sync window kept in memory); 0 keeps
+//     none, leaving deltas to the WAL (with --wal-dir) or snapshots.
 //
 // Durability (src/persist/):
 //   * --wal-dir PATH arms the write-ahead log: every applied mutating
@@ -64,9 +65,9 @@
 //     --checkpoint-every-mb checkpoints after that much appended log.
 //   * With both --wal-dir and --snapshot, the WAL checkpoint wins on
 //     restart; the legacy snapshot only seeds a virgin WAL directory.
-//   * A replica with --wal-dir logs its applied feed too, and a primary
-//     with one serves delta re-syncs from disk after its in-memory
-//     replay ring has wrapped.
+//   * A replica with --wal-dir logs its applied feed too, and the WAL is
+//     the disk tier of the replication log: a primary with one serves
+//     delta re-syncs from disk once its in-memory tail has wrapped.
 //
 // Observability: the running server serves Prometheus-style metrics and a
 // chrome://tracing event dump in-band over STATS (see src/net/frame.h's
@@ -130,7 +131,7 @@ int usage() {
       "  --replicate-to: invite that standby to sync from this server\n"
       "  --ack-replicas: hold mutation replies for N subscriber acks\n"
       "  --ack-timeout-ms: ack-gate deadline before degrading to async\n"
-      "  --replay-ring-mb: delta re-sync window in MiB (0 = snapshots only)\n"
+      "  --replay-ring-mb: in-memory delta re-sync window in MiB (0 = none)\n"
       "  --trace-out: write chrome://tracing JSON of recent events on exit\n"
       "  --wal-dir: write-ahead log + checkpoints here; restart replays\n"
       "    only the tail above the checkpoint (crash-safe, O(delta))\n"
@@ -234,11 +235,7 @@ int serve(store::store_config cfg, const serve_options& opt) try {
     // WAL directory held describes something else and is dropped.  A
     // multi-lane primary's snapshot carried a lane table — seed one WAL
     // lane per entry so the tail replay stays per-lane contiguous.
-    if (sync->lane_seqs.size() == 1 &&
-        net::lane_of(sync->lane_seqs[0]) == 0)
-      dur->reset(st, sync->repl_seq);
-    else
-      dur->reset(st, std::span<const uint64_t>(sync->lane_seqs));
+    dur->reset(st, std::span<const uint64_t>(sync->lane_seqs));
   } else if (!sync && dur) {
     // Checkpoint + tail replay; a legacy --snapshot (with its v3-stamped
     // sequence when present) only seeds a virgin WAL directory.

@@ -144,10 +144,10 @@ inline uint16_t decode_sync_invite(const frame& f) {
 }
 
 /// Delta re-sync request: "I last applied stream sequence `last_seq`; send
-/// me what I missed."  The primary serves the delta from its replay ring
-/// when it still covers last_seq + 1, else falls back to a full chunked
-/// snapshot on the same connection (net/replication.h's sync_resume
-/// handles both answers).
+/// me what I missed."  The primary serves the delta from its replication
+/// log (net/repl_log.h) when the log can replay every frame above
+/// last_seq, else falls back to a full chunked snapshot on the same
+/// connection (net/replication.h's sync_resume handles both answers).
 inline std::vector<uint8_t> encode_sync_resume_request(uint64_t seq,
                                                        uint64_t last_seq) {
   frame f;

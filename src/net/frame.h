@@ -99,12 +99,12 @@ inline constexpr uint32_t kStatsTraceHint = 0xFFFF'FFFCu;
 
 /// shard_hint value that turns a SYNC *request* into a delta re-sync: the
 /// 8-byte payload names the replica's last applied stream sequence.  The
-/// primary answers either with a kSyncDeltaHint frame followed by the
-/// missed mutation frames replayed from its replay ring (net/replay_ring.h)
-/// — the connection is a subscriber again, no snapshot moved — or, when the
-/// ring has wrapped past the requested position (or the replica is ahead of
-/// this primary, e.g. after a crash-restart from an older snapshot), with
-/// an ordinary chunked snapshot bootstrap.
+/// primary answers either with a kSyncDeltaHint frame followed by exactly
+/// the missed mutation frames, replayed from its replication log
+/// (net/repl_log.h) — the connection is a subscriber again, no snapshot
+/// moved — or, when the log cannot replay every missed frame (or the
+/// replica is ahead of this primary, e.g. after a crash-restart from an
+/// older snapshot), with an ordinary chunked snapshot bootstrap.
 inline constexpr uint32_t kSyncResumeHint = 0xFFFF'FFFBu;
 /// shard_hint of the SYNC *response* frame accepting a delta re-sync; the
 /// 16-byte payload is (u64 resume_from, u64 upto) — the sequence range the

@@ -20,11 +20,11 @@
 //
 // sync_resume() is the cheap path a replica takes after *losing* a feed it
 // already had: it presents its last applied sequence and the primary
-// either replays just the missed frames out of its replay ring
-// (net/replay_ring.h) — no snapshot moves, the store it already has stays
-// — or, when the ring has wrapped past that position, falls back to the
-// same chunked snapshot bootstrap.  The caller learns which happened from
-// resync_result::kind.
+// either replays exactly the missed frames out of its replication log
+// (net/repl_log.h: each lane's in-memory tail, else the WAL) — no snapshot
+// moves, the store it already has stays — or, when the log cannot replay
+// some lane's range whole, falls back to the same chunked snapshot
+// bootstrap.  The caller learns which happened from resync_result::kind.
 //
 // Either way the returned feed (socket + decoder, which may already hold
 // live frames) is handed to net::server::attach_feed, whose event loop
@@ -82,10 +82,11 @@ sync_result sync_from(const std::string& host, uint16_t port,
 
 /// How a lost replica caught back up.
 enum class resync_kind : uint8_t {
-  delta,     ///< primary replayed the missed frames from its ring; the
+  delta,     ///< primary replayed the missed frames from its log; the
              ///< store the replica already has is still the right one
-  snapshot,  ///< ring wrapped (or the replica was ahead of a restarted
-             ///< primary): full bootstrap, `store` is engaged
+  snapshot,  ///< the log could not replay every missed frame (or the
+             ///< replica was ahead of a restarted primary): full
+             ///< bootstrap, `store` is engaged
 };
 
 struct resync_result {

@@ -20,7 +20,6 @@
 
 #include "net/codec.h"
 #include "net/mailbox.h"
-#include "net/replay_ring.h"
 #include "net/replication.h"
 #include "obs/build_info.h"
 #include "obs/clock.h"
@@ -306,7 +305,6 @@ struct server::reactor {
   uint64_t next_ticket = 1;
   uint32_t mutations_since_maintain = 0;
   uint64_t lane_local = 0;  ///< lane-local stream position
-  replay_ring ring;         ///< this lane's replayable frame window
   obs::trace_ring trace;
   obs::latency_histogram op_hist[kNumOpcodes];
   obs::latency_histogram stage_decode_ns, stage_apply_ns, stage_encode_ns,
@@ -315,8 +313,8 @@ struct server::reactor {
   std::vector<std::unique_ptr<mailbox<reactor_msg>>> inboxes;
   uint64_t handoffs = 0;  ///< connections adopted off the accept mailbox
 
-  reactor(uint32_t id_in, size_t ring_bytes, size_t trace_cap, uint32_t nr)
-      : id(id_in), ring(ring_bytes), trace(trace_cap) {
+  reactor(uint32_t id_in, size_t trace_cap, uint32_t nr)
+      : id(id_in), trace(trace_cap) {
     inboxes.reserve(nr);
     for (uint32_t p = 0; p < nr; ++p)
       inboxes.push_back(std::make_unique<mailbox<reactor_msg>>());
@@ -324,7 +322,15 @@ struct server::reactor {
 };
 
 server::server(server_config cfg, store::filter_store st)
-    : cfg_(std::move(cfg)), store_(std::move(st)) {
+    : cfg_(std::move(cfg)),
+      store_(std::move(st)),
+      // Reactor count: what was asked for, bounded by the lane address
+      // space and by the shard count (a reactor with no shard slice would
+      // own no work and no lane semantics).
+      nr_(std::max<uint32_t>(
+          1, std::min({cfg_.reactors == 0 ? 1 : cfg_.reactors, kMaxLanes,
+                       store_.num_shards()}))),
+      log_(nr_, cfg_.replay_ring_bytes / nr_, cfg_.durability) {
   listen_ = tcp_listen(cfg_.bind_addr, cfg_.port, cfg_.backlog);
   set_nonblocking(listen_.get());
   port_ = local_port(listen_);
@@ -332,12 +338,6 @@ server::server(server_config cfg, store::filter_store st)
                       ? cfg_.reconnect_jitter_seed
                       : 0x9E3779B97F4A7C15ull ^ (uint64_t{port_} << 17);
 
-  // Reactor count: what was asked for, bounded by the lane address space
-  // and by the shard count (a reactor with no shard slice would own no
-  // work and no lane semantics).
-  const uint32_t want = cfg_.reactors == 0 ? 1 : cfg_.reactors;
-  nr_ = std::max<uint32_t>(
-      1, std::min({want, kMaxLanes, store_.num_shards()}));
   // single-loop: a writable replica stamps its own mutations on the lanes
   // its feed also stamps; only one reactor (lane 0 continued from the
   // feed's position) keeps the two apart.  adopt_feed checks it again.
@@ -346,8 +346,8 @@ server::server(server_config cfg, store::filter_store st)
         "gf: a multi-reactor server can only follow a feed read-only");
 
   for (uint32_t k = 0; k < nr_; ++k) {
-    reactors_.push_back(std::make_unique<reactor>(
-        k, cfg_.replay_ring_bytes / nr_, cfg_.trace_capacity, nr_));
+    reactors_.push_back(
+        std::make_unique<reactor>(k, cfg_.trace_capacity, nr_));
     int fds[2];
     if (::pipe(fds) != 0)
       throw std::runtime_error("gf: cannot create wakeup pipe");
@@ -426,16 +426,10 @@ void server::register_metrics() {
     for (const auto& r : reactors_) n += r->trace.recorded();
     return n;
   });
-  registry_.add_gauge("gf_repl_replay_ring_bytes", "", [this] {
-    size_t n = 0;
-    for (const auto& r : reactors_) n += r->ring.bytes();
-    return n;
-  });
-  registry_.add_gauge("gf_repl_replay_ring_frames", "", [this] {
-    size_t n = 0;
-    for (const auto& r : reactors_) n += r->ring.size();
-    return n;
-  });
+  registry_.add_gauge("gf_repl_replay_ring_bytes", "",
+                      [this] { return log_.bytes(); });
+  registry_.add_gauge("gf_repl_replay_ring_frames", "",
+                      [this] { return log_.frames(); });
   registry_.add_gauge("gf_repl_seq", "", [this] { return repl_position(); });
   add_rows(kReplRows, kFeedRows);
   // Lag: stream positions the slowest live subscriber still owes us.
@@ -1212,23 +1206,20 @@ uint64_t server::replicate(reactor& r, const frame& f) {
   // release: pairs with acquire loads in gating reactors reading this
   // lane's position.
   lane_seqs_[r.id].store(seq, std::memory_order_release);
-  fan_out(r, f, seq, &r.ring);
+  fan_out(r, f, seq);
   return seq;
 }
 
 void server::chain_forward(reactor& r, const frame& f) {
   // A replica propagates each feed frame — upstream lane stamp intact — on
   // reactor 0 (the feed's owner) in arrival order, so chained subscribers
-  // and the WAL see the primary's own interleaving.
-  const uint32_t l = lane_of(f.sequence);
+  // and the log see the primary's own interleaving.
   advance_lane(f.sequence);
-  fan_out(r, f, f.sequence, l < nr_ ? &reactors_[l]->ring : nullptr);
+  fan_out(r, f, f.sequence);
 }
 
-void server::fan_out(reactor& r, const frame& f, uint64_t seq,
-                     replay_ring* ring) {
-  if (live<&server_stats::subscribers>().get() == 0 &&
-      (ring == nullptr || ring->budget() == 0) && cfg_.durability == nullptr)
+void server::fan_out(reactor& r, const frame& f, uint64_t seq) {
+  if (live<&server_stats::subscribers>().get() == 0 && !log_.keeps(seq))
     return;
   // Re-encode straight from the decoded frame's fields with the stream
   // sequence stamped in — the payload (multi-MiB for big batches) is
@@ -1236,18 +1227,16 @@ void server::fan_out(reactor& r, const frame& f, uint64_t seq,
   auto bytes = std::make_shared<std::vector<uint8_t>>();
   encode_frame(f.op, wire_status::ok, f.shard_hint, f.key_count, seq,
                f.payload, *bytes);
-  // The WAL gets the exact stamped bytes the subscriber feed carries,
-  // *after* the store applied the batch but *before* the client's response
-  // can flush: the mutation is on disk — fsync policy permitting — by the
-  // time anyone is told it happened.  Each lane has one appender (its
-  // reactor, or reactor 0 for feed lanes); checkpoints run separately
-  // under the stop-the-world barrier (service_timers on reactor 0).
-  if (cfg_.durability != nullptr) cfg_.durability->append(seq, *bytes);
+  // The log gets the exact stamped bytes the subscriber feed carries, so
+  // a delta replay is byte-identical to having never disconnected — and
+  // gets them *after* the store applied the batch but *before* the
+  // client's response can flush: the mutation is in the WAL — fsync
+  // policy permitting — by the time anyone is told it happened.  Each lane
+  // has one appender (its reactor, or reactor 0 for feed lanes);
+  // checkpoints run separately under the stop-the-world barrier
+  // (service_timers on reactor 0).
+  log_.append(seq, bytes);
   forward_to_subs(r, bytes);
-  // The ring gets the exact bytes a live subscriber saw, so a delta replay
-  // is byte-identical to having never disconnected.
-  if (ring != nullptr)
-    ring->push(seq, bytes.use_count() == 1 ? std::move(*bytes) : *bytes);
 }
 
 void server::forward_to_subs(
@@ -1280,7 +1269,7 @@ void server::deliver_to_sub(sub_entry& s, const std::vector<uint8_t>& bytes) {
   // A subscriber that cannot drain its stream is cut loose: async
   // replication must never let one slow replica grow this process without
   // bound.  The replica sees the EOF, counts a lost feed, and — with a
-  // supervisor — comes back with a resume request that the ring answers.
+  // supervisor — comes back with a resume request that the log answers.
   if (c->out.size() - c->out_pos > c->queue_cap) {
     live<&server_stats::subscriber_drops>().add();
     c->dead = true;
@@ -1518,23 +1507,21 @@ void server::replace_store(store::filter_store st,
   // metrics bundle — rebuild them against the new store.
   register_metrics();
   // New lineage: any subscriber synced off the old store is cut loose to
-  // bootstrap afresh instead of silently diverging, and the rings' frames
-  // describe a store that no longer exists.
+  // bootstrap afresh instead of silently diverging, and the log's frames
+  // (memory and WAL) describe a store that no longer exists.
   for (auto& rx : reactors_) {
     for (auto& sub : rx->conns)
       if (!sub->dead && sub->kind == connection::role::subscriber) {
         live<&server_stats::subscriber_drops>().add();
         sub->dead = true;
       }
-    rx->ring.clear();
     rx->lane_local = 0;
   }
   // relaxed: inside the barrier — every other reactor is parked.
   for (uint32_t l = 0; l < kMaxLanes; ++l)
     lane_seqs_[l].store(lane_seq(l, 0), std::memory_order_relaxed);
   for (uint64_t v : lane_lasts) advance_lane(v);
-  // Same reasoning for the WAL: the segments log the dead lineage.
-  if (cfg_.durability != nullptr) cfg_.durability->reset(store_, lane_lasts);
+  log_.reset(store_, lane_lasts);
 }
 
 void server::service_timers(reactor& r, uint64_t now_ns) {
@@ -1620,80 +1607,52 @@ void server::serve_resume(reactor& r, connection& c, const frame& f) {
   const std::vector<uint64_t> lasts = decode_sync_resume_lanes(f);
   const uint32_t lanes = active_lanes();
   // Grant a delta only when the replica's lane layout matches ours exactly
-  // and *every* lane is covered by its ring or the WAL — a partial replay
-  // would interleave a hole into one lane.  A ring that wrapped past the
-  // resume point falls back to the WAL, whose re-encoded bytes are
+  // and the log replays *every* lane's missed range whole — a partial
+  // replay would interleave a hole into one lane.  A lane the memory tail
+  // no longer holds is read back from the WAL, whose re-encoded bytes are
   // identical with what the live stream carried (persist_wal_test proves
-  // it), so that branch is indistinguishable from a bigger ring.  Never
-  // at stream position 0: a primary restarted from a snapshot is back at
-  // 0 with a *different* store, and a replica whose bootstrap also
-  // happened at 0 would otherwise be granted an empty delta against data
-  // it has never seen.  At 0 the snapshot is authoritative and cheap.
-  bool shape_ok = lasts.size() == lanes;
-  for (uint32_t l = 0; shape_ok && l < lanes; ++l)
-    if (lane_of(lasts[l]) != l) shape_ok = false;
-  if (shape_ok) {
-    std::vector<uint64_t> curs(lanes);
-    uint64_t pos_sum = 0;
-    for (uint32_t l = 0; l < lanes; ++l) {
+  // it), so that lane is indistinguishable from a bigger tail.  Never at
+  // stream position 0: a primary restarted from a snapshot is back at 0
+  // with a *different* store, and a replica whose bootstrap also happened
+  // at 0 would otherwise be granted an empty delta against data it has
+  // never seen.  At 0 the snapshot is authoritative and cheap.  (A lane
+  // entry stamped with another lane's id is a range replay() refuses.)
+  if (lasts.size() == lanes) {
+    std::vector<sync_delta_header> headers(lanes);
+    for (uint32_t l = 0; l < lanes; ++l)
       // relaxed: reactor 0 reads lane tips under the STW barrier.
-      curs[l] = lane_seqs_[l].load(std::memory_order_relaxed);
-      pos_sum += lane_local(curs[l]);
-    }
-    bool covered = pos_sum != 0;
-    std::vector<bool> from_wal(lanes, false);
+      headers[l] = {lasts[l], lane_seqs_[l].load(std::memory_order_relaxed)};
+    // One lane answers in the scalar (pre-lane) response form.
+    std::vector<uint8_t> out =
+        lanes == 1 ? encode_sync_delta_response(f.sequence,
+                                                headers[0].resume_from,
+                                                headers[0].upto)
+                   : encode_sync_delta_response(
+                         f.sequence,
+                         std::span<const sync_delta_header>(headers));
+    bool covered = repl_position() != 0, any_wal = false;
+    uint64_t replayed = 0;
     for (uint32_t l = 0; covered && l < lanes; ++l) {
-      if (lasts[l] == curs[l]) continue;  // lane already caught up
-      if (l < nr_ && reactors_[l]->ring.covers(lasts[l], curs[l])) continue;
-      if (cfg_.durability != nullptr &&
-          cfg_.durability->covers(lasts[l], curs[l])) {
-        from_wal[l] = true;
-        continue;
-      }
-      covered = false;
+      const repl_tier t =
+          log_.replay(headers[l].resume_from, headers[l].upto, out);
+      covered = t != repl_tier::none;
+      any_wal = any_wal || t == repl_tier::disk;
+      replayed += lane_local(headers[l].upto) - lane_local(lasts[l]);
     }
     if (covered) {
-      std::vector<sync_delta_header> headers(lanes);
-      for (uint32_t l = 0; l < lanes; ++l)
-        headers[l] = {lasts[l], curs[l]};
-      // One lane answers in the scalar (pre-lane) response form.
-      std::vector<uint8_t> out =
-          lanes == 1 ? encode_sync_delta_response(f.sequence,
-                                                  headers[0].resume_from,
-                                                  headers[0].upto)
-                     : encode_sync_delta_response(
-                           f.sequence,
-                           std::span<const sync_delta_header>(headers));
-      size_t replayed = 0;
-      bool any_wal = false;
-      for (uint32_t l = 0; l < lanes; ++l) {
-        if (lasts[l] == curs[l]) continue;
-        if (!from_wal[l] && l < nr_ &&
-            reactors_[l]->ring.covers(lasts[l], curs[l])) {
-          replayed += reactors_[l]->ring.encode_from(lasts[l], out);
-        } else {
-          replayed += cfg_.durability->encode_from(lasts[l], out);
-          any_wal = true;
-        }
-      }
       const size_t out_bytes = out.size();
       append_out(c, std::move(out));
       register_subscriber(c, std::span<const uint64_t>(lasts), out_bytes);
       live<&server_stats::deltas_served>().add();
-      if (any_wal) {
-        live<&server_stats::wal_deltas_served>().add();
-        r.trace.add("repl", "wal_delta_serve", obs::now_ns(), 0, "frames",
-                    replayed);
-      } else {
-        r.trace.add("repl", "delta_serve", obs::now_ns(), 0, "frames",
-                    replayed);
-      }
+      if (any_wal) live<&server_stats::wal_deltas_served>().add();
+      r.trace.add("repl", any_wal ? "wal_delta_serve" : "delta_serve",
+                  obs::now_ns(), 0, "frames", replayed);
       return;
     }
   }
-  // No full coverage (or a lane-layout mismatch): the only safe catch-up
-  // is a full bootstrap — also the case of a replica living in this
-  // primary's future after a crash-restart from an older snapshot.
+  // Some lane not replayable whole (or a lane-layout mismatch): the only
+  // safe catch-up is a full bootstrap — also the case of a replica living
+  // in this primary's future after a crash-restart from an older snapshot.
   serve_snapshot(r, c, f);
 }
 
@@ -2259,12 +2218,8 @@ std::string server::stats_json() const {
         w.field(row.key, s.*row.field);
     }
   };
-  size_t ack_pending = 0, ring_frames = 0, ring_bytes = 0;
-  for (const auto& rx : reactors_) {
-    ack_pending += rx->pending_acks.size();
-    ring_frames += rx->ring.size();
-    ring_bytes += rx->ring.bytes();
-  }
+  size_t ack_pending = 0;
+  for (const auto& rx : reactors_) ack_pending += rx->pending_acks.size();
   w.key("server").object_begin();
   w.field("version", obs::kVersion)
       .field("build", obs::kBuildType)
@@ -2284,8 +2239,8 @@ std::string server::stats_json() const {
   stat_fields("replication");
   w.field("ack_replicas", cfg_.ack_replicas)
       .field("ack_pending", ack_pending)
-      .field("ring_frames", ring_frames)
-      .field("ring_bytes", ring_bytes);
+      .field("ring_frames", log_.frames())
+      .field("ring_bytes", log_.bytes());
   w.object_end();
   w.key("durability").object_begin();
   w.field("armed", cfg_.durability != nullptr);

@@ -88,6 +88,7 @@
 
 #include "net/frame.h"
 #include "net/lane.h"
+#include "net/repl_log.h"
 #include "net/socket.h"
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -98,8 +99,6 @@ class durability_engine;  // src/persist/durability.h
 }
 
 namespace gf::net {
-
-class replay_ring;  // net/replay_ring.h
 
 struct server_config {
   std::string bind_addr = "127.0.0.1";
@@ -166,11 +165,13 @@ struct server_config {
 
   // -- Self-healing replication ---------------------------------------------
 
-  /// Byte budget of the replay ring backing delta re-sync (replay_ring.h);
-  /// split evenly across reactors (each lane's ring replays that lane's
-  /// frames).  A reconnecting replica inside this window is caught up by
-  /// replaying the frames it missed instead of moving a whole snapshot.
-  /// 0 disables the ring — every re-sync is a snapshot bootstrap.
+  /// Byte budget of the replication log's in-memory tier (repl_log.h),
+  /// split evenly across the reactors' lanes; lanes at or above the
+  /// reactor count (a replica forwarding a wider primary's feed) keep no
+  /// memory tail.  A reconnecting replica inside this window is caught up
+  /// by replaying the frames it missed instead of moving a whole snapshot.
+  /// 0 disables the memory tier — every re-sync is served from the WAL
+  /// (durability, when set) or by a snapshot bootstrap.
   size_t replay_ring_bytes = size_t{1} << 24;  // 16 MiB
   /// Primary this server follows ("host:port").  Empty = unsupervised (a
   /// feed handed to attach_feed is used until it dies, PR 5 behavior).
@@ -178,7 +179,7 @@ struct server_config {
   /// timeout, or a stream gap the replica cannot bridge) the event loop
   /// retries with jittered exponential backoff and re-syncs by delta
   /// (sync_resume, lane-aware), falling back to snapshot only when the
-  /// primary's rings have wrapped.
+  /// primary's log no longer holds every missed frame.
   std::string feed_addr;
   uint32_t reconnect_base_ms = 50;   ///< first backoff step
   uint32_t reconnect_max_ms = 5000;  ///< backoff ceiling
@@ -202,10 +203,10 @@ struct server_config {
   /// appended at the same point it is fed to subscribers (each reactor
   /// appending its own lane's segment stream — wal-dir/lane-<k>/),
   /// reactor 0 checkpoints between frames when one is due (under the
-  /// stop-the-world barrier), and a reconnecting replica whose resume
-  /// position has wrapped out of a replay ring is served a delta read
-  /// back from the WAL instead of a whole snapshot.  Null disables
-  /// durability (PR 8 behavior).
+  /// stop-the-world barrier), and the WAL is the disk tier of the
+  /// replication log: a reconnecting replica whose resume position the
+  /// memory tail no longer holds is served a delta read back from disk
+  /// instead of a whole snapshot.  Null disables durability.
   persist::durability_engine* durability = nullptr;
 
   // -- Ack-gated writes -----------------------------------------------------
@@ -258,8 +259,8 @@ struct server_stats {
 
   // Replication, primary side: resume serving and ack gating.
   uint64_t deltas_served = 0;     ///< resume requests answered by replay
-  uint64_t wal_deltas_served = 0; ///< of those, read back from the disk WAL
-                                  ///< because the in-memory ring had wrapped
+  uint64_t wal_deltas_served = 0; ///< of those, some lane read back from
+                                  ///< the log's disk tier (the WAL)
   uint64_t ack_waits = 0;         ///< responses that entered the ack gate
   uint64_t ack_degraded = 0;      ///< gates released as ok_async (deadline
                                   ///< hit, or too few subscribers attached)
@@ -377,9 +378,9 @@ class server {
   /// Replica chain-forwarding: advance the feed frame's lane (its upstream
   /// stamp intact) and fan it out, in arrival order.
   void chain_forward(reactor& r, const frame& f);
-  /// Encode `f` stamped with `seq` once, append it to the WAL, copy it to
-  /// every subscriber, and keep it in `ring` (when non-null).
-  void fan_out(reactor& r, const frame& f, uint64_t seq, replay_ring* ring);
+  /// Encode `f` stamped with `seq` once, append it to the replication log,
+  /// and copy it to every subscriber.
+  void fan_out(reactor& r, const frame& f, uint64_t seq);
   void forward_to_subs(reactor& r,
                        const std::shared_ptr<std::vector<uint8_t>>& bytes);
   void deliver_to_sub(sub_entry& s, const std::vector<uint8_t>& bytes);
@@ -476,6 +477,8 @@ class server {
   socket_fd listen_;
   uint16_t port_ = 0;
   uint32_t nr_ = 1;  ///< reactor count (clamped)
+  /// Every replicated frame, per lane: memory tails + the WAL.
+  repl_log log_;
   std::vector<std::unique_ptr<reactor>> reactors_;
   std::vector<uint32_t> shard_owner_;  ///< shard index → owning reactor
   uint32_t rr_next_ = 0;               ///< accept round-robin cursor

@@ -203,8 +203,6 @@ store::filter_store durability_engine::recover(const bootstrap_fn& fallback) {
       kept.push_back(seg);
     }
     lm.segments = std::move(kept);
-    ls.contiguous_from =
-        lm.segments.empty() ? ls.last_seq + 1 : lm.segments.front().first_seq;
   }
   lane_count_.store(static_cast<uint32_t>(lanes_.size()),
                     std::memory_order_release);
@@ -238,7 +236,6 @@ durability_engine::lane_state& durability_engine::lane_at(uint32_t k,
     // first append is not a gap; lanes filled in between idle at local 0.
     const uint64_t last = j == k ? seq - 1 : net::lane_seq(j, 0);
     ls->last_seq = last;
-    ls->contiguous_from = last + 1;
     if (m_.lanes.size() <= j) m_.lanes.resize(j + 1);
     m_.lanes[j].checkpoint_seq = last;
     if (j > 0) {
@@ -275,15 +272,15 @@ void durability_engine::append(uint64_t seq,
   lane_state& ls = lane_at(k, seq);
   if (seq != ls.last_seq + 1) {
     // A hole (an unsupervised replica accepted a feed gap).  The lane must
-    // never span it: start a fresh segment at the new position, drop the
-    // pre-gap run from what covers() may serve, and demand a checkpoint —
-    // which truncates the unusable prefix and re-anchors recovery.
+    // never span it: start a fresh segment at the new position (replay()
+    // serves no range across the hole — net::lane_range), and demand a
+    // checkpoint, which truncates the unusable prefix and re-anchors
+    // recovery.
     {
       std::lock_guard<std::mutex> lk(m_mu_);
       materialize_last_locked(k);
     }
     ls.active.close();
-    ls.contiguous_from = seq;
     // relaxed: a latched demand flag; checkpoint_due polls it.
     force_checkpoint_.store(true, std::memory_order_relaxed);
   }
@@ -387,23 +384,10 @@ void durability_engine::checkpoint_locked(const store::filter_store& st) {
   // relaxed: tallies reset after the checkpoint published.
   bytes_since_checkpoint_.store(0, std::memory_order_relaxed);
   force_checkpoint_.store(false, std::memory_order_relaxed);
-  for (uint32_t k = 0; k < lanes_.size(); ++k)
-    if (m_.lanes[k].segments.empty())
-      lanes_[k]->contiguous_from = lanes_[k]->last_seq + 1;
-}
-
-void durability_engine::reset(const store::filter_store& st, uint64_t seq) {
-  const uint64_t one[1] = {seq};
-  reset_lanes(st, one);
 }
 
 void durability_engine::reset(const store::filter_store& st,
                               std::span<const uint64_t> lane_lasts) {
-  reset_lanes(st, lane_lasts);
-}
-
-void durability_engine::reset_lanes(const store::filter_store& st,
-                                    std::span<const uint64_t> lane_lasts) {
   std::lock_guard<std::mutex> lk(m_mu_);
   for (auto& ls : lanes_) ls->active.close();
   for (const lane_manifest& lm : m_.lanes) {
@@ -431,7 +415,6 @@ void durability_engine::reset_lanes(const store::filter_store& st,
     auto ls = std::make_unique<lane_state>();
     const uint64_t last = lane_lasts.empty() ? 0 : lane_lasts[k];
     ls->last_seq = last;
-    ls->contiguous_from = last + 1;
     m_.lanes[k].checkpoint_seq = last;
     if (k > 0)
       std::filesystem::create_directories(cfg_.dir + "/" + lane_dir_name(k));
@@ -448,50 +431,42 @@ void durability_engine::sync() {
     if (lanes_[k]->active.is_open()) lanes_[k]->active.fsync_now();
 }
 
-bool durability_engine::covers(uint64_t after_seq,
-                               uint64_t current_seq) const {
-  if (!armed_ || after_seq > current_seq) return false;
-  if (after_seq == current_seq) return true;
+bool durability_engine::replay(uint64_t after_seq, uint64_t current_seq,
+                               std::vector<uint8_t>& out) const {
   const uint32_t k = net::lane_of(after_seq);
-  if (net::lane_of(current_seq) != k) return false;
-  if (k >= lane_count_.load(std::memory_order_acquire)) return false;
-  const lane_state& ls = *lanes_[k];
-  // Need every frame in (after_seq, current_seq] from the lane's
-  // contiguous run.
-  return current_seq <= ls.last_seq && after_seq + 1 >= ls.contiguous_from;
-}
-
-size_t durability_engine::encode_from(uint64_t after_seq,
-                                      std::vector<uint8_t>& out) const {
-  const uint32_t k = net::lane_of(after_seq);
-  if (k >= lane_count_.load(std::memory_order_acquire)) return 0;
-  const lane_state& ls = *lanes_[k];
-  std::lock_guard<std::mutex> lk(m_mu_);
-  const auto& segments = m_.lanes[k].segments;
-  size_t replayed = 0;
-  for (size_t i = 0; i < segments.size(); ++i) {
-    const segment_info& seg = segments[i];
-    // The active segment's recorded last_seq lags its writer (it is
-    // materialized only at quiesce points), so the lane's final segment
-    // is always scanned.
-    if (i + 1 < segments.size() && seg.last_seq <= after_seq)
-      continue;  // wholly below the resume
-    scan_segment(cfg_.dir, seg.file, cfg_.max_frame_bytes,
-                 [&](net::frame&& f) {
-                   if (f.sequence <= after_seq ||
-                       f.sequence < ls.contiguous_from)
-                     return true;
-                   // Re-encode from the decoded (CRC-verified) fields:
-                   // deterministic encoding makes the bytes identical with
-                   // what the live subscriber stream carried.
-                   net::encode_frame(f.op, net::wire_status::ok,
-                                     f.shard_hint, f.key_count, f.sequence,
-                                     f.payload, out);
-                   ++replayed;
-                   return true;
-                 });
+  if (!armed_ || k >= lane_count_.load(std::memory_order_acquire))
+    return false;
+  const size_t mark = out.size();
+  net::lane_range range{after_seq, current_seq};
+  bool clean = true;
+  {
+    std::lock_guard<std::mutex> lk(m_mu_);
+    const auto& segments = m_.lanes[k].segments;
+    for (size_t i = 0; clean && i < segments.size(); ++i) {
+      const segment_info& seg = segments[i];
+      // The active segment's recorded last_seq lags its writer (it is
+      // materialized only at quiesce points), so the lane's final segment
+      // is always scanned.
+      if (i + 1 < segments.size() && seg.last_seq <= after_seq)
+        continue;  // wholly below the resume
+      const scan_result r = scan_segment(
+          cfg_.dir, seg.file, cfg_.max_frame_bytes, [&](net::frame&& f) {
+            // Re-encode from the decoded (CRC-verified) fields:
+            // deterministic encoding makes the bytes identical with what
+            // the live subscriber stream carried.
+            if (range.take(f.sequence))
+              net::encode_frame(f.op, net::wire_status::ok, f.shard_hint,
+                                f.key_count, f.sequence, f.payload, out);
+            return true;
+          });
+      // A torn or corrupt frame may sit inside the range: serve nothing
+      // rather than guess.
+      clean = r.stop == scan_stop::clean;
+    }
   }
-  return replayed;
+  if (clean && range.complete()) return true;
+  out.resize(mark);
+  return false;
 }
 
 uint64_t durability_engine::last_seq() const {

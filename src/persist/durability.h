@@ -7,9 +7,9 @@
 // writer state, so a multi-reactor server appends concurrently — one
 // reactor per lane, never two threads on one lane.  Cross-lane state (the
 // manifest's segment lists, rotation, checkpointing) is serialized under a
-// mutex; whole-engine operations (recover, checkpoint, reset, covers,
-// encode_from, stats) are called from quiesced contexts — startup, the
-// single loop thread, or the server's stop-the-world barrier.  A
+// mutex; whole-engine operations (recover, checkpoint, reset, replay,
+// stats) are called from quiesced contexts — startup, the single loop
+// thread, or the server's stop-the-world barrier.  A
 // single-lane engine behaves bit-for-bit like the pre-lane one: lane 0's
 // segments keep their names and places, and the manifest stays v1.
 //
@@ -27,13 +27,14 @@
 //      auto-maintain's synthesized frames included, in stream order.
 //   3. checkpoint(store) when checkpoint_due() — fold the log into a new
 //      snapshot and truncate covered segments.
-//   4. covers()/encode_from() — serve a reconnecting replica's delta
-//      re-sync from disk when the in-memory replay ring has wrapped.
+//   4. replay() — the disk tier of the replication log (net/repl_log.h):
+//      serves a reconnecting replica's delta re-sync, exactly or not at
+//      all, when the log's in-memory tail no longer holds the range.
 //
 // Sequence discipline: appends must arrive contiguously (replicate()
 // stamps them so).  A discontinuity — an unsupervised replica accepting a
-// feed gap — starts a fresh segment, forces checkpoint_due(), and drops
-// the pre-gap log from covers(): the log never silently spans a hole.
+// feed gap — starts a fresh segment and forces checkpoint_due(), and
+// replay() serves no range across it: the log never silently spans a hole.
 // reset() handles the larger break (a replica re-bootstrapped onto a new
 // lineage) by truncating everything and checkpointing the new store.
 #pragma once
@@ -108,35 +109,31 @@ class durability_engine {
   void checkpoint(const store::filter_store& st);
 
   /// New lineage (replica re-bootstrapped from a snapshot): drop every
-  /// segment and checkpoint `st` as covering `seq`.
-  void reset(const store::filter_store& st, uint64_t seq);
-  /// Lane-aware reset: one lane per entry, each covering its lane-stamped
-  /// sequence (a replica adopting a multi-lane primary's snapshot).
+  /// segment and checkpoint `st` as covering `lane_lasts` — one lane per
+  /// entry, each at its lane-stamped sequence (one entry, the plain
+  /// sequence, for a single-lane stream).
   void reset(const store::filter_store& st,
              std::span<const uint64_t> lane_lasts);
 
   /// fsync every open segment regardless of policy (orderly shutdown).
   void sync();
 
-  /// True when every frame in (after_seq, current_seq] can be replayed
-  /// from live segments — the disk-backed analogue of replay_ring::covers.
-  /// Both sequences must stamp the same lane.
-  bool covers(uint64_t after_seq, uint64_t current_seq) const;
-  /// Append the re-encoded frames of after_seq's lane above `after_seq`
-  /// to `out` in lane order (byte-identical with the subscriber stream;
-  /// the per-frame CRC was verified on the way out of the segment).
-  /// Returns frame count.
-  size_t encode_from(uint64_t after_seq, std::vector<uint8_t>& out) const;
+  /// The disk tier of the replication log (net/repl_log.h), its only
+  /// caller: append to `out` exactly the frames of the lane range
+  /// (after_seq, current_seq] (net::lane_range), re-encoded byte-identical
+  /// with the subscriber stream (each CRC verified on the way out of its
+  /// segment), and return true — or append nothing and return false when
+  /// the segments do not hold every one of them, once and in order, or a
+  /// scan stops on a torn or corrupt frame.  The log has already checked
+  /// that the range is one lane's and not empty.
+  bool replay(uint64_t after_seq, uint64_t current_seq,
+              std::vector<uint8_t>& out) const;
 
   /// Summed lane-local position (== the last appended sequence when only
   /// lane 0 exists — the legacy meaning).
   uint64_t last_seq() const;
-  /// Lane-stamped last sequence per lane (size == lanes()).
+  /// Lane-stamped last sequence per lane.
   std::vector<uint64_t> last_seqs() const;
-  uint32_t lanes() const {
-    // relaxed: count only; lane contents are published with release below.
-    return lane_count_.load(std::memory_order_relaxed);
-  }
   const std::string& dir() const { return cfg_.dir; }
   fsync_policy policy() const { return cfg_.fsync; }
   durability_stats stats() const;
@@ -154,9 +151,6 @@ class durability_engine {
   struct lane_state {
     segment_writer active;
     uint64_t last_seq = 0;         ///< lane-stamped; trails nothing
-    /// First sequence of the contiguous run this lane's segments hold;
-    /// frames below it (pre-gap) are never served or trusted.
-    uint64_t contiguous_from = 0;
     uint64_t last_fsync_ns = 0;
   };
 
@@ -173,8 +167,6 @@ class durability_engine {
   void materialize_last_locked(uint32_t k);
   void maybe_fsync(uint32_t k);
   void apply_frame(store::filter_store& st, const net::frame& f);
-  void reset_lanes(const store::filter_store& st,
-                   std::span<const uint64_t> lane_lasts);
   void checkpoint_locked(const store::filter_store& st);
 
   wal_config cfg_;

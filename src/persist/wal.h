@@ -2,16 +2,16 @@
 //
 // A WAL segment is a 16-byte header followed by a raw concatenation of
 // *wire frames* — the exact seq-stamped bytes net::server::replicate()
-// already produces for subscribers and the replay ring (net/frame.h
-// encoding, per-frame CRC-32 trailer).  Reusing the wire encoding buys
-// three properties at once:
+// already produces for subscribers and the replication log's memory tier
+// (net/frame.h encoding, per-frame CRC-32 trailer).  Reusing the wire
+// encoding buys three properties at once:
 //   * recovery replay decodes with the same hostile-input frame_decoder
 //     the socket path uses, CRC checks included;
 //   * a torn tail (crash mid-append) is detected structurally — the
 //     decoder reports an incomplete or corrupt trailing frame — and the
 //     log is truncated at the last clean frame boundary, never fatal;
-//   * a delta re-sync served *from disk* (net/server.cpp serve_resume) is
-//     byte-identical with one served from the in-memory replay ring.
+//   * a delta re-sync served *from disk* (the disk tier of net/repl_log.h)
+//     is byte-identical with one served from the in-memory tail.
 //
 // Segments are named wal-<first_seq>.seg and rotate by size.  The
 // manifest (MANIFEST, rewritten atomically via store::atomic_write_file)

@@ -4,7 +4,8 @@
 //     reconnects with backoff, re-syncs by delta each time, and ends
 //     byte-identical to its primary;
 //   * a delta re-sync replays exactly the missed frames — no snapshot
-//     moves — while a wrapped replay ring forces the snapshot fallback;
+//     moves — while a wrapped log tail (no WAL) forces the snapshot
+//     fallback;
 //   * a primary restarted from its snapshot is back at sequence 0, so a
 //     surviving replica's resume is answered by snapshot (never a bogus
 //     delta against a different lineage) and the replica re-attaches;
@@ -36,7 +37,7 @@
 #include "net/client.h"
 #include "net/codec.h"
 #include "net/fault.h"
-#include "net/replay_ring.h"
+#include "net/repl_log.h"
 #include "net/replication.h"
 #include "net/server.h"
 #include "net/socket.h"
@@ -151,49 +152,72 @@ net::fault_plan one_event(net::fault_kind kind, net::fault_dir dir,
   return plan;
 }
 
+/// A stand-in 100-byte (or `n`-byte) frame for the memory tier, which
+/// never decodes what it keeps.
+std::shared_ptr<const std::vector<uint8_t>> blob(uint8_t fill,
+                                                 size_t n = 100) {
+  return std::make_shared<const std::vector<uint8_t>>(n, fill);
+}
+
+/// Replay (after, cur] from `log` into a fresh buffer.
+std::pair<net::repl_tier, std::vector<uint8_t>> replay(
+    const net::repl_log& log, uint64_t after, uint64_t cur) {
+  std::vector<uint8_t> out;
+  const net::repl_tier t = log.replay(after, cur, out);
+  return {t, std::move(out)};
+}
+
 }  // namespace
 
-// -- The replay ring itself ---------------------------------------------------
+// -- The replication log's memory tier ---------------------------------------
 
-TEST(NetFault, ReplayRingCoversEncodesAndEvicts) {
-  net::replay_ring ring(1000);
-  // Empty ring: only the degenerate "nothing missed" resume is coverable.
-  EXPECT_TRUE(ring.covers(7, 7));
-  EXPECT_FALSE(ring.covers(0, 1));
+TEST(NetFault, ReplLogTailCoversEncodesAndEvicts) {
+  net::repl_log log(1, 1000, nullptr);
+  // Empty tail: only the degenerate "nothing missed" resume is coverable.
+  EXPECT_EQ(replay(log, 7, 7),
+            std::make_pair(net::repl_tier::memory, std::vector<uint8_t>{}));
+  EXPECT_EQ(replay(log, 0, 1).first, net::repl_tier::none);
 
-  ring.push(1, std::vector<uint8_t>(100, 0xA1));
-  ring.push(2, std::vector<uint8_t>(100, 0xA2));
-  ring.push(3, std::vector<uint8_t>(100, 0xA3));
-  EXPECT_EQ(ring.size(), 3u);
-  EXPECT_TRUE(ring.covers(0, 3));   // full replay from the beginning
-  EXPECT_TRUE(ring.covers(1, 3));   // resume after 1 -> frames 2, 3
-  EXPECT_TRUE(ring.covers(3, 3));   // nothing missed
-  EXPECT_FALSE(ring.covers(5, 3));  // a future the primary never reached
+  log.append(1, blob(0xA1));
+  log.append(2, blob(0xA2));
+  log.append(3, blob(0xA3));
+  EXPECT_EQ(log.frames(), 3u);
+  // Full replay from the beginning: exactly frames 1, 2, 3.
+  EXPECT_EQ(replay(log, 0, 3).first, net::repl_tier::memory);
+  EXPECT_EQ(replay(log, 0, 3).second.size(), 300u);
+  EXPECT_EQ(replay(log, 1, 3).first, net::repl_tier::memory);  // 2, 3
+  EXPECT_EQ(replay(log, 3, 3),  // nothing missed
+            std::make_pair(net::repl_tier::memory, std::vector<uint8_t>{}));
+  // A future the primary never reached.
+  EXPECT_EQ(replay(log, 5, 3).first, net::repl_tier::none);
 
-  std::vector<uint8_t> out;
-  EXPECT_EQ(ring.encode_from(1, out), 2u);
+  const std::vector<uint8_t> out = replay(log, 1, 3).second;
   ASSERT_EQ(out.size(), 200u);
   EXPECT_EQ(out[0], 0xA2);
   EXPECT_EQ(out[100], 0xA3);
 
   // Eviction under the byte budget: oldest first, coverage shrinks.
-  for (uint64_t seq = 4; seq <= 12; ++seq)
-    ring.push(seq, std::vector<uint8_t>(100, 0xB0));
-  EXPECT_LE(ring.bytes(), 1000u);
-  EXPECT_FALSE(ring.covers(0, 12));
-  EXPECT_TRUE(ring.covers(ring.first_seq() - 1, 12));
+  for (uint64_t seq = 4; seq <= 12; ++seq) log.append(seq, blob(0xB0));
+  EXPECT_LE(log.bytes(), 1000u);
+  EXPECT_EQ(replay(log, 0, 12).first, net::repl_tier::none);
+  const uint64_t first = 12 - log.frames() + 1;
+  EXPECT_EQ(replay(log, first - 1, 12).first, net::repl_tier::memory);
+  EXPECT_EQ(replay(log, first - 1, 12).second.size(), log.bytes());
 
-  // A non-contiguous sequence clears the ring: replaying across a hole
+  // A non-contiguous sequence clears the tail: replaying across a hole
   // would hand a replica a silently diverged store.
-  ring.push(50, std::vector<uint8_t>(10, 0xC0));
-  EXPECT_EQ(ring.size(), 1u);
-  EXPECT_EQ(ring.first_seq(), 50u);
+  log.append(50, blob(0xC0, 10));
+  EXPECT_EQ(log.frames(), 1u);
+  EXPECT_EQ(replay(log, 49, 50),
+            std::make_pair(net::repl_tier::memory,
+                           std::vector<uint8_t>(10, 0xC0)));
+  EXPECT_EQ(replay(log, 12, 50).first, net::repl_tier::none);
 
   // Budget 0 disables recording entirely.
-  net::replay_ring off(0);
-  off.push(1, std::vector<uint8_t>(10, 0));
-  EXPECT_TRUE(off.empty());
-  EXPECT_FALSE(off.covers(0, 1));
+  net::repl_log off(1, 0, nullptr);
+  off.append(1, blob(0, 10));
+  EXPECT_EQ(off.frames(), 0u);
+  EXPECT_EQ(replay(off, 0, 1).first, net::repl_tier::none);
 }
 
 // -- Supervised reconnect + delta re-sync -------------------------------------

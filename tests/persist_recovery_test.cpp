@@ -2,8 +2,9 @@
 // batch (auto-maintain's synthesized frames included) lands in the WAL at
 // the same point it feeds subscribers, restart = checkpoint + tail replay
 // through the store's normal apply path, and a reconnecting replica whose
-// resume position has wrapped out of the in-memory replay ring is served
-// its delta back from disk — under scripted fault injection, not sleeps.
+// resume position has wrapped out of the replication log's in-memory tail
+// is served its delta back from disk — exactly, or by snapshot when the
+// disk copy is damaged — under scripted fault injection, not sleeps.
 // Engine-level attack surface (torn tails, SIGKILL drills, manifest
 // cross-checks) lives in tests/persist_wal_test.cpp.
 #include <gtest/gtest.h>
@@ -11,7 +12,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -21,6 +24,8 @@
 
 #include "net/client.h"
 #include "net/fault.h"
+#include "net/frame.h"
+#include "net/lane.h"
 #include "net/replication.h"
 #include "net/server.h"
 #include "persist/durability.h"
@@ -96,6 +101,13 @@ struct live_server {
     srv.attach_feed(std::move(feed), std::move(dec), next_seq);
     loop = std::thread([this] { srv.run(); });
   }
+  live_server(store::filter_store st, net::server_config cfg,
+              net::socket_fd feed, net::frame_decoder dec,
+              std::span<const uint64_t> lane_lasts)
+      : srv(std::move(cfg), std::move(st)) {
+    srv.attach_feed(std::move(feed), std::move(dec), lane_lasts);
+    loop = std::thread([this] { srv.run(); });
+  }
   ~live_server() { stop(); }
   void stop() {
     if (stopped) return;
@@ -118,6 +130,41 @@ bool converged(live_server& primary, live_server& replica) {
   return wait_until([&] {
     return replica.srv.stats().repl_seq == primary.srv.stats().repl_seq;
   });
+}
+
+net::server_config read_only_config() {
+  net::server_config c;
+  c.read_only = true;
+  return c;
+}
+
+/// Flip one payload byte of the frame stamped `seq` in the WAL directory's
+/// lane-0 segments (its CRC no longer matches); false when no segment
+/// holds that frame.
+bool corrupt_logged_frame(const std::string& dir, uint64_t seq) {
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() != ".seg") continue;
+    std::fstream f(e.path(), std::ios::in | std::ios::out | std::ios::binary);
+    const std::vector<uint8_t> bytes(std::istreambuf_iterator<char>(f), {});
+    // Walk the frames: u32 length at +0, u64 sequence at +20, payload at
+    // +28 (net/frame.h layout).
+    size_t off = persist::kSegmentHeaderBytes;
+    while (off + net::kFrameOverhead <= bytes.size()) {
+      const size_t len = net::get_u32(bytes.data() + off);
+      if (net::get_u64(bytes.data() + off + 20) == seq &&
+          len > net::kHeaderTailBytes + 4) {
+        const size_t at = off + 4 + net::kHeaderTailBytes + 1;
+        const char flipped = static_cast<char>(bytes[at] ^ 0x40);
+        f.clear();
+        f.seekp(static_cast<std::streamoff>(at));
+        f.write(&flipped, 1);
+        f.flush();
+        return f.good();
+      }
+      off += 4 + len;
+    }
+  }
+  return false;
 }
 
 net::fault_plan one_cut(uint64_t at_bytes) {
@@ -340,6 +387,117 @@ TEST(PersistRecovery, SupervisedReplicaResyncsFromDiskAfterRingWrap) {
   EXPECT_EQ(stats.resyncs_snapshot, 0u);  // no snapshot moved
   EXPECT_EQ(stats.feed_gaps, 0u);
   EXPECT_EQ(primary.srv.stats().wal_deltas_served, 1u);
+
+  replica.stop();
+  primary.stop();
+  EXPECT_EQ(store::serialize_store(replica.srv.store()),
+            store::serialize_store(primary.srv.store()));
+  std::filesystem::remove_all(dir);
+}
+
+// A WAL-served delta never promises frames it cannot send: with one logged
+// frame of the missed range corrupt on disk, the log cannot replay the
+// range whole, so the resume falls back to a snapshot — and the replica
+// still converges byte-identical.
+TEST(PersistRecovery, CorruptWalFrameFallsBackToSnapshot) {
+  const std::string dir = fresh_dir("wal_corrupt");
+  persist::durability_engine eng(wal_at(dir));
+  auto st = eng.recover(fresh_boot());
+
+  net::server_config pcfg;
+  pcfg.replay_ring_bytes = 2048;  // smaller than one workload frame
+  pcfg.durability = &eng;
+  live_server primary{std::move(st), pcfg};
+  auto cli = primary.connect();
+  cli.insert(util::hashed_xorwow_items(8000, 4701));
+
+  auto sr = net::sync_from("127.0.0.1", primary.srv.port());
+  const uint64_t last_applied = sr.repl_seq;
+  sr.feed.reset();  // lose the feed on purpose
+
+  auto missed = util::hashed_xorwow_items(12000, 4702);
+  std::span<const uint64_t> span(missed);
+  for (size_t lo = 0; lo < missed.size(); lo += 4000)
+    cli.insert(span.subspan(lo, 4000));
+  ASSERT_EQ(primary.srv.stats().repl_seq, last_applied + 3);
+  ASSERT_TRUE(corrupt_logged_frame(dir, last_applied + 2));
+
+  auto rr = net::sync_resume("127.0.0.1", primary.srv.port(), last_applied);
+  ASSERT_EQ(rr.kind, net::resync_kind::snapshot)
+      << "a delta over a corrupt WAL frame would promise frames it never "
+         "sends";
+  ASSERT_TRUE(rr.store.has_value());
+  EXPECT_EQ(primary.srv.stats().deltas_served, 0u);
+  EXPECT_EQ(primary.srv.stats().wal_deltas_served, 0u);
+
+  live_server replica(std::move(*rr.store), read_only_config(),
+                      std::move(rr.feed), std::move(rr.dec),
+                      rr.repl_seq + 1);
+  cli.insert(util::hashed_xorwow_items(2000, 4703));
+  ASSERT_TRUE(converged(primary, replica));
+  EXPECT_EQ(replica.srv.stats().feed_gaps, 0u);
+
+  replica.stop();
+  primary.stop();
+  EXPECT_EQ(store::serialize_store(replica.srv.store()),
+            store::serialize_store(primary.srv.store()));
+  std::filesystem::remove_all(dir);
+}
+
+// One resume, two tiers: on a 2-reactor primary, lane 1's missed frames
+// have wrapped out of its memory tail and come back from the WAL while
+// lane 0's are still in memory.  The log answers each lane once and the
+// replica is caught up by a single delta.
+TEST(PersistRecovery, MultiLaneResumeMixesMemoryAndDiskTiers) {
+  const std::string dir = fresh_dir("mixed_tiers");
+  persist::durability_engine eng(wal_at(dir));
+  auto st = eng.recover(fresh_boot());
+
+  net::server_config pcfg;
+  pcfg.reactors = 2;
+  pcfg.replay_ring_bytes = 2 * 16384;  // a 16 KiB tail per lane
+  pcfg.durability = &eng;
+  live_server primary{std::move(st), pcfg};
+  auto cli = primary.connect();
+  cli.insert(util::hashed_xorwow_items(8000, 4801));
+
+  auto sr = net::sync_from("127.0.0.1", primary.srv.port());
+  ASSERT_EQ(sr.lane_seqs.size(), 2u);
+  const std::vector<uint64_t> lasts = sr.lane_seqs;
+  sr.feed.reset();  // lose the feed on purpose
+
+  // Reactor k owns shards [2k, 2k + 2) of the 4, and replicates on lane k.
+  std::vector<uint64_t> lane0, lane1;
+  for (uint64_t k : util::hashed_xorwow_items(20000, 4802))
+    (primary.srv.store().shard_of(k) < 2 ? lane0 : lane1).push_back(k);
+  ASSERT_GE(lane0.size(), 500u);
+  ASSERT_GE(lane1.size(), 6000u);
+  // Lane 1: three ~16 KB frames, past its tail.  Lane 0: one ~4 KB frame,
+  // inside its tail.
+  std::span<const uint64_t> one(lane1);
+  for (size_t lo = 0; lo < 6000; lo += 2000) cli.insert(one.subspan(lo, 2000));
+  cli.insert(std::span<const uint64_t>(lane0).first(500));
+
+  auto rr = net::sync_resume("127.0.0.1", primary.srv.port(),
+                             std::span<const uint64_t>(lasts));
+  ASSERT_EQ(rr.kind, net::resync_kind::delta)
+      << "every lane was replayable from one tier or the other";
+  EXPECT_FALSE(rr.store.has_value());
+  ASSERT_EQ(rr.lane_seqs.size(), 2u);
+  EXPECT_EQ(net::lane_local(rr.lane_seqs[0]) - net::lane_local(lasts[0]),
+            1u);
+  EXPECT_EQ(net::lane_local(rr.lane_seqs[1]) - net::lane_local(lasts[1]),
+            3u);
+  EXPECT_EQ(primary.srv.stats().deltas_served, 1u);
+  EXPECT_EQ(primary.srv.stats().wal_deltas_served, 1u);
+
+  live_server replica(std::move(sr.store), read_only_config(),
+                      std::move(rr.feed), std::move(rr.dec),
+                      std::span<const uint64_t>(lasts));
+  cli.insert(util::hashed_xorwow_items(2000, 4803));
+  ASSERT_TRUE(converged(primary, replica));
+  EXPECT_EQ(replica.srv.stats().feed_gaps, 0u);
+  EXPECT_EQ(replica.srv.stats().resyncs_snapshot, 0u);
 
   replica.stop();
   primary.stop();

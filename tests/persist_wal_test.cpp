@@ -15,6 +15,8 @@
 #include <vector>
 
 #include "net/codec.h"
+#include "net/lane.h"
+#include "net/repl_log.h"
 #include "persist/durability.h"
 #include "persist/wal.h"
 #include "store/store.h"
@@ -90,6 +92,36 @@ std::vector<uint8_t> insert_frame(uint64_t seq,
                     net::kNoShardHint, static_cast<uint32_t>(keys.size()),
                     seq, payload, out);
   return out;
+}
+
+/// Stream sequences of the frames in `bytes`, in order.
+std::vector<uint64_t> seqs_in(const std::vector<uint8_t>& bytes) {
+  net::frame_decoder dec;
+  dec.feed(bytes.data(), bytes.size());
+  std::vector<uint64_t> seqs;
+  net::frame f;
+  while (dec.next(f) == net::decode_status::ok) seqs.push_back(f.sequence);
+  EXPECT_EQ(dec.buffered(), 0u) << "replay appended a partial frame";
+  return seqs;
+}
+
+/// `log` serves (after, cur] from `tier`: exactly the frames after+1 ..
+/// cur, in order.
+void expect_served(const net::repl_log& log, uint64_t after, uint64_t cur,
+                   net::repl_tier tier) {
+  std::vector<uint8_t> out;
+  EXPECT_EQ(log.replay(after, cur, out), tier) << after << ".." << cur;
+  std::vector<uint64_t> want;
+  for (uint64_t seq = after + 1; seq <= cur; ++seq) want.push_back(seq);
+  EXPECT_EQ(seqs_in(out), want) << after << ".." << cur;
+}
+
+/// No tier can serve (after, cur] whole: nothing is appended.
+void expect_refused(const net::repl_log& log, uint64_t after, uint64_t cur) {
+  std::vector<uint8_t> out = {0xEE};
+  EXPECT_EQ(log.replay(after, cur, out), net::repl_tier::none)
+      << after << ".." << cur;
+  EXPECT_EQ(out.size(), 1u) << "a refused replay appended bytes";
 }
 
 std::vector<uint8_t> counted_frame(uint64_t seq,
@@ -446,6 +478,7 @@ TEST(PersistWal, CheckpointDueTriggersOnBytesAndOnGaps) {
   cfg.checkpoint_every_bytes = 2048;
   durability_engine eng(cfg);
   auto st = eng.recover(fresh_boot(backend_kind::tcf));
+  const net::repl_log log(1, 0, &eng);
   uint64_t seq = 0;
   while (!eng.checkpoint_due()) {
     ++seq;
@@ -458,13 +491,13 @@ TEST(PersistWal, CheckpointDueTriggersOnBytesAndOnGaps) {
   EXPECT_FALSE(eng.checkpoint_due());
 
   // A sequence hole (unsupervised replica accepted a feed gap) demands an
-  // immediate checkpoint and fences the pre-gap log off covers().
+  // immediate checkpoint and fences the pre-gap log off replay().
   auto keys = keys_for(seq + 5);
   st.insert_bulk(keys);
   eng.append(seq + 5, insert_frame(seq + 5, keys));
   EXPECT_TRUE(eng.checkpoint_due());
-  EXPECT_FALSE(eng.covers(seq, seq + 5));
-  EXPECT_TRUE(eng.covers(seq + 4, seq + 5));
+  expect_refused(log, seq, seq + 5);
+  expect_served(log, seq + 4, seq + 5, net::repl_tier::disk);
   eng.checkpoint(st);
   EXPECT_FALSE(eng.checkpoint_due());
   std::filesystem::remove_all(dir);
@@ -498,10 +531,11 @@ TEST(PersistWal, ManifestCheckpointDisagreementRejected) {
 
 // -- Disk-backed delta serving ----------------------------------------------
 
-TEST(PersistWal, EncodeFromReproducesTheSubscriberStreamBytes) {
+TEST(PersistWal, ReplayReproducesTheSubscriberStreamBytes) {
   const std::string dir = fresh_dir("delta");
   durability_engine eng(small_wal(dir));
   auto st = eng.recover(fresh_boot(backend_kind::tcf));
+  const net::repl_log log(1, 0, &eng);  // no memory tier: disk serves all
   std::vector<std::vector<uint8_t>> wire;
   for (uint64_t seq = 1; seq <= 10; ++seq) {
     auto keys = keys_for(seq);
@@ -509,13 +543,13 @@ TEST(PersistWal, EncodeFromReproducesTheSubscriberStreamBytes) {
     wire.push_back(insert_frame(seq, keys));
     eng.append(seq, wire.back());
   }
-  EXPECT_TRUE(eng.covers(0, 10));
-  EXPECT_TRUE(eng.covers(5, 10));
-  EXPECT_TRUE(eng.covers(10, 10));
-  EXPECT_FALSE(eng.covers(11, 10));
+  expect_served(log, 0, 10, net::repl_tier::disk);
+  expect_served(log, 5, 10, net::repl_tier::disk);
+  expect_served(log, 10, 10, net::repl_tier::memory);  // nothing to read
+  expect_refused(log, 11, 10);
 
   std::vector<uint8_t> out;
-  EXPECT_EQ(eng.encode_from(5, out), 5u);
+  EXPECT_EQ(log.replay(5, 10, out), net::repl_tier::disk);
   std::vector<uint8_t> expect;
   for (uint64_t seq = 6; seq <= 10; ++seq)
     expect.insert(expect.end(), wire[seq - 1].begin(), wire[seq - 1].end());
@@ -524,8 +558,8 @@ TEST(PersistWal, EncodeFromReproducesTheSubscriberStreamBytes) {
   // After a checkpoint prunes everything, nothing below last_seq is
   // servable any more — the caller falls back to a snapshot bootstrap.
   eng.checkpoint(st);
-  EXPECT_FALSE(eng.covers(5, 10));
-  EXPECT_TRUE(eng.covers(10, 10));
+  expect_refused(log, 5, 10);
+  expect_served(log, 10, 10, net::repl_tier::memory);
   std::filesystem::remove_all(dir);
 }
 
@@ -533,6 +567,7 @@ TEST(PersistWal, ResetDropsTheOldLineage) {
   const std::string dir = fresh_dir("reset");
   durability_engine eng(small_wal(dir));
   auto st = eng.recover(fresh_boot(backend_kind::tcf));
+  const net::repl_log log(1, 0, &eng);
   for (uint64_t seq = 1; seq <= 6; ++seq) {
     auto keys = keys_for(seq);
     st.insert_bulk(keys);
@@ -542,18 +577,106 @@ TEST(PersistWal, ResetDropsTheOldLineage) {
   // must be gone and appends continue from the new position.
   store::filter_store next{small_store()};
   next.insert_bulk(keys_for(777, 32));
-  eng.reset(next, 100);
+  const uint64_t lasts[] = {100};
+  eng.reset(next, lasts);
   EXPECT_EQ(eng.last_seq(), 100u);
-  EXPECT_FALSE(eng.covers(3, 6));
+  expect_refused(log, 3, 6);
   auto keys = keys_for(101);
   eng.append(101, insert_frame(101, keys));
-  EXPECT_TRUE(eng.covers(100, 101));
+  expect_served(log, 100, 101, net::repl_tier::disk);
 
   durability_engine again(small_wal(dir));
   auto recovered = again.recover(fresh_boot(backend_kind::tcf));
   EXPECT_EQ(again.last_seq(), 101u);
   EXPECT_EQ(again.stats().recovery_replayed_frames, 1u);
   EXPECT_EQ(recovered.count_contained(keys_for(777, 32)), 32u);
+  std::filesystem::remove_all(dir);
+}
+
+// -- The replication log over its disk tier ----------------------------------
+
+/// Append frame `seq` through the log (WAL first, then the lane's tail).
+void log_insert(net::repl_log& log, uint64_t seq) {
+  auto keys = keys_for(net::lane_local(seq));
+  log.append(seq, std::make_shared<const std::vector<uint8_t>>(
+                      insert_frame(seq, keys)));
+}
+
+TEST(PersistWal, ReplLogServesTheTailFromMemoryAndTheRestFromDisk) {
+  const std::string dir = fresh_dir("log_tiers");
+  durability_engine eng(small_wal(dir));
+  (void)eng.recover(fresh_boot(backend_kind::tcf));
+  // A tail that holds about two 8-key frames.
+  const size_t frame_bytes = insert_frame(1, keys_for(1)).size();
+  net::repl_log log(1, 2 * frame_bytes, &eng);
+  for (uint64_t seq = 1; seq <= 10; ++seq) log_insert(log, seq);
+  EXPECT_EQ(log.frames(), 2u);
+  EXPECT_EQ(log.bytes(), 2 * frame_bytes);
+  expect_served(log, 8, 10, net::repl_tier::memory);
+  expect_served(log, 9, 10, net::repl_tier::memory);
+  expect_served(log, 7, 10, net::repl_tier::disk);  // wrapped out of memory
+  expect_served(log, 0, 10, net::repl_tier::disk);
+  expect_refused(log, 11, 10);
+
+  // Budget 0 keeps no tail at all: the same WAL serves every range.
+  const net::repl_log disk_only(1, 0, &eng);
+  EXPECT_EQ(disk_only.frames(), 0u);
+  expect_served(disk_only, 9, 10, net::repl_tier::disk);
+  expect_served(disk_only, 0, 10, net::repl_tier::disk);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PersistWal, ReplLogLaneAboveItsTailsIsDiskOnly) {
+  const std::string dir = fresh_dir("log_lanes");
+  durability_engine eng(small_wal(dir));
+  (void)eng.recover(fresh_boot(backend_kind::tcf));
+  // One memory tail (lane 0), as on a 1-reactor replica forwarding a
+  // 2-lane primary's feed: lane 1 lives on disk only.
+  net::repl_log log(1, size_t{1} << 20, &eng);
+  for (uint64_t i = 1; i <= 4; ++i) {
+    log_insert(log, net::lane_seq(0, i));
+    log_insert(log, net::lane_seq(1, i));
+  }
+  EXPECT_EQ(log.frames(), 4u);
+  expect_served(log, 0, 4, net::repl_tier::memory);
+  expect_served(log, net::lane_seq(1, 0), net::lane_seq(1, 4),
+                net::repl_tier::disk);
+  expect_served(log, net::lane_seq(1, 2), net::lane_seq(1, 4),
+                net::repl_tier::disk);
+  expect_refused(log, net::lane_seq(1, 0), net::lane_seq(0, 4));  // 2 lanes
+
+  // Without a disk tier the lane is not replayable at all.
+  const net::repl_log memory_only(1, size_t{1} << 20, nullptr);
+  expect_refused(memory_only, net::lane_seq(1, 0), net::lane_seq(1, 4));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PersistWal, ReplLogResetCoversNothingOfTheOldLineage) {
+  const std::string dir = fresh_dir("log_reset");
+  durability_engine eng(small_wal(dir));
+  (void)eng.recover(fresh_boot(backend_kind::tcf));
+  net::repl_log log(2, size_t{1} << 20, &eng);
+  for (uint64_t i = 1; i <= 6; ++i) {
+    log_insert(log, net::lane_seq(0, i));
+    log_insert(log, net::lane_seq(1, i));
+  }
+  expect_served(log, 3, 6, net::repl_tier::memory);
+
+  store::filter_store next{small_store()};
+  const uint64_t lasts[] = {6, net::lane_seq(1, 6)};
+  log.reset(next, lasts);
+  EXPECT_EQ(log.frames(), 0u);
+  EXPECT_EQ(log.bytes(), 0u);
+  expect_refused(log, 0, 6);
+  expect_refused(log, 3, 6);
+  expect_refused(log, net::lane_seq(1, 3), net::lane_seq(1, 6));
+  expect_served(log, 6, 6, net::repl_tier::memory);
+
+  // The new lineage logs from its reset position on.
+  log_insert(log, 7);
+  expect_served(log, 6, 7, net::repl_tier::memory);
+  const net::repl_log disk_only(1, 0, &eng);
+  expect_served(disk_only, 6, 7, net::repl_tier::disk);
   std::filesystem::remove_all(dir);
 }
 
