@@ -536,7 +536,7 @@ int selftest(store::store_config cfg, int rounds) try {
     auto result = server.apply(batch);
     double secs = timer.seconds();
     total_seconds += secs;
-    lifetime.merge(result);
+    lifetime += result;
     // Maintenance between rounds (host-phased): hot shards that crossed
     // the pressure thresholds grow an overflow child before the next
     // batch arrives.

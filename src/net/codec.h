@@ -12,11 +12,11 @@
 //                                     request's unit: key occurrences for
 //                                     insert/erase, (key, count) *pairs*
 //                                     for insert_counted (the server
-//                                     routes pairs as ops through
-//                                     filter_store::apply, which accounts
-//                                     per op; a client that needs
-//                                     instance totals multiplies by its
-//                                     own counts)
+//                                     applies pairs through
+//                                     filter_store::insert_counted, which
+//                                     accounts per pair; a client that
+//                                     needs instance totals multiplies by
+//                                     its own counts)
 //   query                             key_count membership bits, packed
 //                                     little-endian into u64 words
 //   count                             u64 multiplicity per key
@@ -50,6 +50,12 @@
 
 namespace gf::net {
 
+/// INSERT, INSERT_COUNTED, ERASE: the batches net/mutation.h applies.
+inline bool is_mutating(opcode op) {
+  return op == opcode::insert || op == opcode::insert_counted ||
+         op == opcode::erase;
+}
+
 /// u64 words needed for an n-key membership bitmap.
 inline size_t bitmap_words(size_t nkeys) { return (nkeys + 63) / 64; }
 
@@ -82,34 +88,43 @@ inline void check_batch_size(size_t n) {
 
 // -- Request encoders -------------------------------------------------------
 
-inline std::vector<uint8_t> encode_keys_request(
-    opcode op, uint64_t seq, std::span<const uint64_t> keys,
-    uint32_t shard_hint = kNoShardHint) {
+/// An unsequenced batch request frame: keys for insert/query/erase/count,
+/// (key, count) pairs for insert_counted (the inverse of decode_batch).
+inline frame batch_frame(opcode op, std::span<const uint64_t> keys,
+                         std::span<const uint64_t> counts = {}) {
+  const bool pairs = op == opcode::insert_counted;
+  if (pairs && keys.size() != counts.size())
+    throw std::invalid_argument("gf: keys/counts length mismatch");
   detail::check_batch_size(keys.size());
   frame f;
   f.op = op;
+  f.key_count = static_cast<uint32_t>(keys.size());
+  if (!pairs) {
+    put_u64s(f.payload, keys);
+    return f;
+  }
+  f.payload.reserve(keys.size() * 16);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    put_u64(f.payload, keys[i]);
+    put_u64(f.payload, counts[i]);
+  }
+  return f;
+}
+
+inline std::vector<uint8_t> encode_keys_request(
+    opcode op, uint64_t seq, std::span<const uint64_t> keys,
+    uint32_t shard_hint = kNoShardHint) {
+  frame f = batch_frame(op, keys);
   f.sequence = seq;
   f.shard_hint = shard_hint;
-  f.key_count = static_cast<uint32_t>(keys.size());
-  put_u64s(f.payload, keys);
   return encode_frame(f);
 }
 
 inline std::vector<uint8_t> encode_insert_counted_request(
     uint64_t seq, std::span<const uint64_t> keys,
     std::span<const uint64_t> counts) {
-  if (keys.size() != counts.size())
-    throw std::invalid_argument("gf: keys/counts length mismatch");
-  detail::check_batch_size(keys.size());
-  frame f;
-  f.op = opcode::insert_counted;
+  frame f = batch_frame(opcode::insert_counted, keys, counts);
   f.sequence = seq;
-  f.key_count = static_cast<uint32_t>(keys.size());
-  f.payload.reserve(keys.size() * 16);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    put_u64(f.payload, keys[i]);
-    put_u64(f.payload, counts[i]);
-  }
   return encode_frame(f);
 }
 
@@ -448,9 +463,7 @@ inline const char* validate_response(const frame& f) {
   if (f.status == wire_status::ok_async) {
     // Only an ack-gate-degraded mutation response carries this status, and
     // its payload is the ordinary ok-shaped pair.
-    if (f.op != opcode::insert && f.op != opcode::insert_counted &&
-        f.op != opcode::erase)
-      return "ok_async status on a non-mutating opcode";
+    if (!is_mutating(f.op)) return "ok_async status on a non-mutating opcode";
     if (p != 16) return "pair response payload size mismatch";
     return nullptr;
   }
@@ -538,6 +551,28 @@ inline void decode_pairs(const frame& f, std::vector<uint64_t>& keys,
     keys[i] = get_u64(f.payload.data() + i * 16);
     counts[i] = get_u64(f.payload.data() + i * 16 + 8);
   }
+}
+
+/// Keys of a batch request, plus counts for insert_counted (the inverse
+/// of batch_frame) — callers validate the shape first.
+inline void decode_batch(const frame& f, std::vector<uint64_t>& keys,
+                         std::vector<uint64_t>& counts) {
+  if (f.op == opcode::insert_counted)
+    decode_pairs(f, keys, counts);
+  else
+    keys = decode_keys(f);
+}
+
+/// Shard range [begin, end) of a MAINTAIN request: the 8-byte ranged form
+/// a multi-reactor primary replicates, else every shard (maintain_range
+/// clamps `end`) — callers validate the shape first.
+struct shard_range {
+  uint32_t begin = 0;
+  uint32_t end = UINT32_MAX;
+};
+inline shard_range decode_maintain_range(const frame& f) {
+  if (f.payload.size() != 8) return {};
+  return {get_u32(f.payload.data()), get_u32(f.payload.data() + 4)};
 }
 
 inline pair_result decode_pair_response(const frame& f) {

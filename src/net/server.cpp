@@ -20,6 +20,7 @@
 
 #include "net/codec.h"
 #include "net/mailbox.h"
+#include "net/mutation.h"
 #include "net/replication.h"
 #include "obs/build_info.h"
 #include "obs/clock.h"
@@ -48,11 +49,6 @@ const char* op_name(opcode op) {
     case opcode::sync: return "sync";
   }
   return "unknown";
-}
-
-bool is_mutating(opcode op) {
-  return op == opcode::insert || op == opcode::insert_counted ||
-         op == opcode::erase;
 }
 
 /// Numeric peer address of a connected socket (the host a sync invite's
@@ -253,26 +249,18 @@ struct server::pending_resp {
 
   /// Fold one part's done reply in (an empty index is the identity).
   void fold(const reactor_msg& d) {
-    switch (d.op) {
-      case opcode::insert:
-      case opcode::insert_counted:
-      case opcode::erase:
-        a += d.a;
-        b += d.b;
-        if (d.part_seq != 0) part_seqs.push_back(d.part_seq);
-        break;
-      case opcode::query:
-        for (size_t j = 0; j < d.vals.size(); ++j) {
-          const size_t i = d.idx.empty() ? j : d.idx[j];
-          if (d.vals[j]) words[i >> 6] |= uint64_t{1} << (i & 63);
-        }
-        break;
-      case opcode::count:
-        for (size_t j = 0; j < d.vals.size(); ++j)
-          words[d.idx.empty() ? j : d.idx[j]] = d.vals[j];
-        break;
-      default:
-        break;
+    if (is_mutating(d.op)) {
+      a += d.a;
+      b += d.b;
+      if (d.part_seq != 0) part_seqs.push_back(d.part_seq);
+      return;
+    }
+    for (size_t j = 0; j < d.vals.size(); ++j) {
+      const size_t i = d.idx.empty() ? j : d.idx[j];
+      if (d.op == opcode::count)
+        words[i] = d.vals[j];
+      else if (d.vals[j])
+        words[i >> 6] |= uint64_t{1} << (i & 63);
     }
   }
 };
@@ -1770,10 +1758,8 @@ void server::feed_frame(reactor& r, connection& c, const frame& f) {
     // grow the same shard range — so cascade shapes stay in lockstep.
     uint64_t t_applied = t_start;
     stw([&] {
-      const auto m = f.payload.size() == 8
-                         ? store_.maintain_range(get_u32(f.payload.data()),
-                                                 get_u32(f.payload.data() + 4))
-                         : store_.maintain();
+      const shard_range sr = decode_maintain_range(f);
+      const auto m = store_.maintain_range(sr.begin, sr.end);
       t_applied = obs::now_ns();
       r.trace.add("store", "maintain", t_start, t_applied - t_start,
                   "levels", m.total_levels);
@@ -1870,10 +1856,7 @@ void server::route_batch(reactor& r, connection& c, const frame& f,
   reactor_msg w, d;
   w.op = d.op = f.op;
   w.from_feed = from_feed;
-  if (f.op == opcode::insert_counted)
-    decode_pairs(f, w.keys, w.counts);
-  else
-    w.keys = decode_keys(f);
+  decode_batch(f, w.keys, w.counts);
   const size_t n = w.keys.size();
   live<&server_stats::keys_processed>().add(n);
   if (n == 0) {
@@ -1956,70 +1939,34 @@ void server::route_batch(reactor& r, connection& c, const frame& f,
 void server::apply_work(reactor& r, const reactor_msg& w, reactor_msg& d,
                         const frame* whole) {
   const uint64_t t0 = obs::now_ns();
-  // Reads probe on this reactor's loop.  A reactor that owns every shard
-  // has the pool to itself — no other reactor launches on it — so its
-  // batch spreads over the workers; any other reactor probes its own
-  // slice serially, because concurrent launches would contend for the
-  // pool and run inline anyway.
-  const auto where = owns_every_shard(r)
-                         ? store::filter_store::launch::pool
-                         : store::filter_store::launch::caller;
-  switch (w.op) {
-    case opcode::insert: {
-      const uint64_t ok = store_.insert_bulk(w.keys);
-      d.a = ok;
-      d.b = w.keys.size() - ok;
-      break;
-    }
-    case opcode::insert_counted: {
-      std::vector<store::op> ops;
-      ops.reserve(w.keys.size());
-      for (size_t i = 0; i < w.keys.size(); ++i)
-        ops.push_back(store::make_insert(w.keys[i], w.counts[i]));
-      const store::batch_result br = store_.apply(ops);
-      d.a = br.inserted;
-      d.b = br.insert_failed;
-      break;
-    }
-    case opcode::erase: {
-      std::vector<store::op> ops;
-      ops.reserve(w.keys.size());
-      for (uint64_t k : w.keys) ops.push_back(store::make_erase(k));
-      const store::batch_result br = store_.apply(ops);
-      d.a = br.erased;
-      d.b = br.erase_missing;
-      break;
-    }
-    case opcode::query: {
-      std::vector<uint8_t> hits(w.keys.size());
-      store_.contains_each(w.keys, hits, where);
-      d.vals.assign(hits.begin(), hits.end());
-      break;
-    }
-    case opcode::count: {
-      d.vals.resize(w.keys.size());
-      store_.count_each(w.keys, d.vals, where);
-      break;
-    }
-    default:
-      break;
-  }
-  if (is_mutating(w.op) && !w.from_feed) {
+  if (is_mutating(w.op)) {
+    const pair_result res = apply_mutation(store_, w.op, w.keys, w.counts);
+    d.a = res.ok;
+    d.b = res.failed;
     // Replicate this reactor's part as its own lane-stamped frame: a
     // subscriber replays each lane independently, and re-applying the
     // part yields exactly what this reactor just did.
-    frame pf;
-    if (whole == nullptr) {
-      pf.op = w.op;
-      pf.key_count = static_cast<uint32_t>(w.keys.size());
-      pf.payload.reserve(w.keys.size() *
-                         (w.op == opcode::insert_counted ? 16 : 8));
-      for (size_t i = 0; i < w.keys.size(); ++i) {
-        put_u64(pf.payload, w.keys[i]);
-        if (w.op == opcode::insert_counted) put_u64(pf.payload, w.counts[i]);
-      }
+    if (!w.from_feed)
+      d.part_seq = whole != nullptr
+                       ? replicate(r, *whole)
+                       : replicate(r, batch_frame(w.op, w.keys, w.counts));
+  } else {
+    // Reads probe on this reactor's loop.  A reactor that owns every shard
+    // has the pool to itself — no other reactor launches on it — so its
+    // batch spreads over the workers; any other reactor probes its own
+    // slice serially, because concurrent launches would contend for the
+    // pool and run inline anyway.
+    const auto where = owns_every_shard(r)
+                           ? store::filter_store::launch::pool
+                           : store::filter_store::launch::caller;
+    if (w.op == opcode::query) {
+      std::vector<uint8_t> hits(w.keys.size());
+      store_.contains_each(w.keys, hits, where);
+      d.vals.assign(hits.begin(), hits.end());
+    } else {
+      d.vals.resize(w.keys.size());
+      store_.count_each(w.keys, d.vals, where);
     }
-    d.part_seq = replicate(r, whole != nullptr ? *whole : pf);
   }
   r.stage_apply_ns.record(obs::now_ns() - t0);
 }
@@ -2165,15 +2112,11 @@ void server::maintain_all_slices(reactor& r, connection* c, const frame& f,
   // keeps every lane's stream a faithful replay of what its owner did.
   // A ranged request ({u32 begin, u32 end} payload) grows only the
   // shards of each slice inside its range.
-  uint32_t lo = 0, hi = store_.num_shards();
-  if (f.payload.size() == 8) {
-    lo = get_u32(f.payload.data());
-    hi = std::min(hi, get_u32(f.payload.data() + 4));
-  }
+  const shard_range sr = decode_maintain_range(f);
   uint64_t grown = 0, max_depth = 0, total = 0;
   for (const auto& rx : reactors_) {
-    const uint32_t begin = std::max(lo, rx->shard_begin);
-    const uint32_t end = std::min(hi, rx->shard_end);
+    const uint32_t begin = std::max(sr.begin, rx->shard_begin);
+    const uint32_t end = std::min(sr.end, rx->shard_end);
     if (begin >= end) continue;
     const auto m = store_.maintain_range(begin, end);
     grown += m.shards_grown;

@@ -13,10 +13,10 @@
 // (net/mailbox.h); results fold back on the requesting reactor, which
 // releases the one wire response.  A reactor that owns every shard skips
 // the partition (its part is the whole batch, in request order) and reads
-// through the thread pool, which no other reactor contends for.  Within
-// each part the store's bulk machinery — filter_store::insert_bulk for key
-// batches, filter_store::apply for op batches — keeps the paper's
-// batch-amortization lesson (§4.2/§5.4) intact across the socket.
+// through the thread pool, which no other reactor contends for.  Each
+// mutating part goes through net::apply_mutation (net/mutation.h, shared
+// with WAL replay) into the store's key-span bulk tier, which keeps the
+// paper's batch-amortization lesson (§4.2/§5.4) intact across the socket.
 //
 // (SO_REUSEPORT was considered for connection distribution and rejected:
 // kernel hashing balances *connections*, not *shard ownership* — a frame

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "net/codec.h"
+#include "net/mutation.h"
 #include "obs/clock.h"
 #include "store/store_io.h"
 
@@ -31,6 +32,21 @@ std::string lane_dir_name(uint32_t k) {
   return "lane-" + std::to_string(k);
 }
 
+/// Replay one logged frame through the calls the live server makes —
+/// net::apply_mutation for batches, maintain_range for MAINTAIN — so a
+/// recovered store is byte-identical with one that never crashed (and
+/// with every replica, which applies the identical frames off the feed).
+void apply_frame(store::filter_store& st, const net::frame& f) {
+  if (f.op == net::opcode::maintain) {
+    const net::shard_range sr = net::decode_maintain_range(f);
+    st.maintain_range(sr.begin, sr.end);
+    return;
+  }
+  std::vector<uint64_t> keys, counts;
+  net::decode_batch(f, keys, counts);
+  net::apply_mutation(st, f.op, keys, counts);
+}
+
 }  // namespace
 
 durability_engine::durability_engine(wal_config cfg)
@@ -46,52 +62,6 @@ durability_engine::~durability_engine() {
     // close() fsyncs: an orderly exit loses nothing.
     for (auto& ls : lanes_) ls->active.close();
   } catch (...) {
-  }
-}
-
-// Replay one logged frame through the store's normal bulk apply paths —
-// the same calls net::server::handle_frame makes, so a recovered store is
-// byte-identical with one that never crashed (and with every replica,
-// which applies the identical frames off the feed).
-void durability_engine::apply_frame(store::filter_store& st,
-                                    const net::frame& f) {
-  switch (f.op) {
-    case net::opcode::insert: {
-      std::vector<uint64_t> keys = net::decode_keys(f);
-      st.insert_bulk(keys);
-      return;
-    }
-    case net::opcode::insert_counted: {
-      std::vector<uint64_t> keys, counts;
-      net::decode_pairs(f, keys, counts);
-      std::vector<store::op> ops;
-      ops.reserve(keys.size());
-      for (size_t i = 0; i < keys.size(); ++i)
-        ops.push_back(store::make_insert(keys[i], counts[i]));
-      st.apply(ops);
-      return;
-    }
-    case net::opcode::erase: {
-      std::vector<uint64_t> keys = net::decode_keys(f);
-      std::vector<store::op> ops;
-      ops.reserve(keys.size());
-      for (uint64_t k : keys) ops.push_back(store::make_erase(k));
-      st.apply(ops);
-      return;
-    }
-    case net::opcode::maintain:
-      // An 8-byte payload is the ranged form a multi-reactor primary
-      // replicates (one reactor's shard slice); empty is a full pass.
-      if (f.payload.size() == 8)
-        st.maintain_range(net::get_u32(f.payload.data()),
-                          net::get_u32(f.payload.data() + 4));
-      else
-        st.maintain();
-      return;
-    default:
-      // scan callbacks screen opcodes before applying; reaching here is a
-      // logic error, not a disk artifact.
-      throw std::runtime_error("gf: non-mutating opcode in WAL replay");
   }
 }
 

@@ -166,7 +166,6 @@ class durability_engine {
   /// m_mu_ held, before save_manifest or prune decisions).
   void materialize_last_locked(uint32_t k);
   void maybe_fsync(uint32_t k);
-  void apply_frame(store::filter_store& st, const net::frame& f);
   void checkpoint_locked(const store::filter_store& st);
 
   wal_config cfg_;

@@ -58,13 +58,14 @@ struct batch_result {
            query_misses;
   }
 
-  void merge(const batch_result& other) {
+  batch_result& operator+=(const batch_result& other) {
     inserted += other.inserted;
     insert_failed += other.insert_failed;
     erased += other.erased;
     erase_missing += other.erase_missing;
     query_hits += other.query_hits;
     query_misses += other.query_misses;
+    return *this;
   }
 };
 

@@ -25,10 +25,10 @@
 //     the lock, so producers are never blocked behind filter work.  The
 //     store runs one logical thread per shard through the pool, mirroring
 //     the paper's one-thread-per-region bulk scheme (§5.3).
-//   * The native bulk entry points (insert_span, and apply's run batching)
-//     are host-phased: at most one bulk mutation per shard at a time, and
-//     no concurrent point writers — the discipline the store's bulk/drain
-//     paths already follow (one logical thread per shard).
+//   * The native bulk entry points (the *_span calls, which apply's runs
+//     use) are host-phased: at most one bulk mutation per shard at a time,
+//     and no concurrent point writers — the discipline the store's
+//     bulk/drain paths already follow (one logical thread per shard).
 //   * The per-key read tier (contains_each/count_each) is read-only but
 //     host-phased too: no concurrent writer on the shard while a batch is
 //     probed.  Concurrent readers are fine.
@@ -241,28 +241,33 @@ class shard {
   }
 
   /// Apply a span of operations belonging to this shard.  Maximal runs of
-  /// same-type ops are routed through the backend's native bulk ops (ops
+  /// same-type ops are routed through the key-span entry points below (ops
   /// within a run commute; run boundaries preserve batch order), so an
   /// all-insert flood becomes one count-compressed bulk insert instead of
   /// one virtual dispatch per key.
   batch_result apply(std::span<const op> ops) {
     batch_result r;
-    size_t i = 0;
-    while (i < ops.size()) {
-      size_t len = run_length(ops, i);
-      std::span<const op> run = ops.subspan(i, len);
+    std::vector<uint64_t> keys, counts;  // one run's columns, reused
+    for (size_t i = 0, len = 0; i < ops.size(); i += len) {
+      len = run_length(ops, i);
+      keys.resize(len);
+      counts.resize(len);
+      for (size_t j = 0; j < len; ++j) {
+        keys[j] = ops[i + j].key;
+        counts[j] = ops[i + j].count;
+      }
       switch (ops[i].type) {
         case op_type::insert:
-          apply_insert_run(run, r);
+          tally(insert_counted_span(keys, counts), len, r.inserted,
+                r.insert_failed);
           break;
         case op_type::erase:
-          apply_erase_run(run, r);
+          tally(erase_span(keys), len, r.erased, r.erase_missing);
           break;
         case op_type::query:
-          apply_query_run(run, r);
+          tally(contains_span(keys), len, r.query_hits, r.query_misses);
           break;
       }
-      i += len;
     }
     return r;
   }
@@ -276,6 +281,40 @@ class shard {
     // relaxed: op_stats counter; read() snapshots tolerate staleness.
     stats_.batches_drained.fetch_add(1, std::memory_order_relaxed);
     return bulk_insert_keys(keys);
+  }
+
+  /// Counted-insert slice (store.h's bulk tier and apply()'s insert runs):
+  /// keys[i] gets counts[i] instances.  A slice of at least kBulkRunMin
+  /// keys, all with count 1, takes the compressed bulk path; explicit
+  /// multiplicities (rare: counting ingest) and short slices keep exact
+  /// per-pair accounting through the point path.  Returns pairs landed.
+  uint64_t insert_counted_span(std::span<const uint64_t> keys,
+                               std::span<const uint64_t> counts) {
+    bool plain = keys.size() >= kBulkRunMin;
+    for (size_t i = 0; plain && i < counts.size(); ++i) plain = counts[i] == 1;
+    if (plain) return bulk_insert_keys(keys);
+    uint64_t ok = 0;
+    for (size_t i = 0; i < keys.size(); ++i) ok += insert(keys[i], counts[i]);
+    return ok;
+  }
+
+  /// Erase slice (store.h's bulk tier and apply()'s erase runs): one
+  /// instance per key occurrence, through the cascade's bulk erase from
+  /// kBulkRunMin keys on.  Returns the erases that removed an instance.
+  uint64_t erase_span(std::span<const uint64_t> keys) {
+    const uint64_t n = keys.size();
+    if (n < kBulkRunMin) {
+      uint64_t ok = 0;
+      for (uint64_t k : keys) ok += erase(k);
+      return ok;
+    }
+    // relaxed: op_stats counter; read() snapshots tolerate staleness.
+    stats_.erases.fetch_add(n, std::memory_order_relaxed);
+    const uint64_t ok = bulk_erase_keys(keys);
+    if (ok < n)
+      // relaxed: op_stats counter; read() snapshots tolerate staleness.
+      stats_.erase_failures.fetch_add(n - ok, std::memory_order_relaxed);
+    return ok;
   }
 
   // -- Maintenance -----------------------------------------------------------
@@ -613,75 +652,21 @@ class shard {
     return ok;
   }
 
-  void apply_insert_run(std::span<const op> run, batch_result& r) {
-    // Ops carrying explicit multiplicities keep exact per-op accounting
-    // through the point path (rare: counting ingest); the common count==1
-    // flood takes the compressed bulk path.
-    bool plain = run.size() >= kBulkRunMin;
-    if (plain)
-      for (const op& o : run)
-        if (o.count != 1) {
-          plain = false;
-          break;
-        }
-    if (!plain) {
-      for (const op& o : run) {
-        if (insert(o.key, o.count))
-          ++r.inserted;
-        else
-          ++r.insert_failed;
-      }
-      return;
-    }
-    std::vector<uint64_t> keys = gather_keys(run);
-    uint64_t ok = bulk_insert_keys(keys);
-    r.inserted += ok;
-    r.insert_failed += run.size() - ok;
+  static void tally(uint64_t ok, uint64_t n, uint64_t& hit, uint64_t& miss) {
+    hit += ok;
+    miss += n - ok;
   }
 
-  void apply_erase_run(std::span<const op> run, batch_result& r) {
-    if (run.size() < kBulkRunMin) {
-      for (const op& o : run) {
-        if (erase(o.key))
-          ++r.erased;
-        else
-          ++r.erase_missing;
-      }
-      return;
+  /// apply()'s query runs, point or batched like erase_span; the hits.
+  uint64_t contains_span(std::span<const uint64_t> keys) const {
+    if (keys.size() < kBulkRunMin) {
+      uint64_t hits = 0;
+      for (uint64_t k : keys) hits += contains(k);
+      return hits;
     }
-    std::vector<uint64_t> keys = gather_keys(run);
-    // relaxed: op_stats counter; read() snapshots tolerate staleness.
-    stats_.erases.fetch_add(run.size(), std::memory_order_relaxed);
-    uint64_t ok = bulk_erase_keys(keys);
-    if (ok < run.size())
-      // relaxed: op_stats counter; read() snapshots tolerate staleness.
-      stats_.erase_failures.fetch_add(run.size() - ok,
-                                      std::memory_order_relaxed);
-    r.erased += ok;
-    r.erase_missing += run.size() - ok;
-  }
-
-  void apply_query_run(std::span<const op> run, batch_result& r) {
-    if (run.size() < kBulkRunMin) {
-      for (const op& o : run) {
-        if (contains(o.key))
-          ++r.query_hits;
-        else
-          ++r.query_misses;
-      }
-      return;
-    }
-    std::vector<uint64_t> keys = gather_keys(run);
-    uint64_t hits = bulk_contains_keys(keys);
-    note_queries(run.size(), hits);
-    r.query_hits += hits;
-    r.query_misses += run.size() - hits;
-  }
-
-  static std::vector<uint64_t> gather_keys(std::span<const op> run) {
-    std::vector<uint64_t> keys(run.size());
-    for (size_t i = 0; i < run.size(); ++i) keys[i] = run[i].key;
-    return keys;
+    const uint64_t hits = bulk_contains_keys(keys);
+    note_queries(keys.size(), hits);
+    return hits;
   }
 
   std::vector<std::unique_ptr<any_filter>> levels_;

@@ -15,14 +15,15 @@
 //                     drains all queues with one logical thread per shard
 //                     over gf::gpu::thread_pool, the paper's
 //                     one-thread-per-region bulk discipline (§5.3).
-//   * Bulk build    — insert_bulk() partitions the batch by shard id with
-//                     a single-allocation parallel counting sort (per-
-//                     worker histograms + one stable scatter pass — shard
-//                     ids are tiny keys, so a full radix sort and its
-//                     ping-pong buffers would be wasted work), then
-//                     bulk-inserts each contiguous slice shard-parallel
-//                     through the backend's native bulk ops with §5.4
-//                     count-compression in front (store/shard.h).
+//   * Bulk          — insert_bulk(), insert_counted(), erase_bulk() take
+//                     key spans, partition them by shard id with a
+//                     single-allocation parallel counting sort (per-worker
+//                     histograms + one stable scatter pass — shard ids are
+//                     tiny keys, so a full radix sort would be wasted
+//                     work), and apply each slice shard-parallel through
+//                     the shard's span entry points (store/shard.h), which
+//                     the async tier's runs share.  The wire server and
+//                     WAL replay mutate through this tier only.
 //   * Per-key reads — contains_each()/count_each() answer a batch key by
 //                     key: grouped by shard, one batched backend probe per
 //                     group and cascade level, at most one pool launch.
@@ -37,7 +38,6 @@
 // persistence lives in store/store_io.h.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -137,20 +137,10 @@ class filter_store {
 
   /// Drain every shard's queue, one logical thread per shard.
   batch_result flush() {
-    std::vector<batch_result> per(shards_.size());
-    gpu::launch_threads(
-        shards_.size(),
-        [&](uint64_t s) {
-          util::counters_scope cs(metrics_->gf_counters);
-          const uint64_t t0 = obs::now_ns();
-          per[s] = shards_[s]->drain();
-          metrics_->drain_shard_ns.record_lane(static_cast<unsigned>(s),
-                                               obs::now_ns() - t0);
-        },
-        /*grain=*/1);
-    batch_result total;
-    for (const batch_result& r : per) total.merge(r);
-    return total;
+    return per_shard<batch_result>(metrics_->drain_shard_ns,
+                                   [](shard& sh, uint64_t) {
+                                     return sh.drain();
+                                   });
   }
 
   /// Partition one caller-owned batch by shard and apply it shard-parallel
@@ -158,54 +148,42 @@ class filter_store {
   batch_result apply(std::span<const op> ops) {
     if (ops.empty()) return {};
     std::vector<op> parted(ops.size());
-    auto offsets = partition_by_shard<op>(
-        ops, parted, [](const op& o) { return o.key; });
-    std::vector<batch_result> per(shards_.size());
-    gpu::launch_threads(
-        shards_.size(),
-        [&](uint64_t s) {
-          util::counters_scope cs(metrics_->gf_counters);
-          const uint64_t t0 = obs::now_ns();
-          per[s] = shards_[s]->apply(
-              std::span<const op>(parted.data() + offsets[s],
-                                  offsets[s + 1] - offsets[s]));
-          metrics_->apply_shard_ns.record_lane(static_cast<unsigned>(s),
-                                               obs::now_ns() - t0);
-        },
-        /*grain=*/1);
-    batch_result total;
-    for (const batch_result& r : per) total.merge(r);
-    return total;
+    auto offsets = partition_by_shard(
+        ops.size(), [&](uint64_t i) { return ops[i].key; },
+        [&](uint64_t i, uint64_t p) { parted[p] = ops[i]; });
+    return per_shard<batch_result>(
+        metrics_->apply_shard_ns, [&](shard& sh, uint64_t s) {
+          return sh.apply(slice(parted, offsets, s));
+        });
   }
 
-  // -- Bulk-build API (sort-then-insert, paper §4.2/§5.3) --------------------
+  // -- Bulk API (sort-then-apply, paper §4.2/§5.3) ---------------------------
+  // Key spans, counting-sorted into per-shard slices and applied with one
+  // logical thread per shard.  Host-phased: no concurrent writers.
 
-  /// Counting-sort `keys` into contiguous per-shard slices, then bulk-
-  /// insert each slice with one logical thread per shard (native backend
-  /// bulk ops, count-compressed).  Returns the number of keys successfully
-  /// inserted.  Host-phased: do not run concurrently with other writers.
+  /// Native bulk insert, count-compressed; returns the keys inserted.
   uint64_t insert_bulk(std::span<const uint64_t> keys) {
-    const uint64_t n = keys.size();
-    if (n == 0) return 0;
-    std::vector<uint64_t> parted(n);
-    auto offsets = partition_by_shard<uint64_t>(
-        keys, parted, [](uint64_t k) { return k; });
-    std::atomic<uint64_t> ok{0};
-    gpu::launch_threads(
-        shards_.size(),
-        [&](uint64_t s) {
-          util::counters_scope cs(metrics_->gf_counters);
-          const uint64_t t0 = obs::now_ns();
-          std::span<const uint64_t> slice(parted.data() + offsets[s],
-                                          offsets[s + 1] - offsets[s]);
-          // relaxed: worker-private tally; the launch join publishes it to the reader.
-          ok.fetch_add(shards_[s]->insert_span(slice),
-                       std::memory_order_relaxed);
-          metrics_->bulk_insert_shard_ns.record_lane(static_cast<unsigned>(s),
-                                                     obs::now_ns() - t0);
-        },
-        /*grain=*/1);
-    return ok.load();
+    return per_slice(metrics_->bulk_insert_shard_ns, keys, {},
+                     [](shard& sh, auto k, auto) { return sh.insert_span(k); });
+  }
+
+  /// keys[i] gains counts[i] instances: the state, stats and result of
+  /// apply() over the matching insert ops.  Returns the pairs that landed.
+  uint64_t insert_counted(std::span<const uint64_t> keys,
+                          std::span<const uint64_t> counts) {
+    if (counts.size() != keys.size())
+      throw std::invalid_argument("gf: insert_counted keys/counts mismatch");
+    return per_slice(metrics_->apply_shard_ns, keys, counts,
+                     [](shard& sh, auto k, auto c) {
+                       return sh.insert_counted_span(k, c);
+                     });
+  }
+
+  /// One instance off per key occurrence: the state, stats and result of
+  /// apply() over the matching erase ops.  Returns the erases that landed.
+  uint64_t erase_bulk(std::span<const uint64_t> keys) {
+    return per_slice(metrics_->apply_shard_ns, keys, {},
+                     [](shard& sh, auto k, auto) { return sh.erase_span(k); });
   }
 
   // -- Maintenance -----------------------------------------------------------
@@ -353,17 +331,15 @@ class filter_store {
   }
 
  private:
-  /// Stable parallel counting-sort partition of `in` into `out` by owning
+  /// Stable parallel counting-sort partition of n elements by owning
   /// shard: per-worker histograms, an exclusive scan, and one scatter pass
-  /// over identical static ranges.  `out` is the only O(n) allocation —
-  /// shard ids are recomputed in the scatter pass (a mix64 is cheaper than
-  /// streaming an id array through memory).  Returns shard offsets
-  /// (size num_shards + 1) into `out`.
-  template <class T, class KeyOf>
-  std::vector<uint64_t> partition_by_shard(std::span<const T> in,
-                                           std::vector<T>& out,
-                                           KeyOf&& key_of) const {
-    const uint64_t n = in.size();
+  /// over identical static ranges, in which place(i, p) moves element i to
+  /// position p of the caller's output.  Shard ids are recomputed in the
+  /// scatter pass (a mix64 is cheaper than streaming an id array through
+  /// memory).  Returns shard offsets (size num_shards + 1) into the output.
+  template <class KeyAt, class Place>
+  std::vector<uint64_t> partition_by_shard(uint64_t n, const KeyAt& key_at,
+                                           const Place& place) const {
     const uint64_t m = shards_.size();
     auto& pool = gpu::thread_pool::instance();
     const unsigned workers = pool.size();
@@ -373,8 +349,7 @@ class filter_store {
     std::vector<uint64_t> hist(workers * stride, 0);
     pool.parallel_ranges(n, [&](unsigned w, uint64_t begin, uint64_t end) {
       uint64_t* row = &hist[w * stride];
-      for (uint64_t i = begin; i < end; ++i)
-        ++row[shard_of(key_of(in[i]))];
+      for (uint64_t i = begin; i < end; ++i) ++row[shard_of(key_at(i))];
     });
     // Exclusive scan in (shard, worker) order: worker w's slice of shard s
     // lands after every earlier worker's slice of s — stable overall.
@@ -394,9 +369,59 @@ class filter_store {
     pool.parallel_ranges(n, [&](unsigned w, uint64_t begin, uint64_t end) {
       uint64_t* cursor = &hist[w * stride];
       for (uint64_t i = begin; i < end; ++i)
-        out[cursor[shard_of(key_of(in[i]))]++] = in[i];
+        place(i, cursor[shard_of(key_at(i))]++);
     });
     return offsets;
+  }
+
+  /// Shard s's slice of a partitioned batch (empty for an empty one).
+  template <class T>
+  static std::span<const T> slice(const std::vector<T>& parted,
+                                  const std::vector<uint64_t>& offsets,
+                                  uint64_t s) {
+    if (parted.empty()) return {};
+    return std::span<const T>(parted.data() + offsets[s],
+                              offsets[s + 1] - offsets[s]);
+  }
+
+  /// The bulk tier's launch: one logical thread per shard over the pool
+  /// (§5.3's one-thread-per-region discipline), each running fn(shard, s)
+  /// inside this store's counters scope, timed into lane s of `hist`.
+  /// Returns the sum of fn's per-shard results.
+  template <class R, class Fn>
+  R per_shard(obs::latency_histogram& hist, const Fn& fn) {
+    std::vector<R> out(shards_.size());
+    gpu::launch_threads(
+        shards_.size(),
+        [&](uint64_t s) {
+          util::counters_scope cs(metrics_->gf_counters);
+          const uint64_t t0 = obs::now_ns();
+          out[s] = fn(*shards_[s], s);
+          hist.record_lane(static_cast<unsigned>(s), obs::now_ns() - t0);
+        },
+        /*grain=*/1);
+    R sum{};
+    for (const R& r : out) sum += r;
+    return sum;
+  }
+
+  /// Partition keys (and counts, when given) by shard and sum
+  /// fn(shard, key slice, count slice) over per_shard().
+  template <class Fn>
+  uint64_t per_slice(obs::latency_histogram& hist,
+                     std::span<const uint64_t> keys,
+                     std::span<const uint64_t> counts, const Fn& fn) {
+    if (keys.empty()) return 0;
+    std::vector<uint64_t> pk(keys.size()), pc(counts.size());
+    auto offsets = partition_by_shard(
+        keys.size(), [&](uint64_t i) { return keys[i]; },
+        [&](uint64_t i, uint64_t p) {
+          pk[p] = keys[i];
+          if (!pc.empty()) pc[p] = counts[i];
+        });
+    return per_shard<uint64_t>(hist, [&](shard& sh, uint64_t s) {
+      return fn(sh, slice(pk, offsets, s), slice(pc, offsets, s));
+    });
   }
 
   /// Runs contains_each()/count_each(): either one range on the caller

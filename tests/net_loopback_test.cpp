@@ -45,12 +45,18 @@ store::store_config small_config(store::backend_kind backend) {
 struct live_server {
   net::server srv;
   std::thread loop;
+  bool stopped = false;
 
   explicit live_server(store::filter_store st,
                        const std::string& snapshot_path = "")
-      : srv(make_config(snapshot_path), std::move(st)),
-        loop([this] { srv.run(); }) {}
-  ~live_server() {
+      : live_server(std::move(st), make_config(snapshot_path)) {}
+  live_server(store::filter_store st, net::server_config cfg)
+      : srv(std::move(cfg), std::move(st)), loop([this] { srv.run(); }) {}
+  ~live_server() { stop(); }
+  /// Join the event loop; the store is then the caller's to inspect.
+  void stop() {
+    if (stopped) return;
+    stopped = true;
     srv.request_stop();
     loop.join();
   }
@@ -103,41 +109,88 @@ TEST(NetLoopback, InsertQueryEquivalence) {
   }
 }
 
+// Counted inserts and erases over the wire land exactly as
+// filter_store::apply() over the matching ops: the same (ok, failed) pair
+// per frame and the same store bytes, on every backend and at 1 and 2
+// reactors.  The frames take both shard paths: all-ones slices of at least
+// kBulkRunMin keys go bulk, slices carrying counts above 1 (and short
+// erase slices) go point by point.
 TEST(NetLoopback, EraseAndCountEquivalence) {
-  auto cfg = small_config(store::backend_kind::gqf);
-  live_server ls{store::filter_store(cfg)};
-  store::filter_store direct(cfg);
-  auto cli = ls.connect();
+  using kinds = std::vector<store::backend_kind>;
+  for (auto backend :
+       kinds{store::backend_kind::tcf, store::backend_kind::gqf,
+             store::backend_kind::blocked_bloom,
+             store::backend_kind::bulk_tcf}) {
+    for (uint32_t reactors : {1u, 2u}) {
+      SCOPED_TRACE(std::string(store::backend_name(backend)) + " x" +
+                   std::to_string(reactors) + " reactors");
+      auto cfg = small_config(backend);
+      net::server_config scfg;
+      scfg.reactors = reactors;
+      scfg.maintain_every = 0;  // the reference never maintains
+      live_server ls{store::filter_store(cfg), scfg};
+      store::filter_store direct(cfg);
+      auto cli = ls.connect();
 
-  auto keys = util::hashed_xorwow_items(8000, 21);
-  std::vector<uint64_t> counts(keys.size());
-  for (size_t i = 0; i < counts.size(); ++i) counts[i] = 1 + i % 5;
-  auto wire = cli.insert_counted(keys, counts);
-  // Mirror the wire path exactly: the server applies counted inserts
-  // through filter_store::apply.
-  std::vector<store::op> ops;
-  for (size_t i = 0; i < keys.size(); ++i)
-    ops.push_back(store::make_insert(keys[i], counts[i]));
-  auto direct_res = direct.apply(ops);
-  EXPECT_EQ(wire.ok, direct_res.inserted);
-  EXPECT_EQ(wire.failed, direct_res.insert_failed);
+      auto keys = util::hashed_xorwow_items(9000, 21);
+      std::span<const uint64_t> span(keys);
+      auto counted = [&](std::span<const uint64_t> k,
+                         const std::vector<uint64_t>& c) {
+        auto wire = cli.insert_counted(k, c);
+        std::vector<store::op> ops;
+        for (size_t i = 0; i < k.size(); ++i)
+          ops.push_back(store::make_insert(k[i], c[i]));
+        auto ref = direct.apply(ops);
+        EXPECT_EQ(wire.ok, ref.inserted);
+        EXPECT_EQ(wire.failed, ref.insert_failed);
+      };
+      auto erase = [&](std::span<const uint64_t> k) {
+        auto wire = cli.erase(k);
+        std::vector<store::op> ops;
+        for (uint64_t key : k) ops.push_back(store::make_erase(key));
+        auto ref = direct.apply(ops);
+        EXPECT_EQ(wire.ok, ref.erased);
+        EXPECT_EQ(wire.failed, ref.erase_missing);
+      };
 
-  // Multiplicities, inserted and absent keys alike.
-  auto probe = std::span<const uint64_t>(keys).subspan(0, 2000);
-  auto wire_counts = cli.counts(probe);
-  for (size_t i = 0; i < probe.size(); ++i)
-    EXPECT_EQ(wire_counts[i], direct.count(probe[i])) << "key " << i;
+      // All ones, hundreds of keys per shard: the bulk path.
+      counted(span.subspan(0, 4000), std::vector<uint64_t>(4000, 1));
+      // Multiplicities 1..5: every shard slice carries counts above 1.
+      std::vector<uint64_t> mixed(3000);
+      for (size_t i = 0; i < mixed.size(); ++i) mixed[i] = 1 + i % 5;
+      counted(span.subspan(4000, 3000), mixed);
+      // One frame, both paths: shards 0-1 get all-ones slices (bulk),
+      // shards 2-3 counts of 3 (point).  At 2 reactors that is one part
+      // per path.
+      auto split = span.subspan(7000, 2000);
+      std::vector<uint64_t> by_shard(split.size());
+      for (size_t i = 0; i < split.size(); ++i)
+        by_shard[i] = direct.shard_of(split[i]) < 2 ? 1 : 3;
+      counted(split, by_shard);
+      // Erases: a bulk-sized frame, then one with a handful per shard.
+      erase(span.subspan(1000, 3000));
+      erase(span.subspan(5000, 12));
 
-  // Erase a slice through both paths, then compare counts again.
-  auto victims = std::span<const uint64_t>(keys).subspan(1000, 2000);
-  auto wire_erase = cli.erase(victims);
-  std::vector<store::op> erase_ops;
-  for (uint64_t k : victims) erase_ops.push_back(store::make_erase(k));
-  auto direct_erase = direct.apply(erase_ops);
-  EXPECT_EQ(wire_erase.ok, direct_erase.erased);
-  EXPECT_EQ(wire_erase.failed, direct_erase.erase_missing);
-  for (size_t i = 0; i < probe.size(); ++i)
-    EXPECT_EQ(cli.counts(probe.subspan(i, 1))[0], direct.count(probe[i]));
+      // Multiplicities over the wire, erased and untouched keys alike.
+      auto probe = span.subspan(0, 2000);
+      auto wire_counts = cli.counts(probe);
+      for (size_t i = 0; i < probe.size(); ++i)
+        EXPECT_EQ(wire_counts[i], direct.count(probe[i])) << "key " << i;
+
+      ls.stop();
+      EXPECT_TRUE(store::serialize_store(ls.srv.store()) ==
+                  store::serialize_store(direct))
+          << "store bytes differ";
+      for (uint32_t s = 0; s < cfg.num_shards; ++s) {
+        const auto got = ls.srv.store().shard_at(s).stats();
+        const auto want = direct.shard_at(s).stats();
+        EXPECT_EQ(got.inserts, want.inserts) << "shard " << s;
+        EXPECT_EQ(got.insert_failures, want.insert_failures) << "shard " << s;
+        EXPECT_EQ(got.erases, want.erases) << "shard " << s;
+        EXPECT_EQ(got.erase_failures, want.erase_failures) << "shard " << s;
+      }
+    }
+  }
 }
 
 TEST(NetLoopback, PipelinedResponsesMatchBySequence) {

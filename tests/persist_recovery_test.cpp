@@ -9,6 +9,7 @@
 // cross-checks) lives in tests/persist_wal_test.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -70,10 +71,13 @@ persist::wal_config wal_at(const std::string& dir) {
   return cfg;
 }
 
-persist::durability_engine::bootstrap_fn fresh_boot() {
-  return [] {
+persist::durability_engine::bootstrap_fn fresh_boot(
+    store::backend_kind backend = store::backend_kind::tcf) {
+  return [backend] {
+    store::store_config cfg = small_config();
+    cfg.backend = backend;
     return std::pair<store::filter_store, uint64_t>(
-        store::filter_store(small_config()), 0);
+        store::filter_store(cfg), 0);
   };
 }
 
@@ -178,15 +182,23 @@ net::fault_plan one_cut(uint64_t at_bytes) {
 
 // A served workload — inserts, counted inserts, erases, and the
 // auto-maintain frames the server synthesizes — restarts byte-identical
-// from checkpoint + WAL tail, with the stream position continued.
-TEST(PersistRecovery, ServerRestartsByteIdenticalWithLineage) {
-  const std::string dir = fresh_dir("server_ident");
+// from checkpoint + WAL tail, with the stream position continued.  The
+// counted inserts and erases take both shard paths (bulk and point), and
+// at 2 reactors every lane replays its own parts and ranged MAINTAINs.  The
+// GQF run makes the counts themselves part of the bytes.
+namespace {
+void restart_byte_identical(store::backend_kind backend, uint32_t reactors) {
+  const std::string tag = std::string(store::backend_name(backend)) + "_r" +
+                          std::to_string(reactors);
+  SCOPED_TRACE(tag);
+  const std::string dir = fresh_dir("server_ident_" + tag);
   std::string expected;
   uint64_t final_seq = 0;
   {
     persist::durability_engine eng(wal_at(dir));
-    auto st = eng.recover(fresh_boot());
+    auto st = eng.recover(fresh_boot(backend));
     net::server_config cfg;
+    cfg.reactors = reactors;
     cfg.durability = &eng;
     cfg.maintain_every = 4;  // force synthesized MAINTAIN frames early
     live_server primary{std::move(st), cfg};
@@ -196,34 +208,56 @@ TEST(PersistRecovery, ServerRestartsByteIdenticalWithLineage) {
     std::span<const uint64_t> span(keys);
     for (size_t lo = 0; lo < keys.size(); lo += 4000)
       cli.insert(span.subspan(lo, 4000));
-    std::vector<uint64_t> counts(2000, 3);
-    cli.insert_counted(span.subspan(0, 2000), counts);
+    // Counts above 1 take the point path, all ones the bulk path.
+    cli.insert_counted(span.subspan(0, 2000),
+                       std::vector<uint64_t>(2000, 3));
+    cli.insert_counted(span.subspan(2000, 2000),
+                       std::vector<uint64_t>(2000, 1));
+    // A bulk-sized erase, then one with a few keys per shard (point path).
     cli.erase(span.subspan(4000, 2000));
+    static_assert(12 < 4 * store::shard::kBulkRunMin);
+    cli.erase(span.subspan(8000, 12));
 
     primary.stop();
     final_seq = primary.srv.stats().repl_seq;
-    ASSERT_GT(final_seq, 6u);  // the 6 client batches + auto-maintains
+    ASSERT_GT(final_seq, 9u);  // the 9 client batches + auto-maintains
     expected = store::serialize_store(primary.srv.store(), final_seq);
   }
 
   persist::durability_engine eng(wal_at(dir));
-  auto recovered = eng.recover(fresh_boot());
+  auto recovered = eng.recover(fresh_boot(backend));
   EXPECT_EQ(eng.stats().recovery_replayed_frames, final_seq);
   EXPECT_EQ(eng.last_seq(), final_seq);
-  EXPECT_EQ(store::serialize_store(recovered, eng.last_seq()), expected);
+  EXPECT_TRUE(store::serialize_store(recovered, eng.last_seq()) == expected)
+      << "recovered store bytes differ";
 
   // A server booted on the recovered pair continues the lineage: its
-  // stream position is the WAL's, not 0.
+  // stream position is the WAL's, not 0.  Each reactor whose shards the
+  // batch touches logs one part.
+  auto more = util::hashed_xorwow_items(100, 4202);
+  const uint32_t per_reactor = recovered.num_shards() / reactors;
+  std::vector<bool> touched(reactors, false);
+  for (uint64_t k : more) touched[recovered.shard_of(k) / per_reactor] = true;
+  const auto parts = static_cast<uint64_t>(
+      std::count(touched.begin(), touched.end(), true));
   net::server_config cfg;
+  cfg.reactors = reactors;
   cfg.durability = &eng;
   live_server reborn{std::move(recovered), cfg};
   EXPECT_EQ(reborn.srv.stats().repl_seq, final_seq);
   auto cli = reborn.connect();
-  cli.insert(util::hashed_xorwow_items(100, 4202));
+  cli.insert(more);
   EXPECT_TRUE(wait_until(
-      [&] { return reborn.srv.stats().repl_seq == final_seq + 1; }));
+      [&] { return reborn.srv.stats().repl_seq == final_seq + parts; }));
   reborn.stop();
   std::filesystem::remove_all(dir);
+}
+}  // namespace
+
+TEST(PersistRecovery, ServerRestartsByteIdenticalWithLineage) {
+  for (auto backend : {store::backend_kind::tcf, store::backend_kind::gqf})
+    for (uint32_t reactors : {1u, 2u})
+      restart_byte_identical(backend, reactors);
 }
 
 // O(delta) restart: after a mid-workload checkpoint, recovery replays

@@ -247,6 +247,59 @@ TEST(StoreBulk, ApplyMixedRunsBatched) {
   }
 }
 
+// The key-span mutations are apply() over the matching ops without the
+// ops: same result, same bytes, same shard stats — on every backend and on
+// a grown cascade, for all-ones batches (bulk path), counted ones (point
+// path) and short erases (point path).
+TEST(StoreBulk, SpanMutationsMatchApplyReference) {
+  for (backend_kind backend : kAllBackends) {
+    SCOPED_TRACE(backend_name(backend));
+    store::filter_store spans(config(backend, 4, 1 << 12));
+    store::filter_store ops(config(backend, 4, 1 << 12));
+    auto keys = util::hashed_xorwow_items(6000, 371);
+    std::span<const uint64_t> all(keys);
+    auto counted = [&](std::span<const uint64_t> k, uint64_t every) {
+      std::vector<uint64_t> c(k.size(), 1);
+      std::vector<store::op> batch;
+      for (size_t i = 0; i < k.size(); ++i) {
+        if (every != 0 && i % every == 0) c[i] = 2;
+        batch.push_back(store::make_insert(k[i], c[i]));
+      }
+      const auto r = ops.apply(batch);
+      EXPECT_EQ(spans.insert_counted(k, c), r.inserted);
+    };
+    auto erase = [&](std::span<const uint64_t> k) {
+      std::vector<store::op> batch;
+      for (uint64_t key : k) batch.push_back(store::make_erase(key));
+      EXPECT_EQ(spans.erase_bulk(k), ops.apply(batch).erased);
+    };
+    counted(all.subspan(0, 3000), 0);
+    counted(all.subspan(3000, 1000), 7);
+    spans.maintain();  // past the 4096-key budget: cascades grow
+    ops.maintain();
+    EXPECT_GT(spans.provisioned_capacity(), uint64_t{1} << 12);
+    counted(all.subspan(4000, 2000), 0);
+    erase(all.subspan(0, 1500));
+    erase(all.subspan(2000, 10));
+    EXPECT_EQ(spans.insert_counted({}, {}), 0u);
+    EXPECT_EQ(spans.erase_bulk({}), 0u);
+    EXPECT_THROW(spans.insert_counted(all.subspan(0, 2), all.subspan(0, 1)),
+                 std::invalid_argument);
+
+    EXPECT_TRUE(store::serialize_store(spans) == store::serialize_store(ops))
+        << "store bytes differ";
+    for (uint32_t s = 0; s < 4; ++s) {
+      const auto a = spans.shard_at(s).stats();
+      const auto b = ops.shard_at(s).stats();
+      EXPECT_EQ(a.inserts, b.inserts);
+      EXPECT_EQ(a.insert_failures, b.insert_failures);
+      EXPECT_EQ(a.erases, b.erases);
+      EXPECT_EQ(a.erase_failures, b.erase_failures);
+      EXPECT_EQ(a.batches_drained, b.batches_drained);
+    }
+  }
+}
+
 TEST(StoreBulk, BulkPathAcrossSaveLoadRoundTrip) {
   for (backend_kind backend : kAllBackends) {
     auto keys = util::hashed_xorwow_items(8000, 371);

@@ -31,6 +31,13 @@ Checks enforced:
    dispatch path at every reactor count; the comment keeps a second one
    from growing back unnoticed.
 
+5. one-mutation-path: no code in src/net/ or src/persist/ may name
+   store::op or store::make_insert / make_erase / make_query.  The server
+   and WAL replay apply every mutating batch through net::apply_mutation
+   (src/net/mutation.h) as key spans; an op vocabulary there would be a
+   second opcode-to-store mapping that replicas and recovery could drift
+   from.
+
 Exit status: 0 clean, 1 violations (printed one per line as
 file:line: message).
 """
@@ -57,6 +64,7 @@ LANE_RE = re.compile(r"lane:")
 NR_BRANCH_RE = re.compile(
     r"\bnr_\s*(?:==|!=|<=|>=|<|>)\s*[12]\b|\b[12]\s*(?:==|!=|<=|>=|<|>)\s*nr_\b")
 SINGLE_LOOP_RE = re.compile(r"single-loop:")
+STORE_OP_RE = re.compile(r"\bstore::(?:op|make_(?:insert|erase|query))\b")
 # A new function starts at an unindented definition line ("inline ...",
 # "class ...", templates, etc.) — good enough to scope the codec check.
 FUNC_START_RE = re.compile(r"^[a-zA-Z/]")
@@ -114,6 +122,17 @@ def check_reactor_count_branches(path: Path, lines: list[str],
         )
 
 
+def check_store_ops(path: Path, lines: list[str], errors: list[str]) -> None:
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]  # prose may name the op vocabulary
+        if STORE_OP_RE.search(code):
+            errors.append(
+                f"{path.relative_to(REPO)}:{i + 1}: store::op vocabulary in "
+                f"the server or WAL layer; apply mutations through "
+                f"net::apply_mutation as key spans"
+            )
+
+
 def check_codec_narrowing(path: Path, lines: list[str],
                           errors: list[str]) -> None:
     func_start = 0
@@ -141,6 +160,8 @@ def main() -> int:
         check_mailbox_ownership(path, lines, errors)
         if path.parent == REPO / "src" / "net":
             check_reactor_count_branches(path, lines, errors)
+        if path.parent in (REPO / "src" / "net", REPO / "src" / "persist"):
+            check_store_ops(path, lines, errors)
 
     codec = REPO / "src" / "net" / "codec.h"
     check_codec_narrowing(codec, codec.read_text(encoding="utf-8").splitlines(),
