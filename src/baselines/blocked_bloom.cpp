@@ -1,5 +1,6 @@
 #include "baselines/blocked_bloom.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 
@@ -55,11 +56,10 @@ bool blocked_bloom_filter::contains(uint64_t key) const {
 // line fetches.  The bulk paths unroll in chunks: first a pass that hashes
 // the chunk and issues a software prefetch per target line, then the probe
 // pass over lines that are (mostly) already in flight.  Static worker
-// ranges keep each worker's chunk pipeline private.
+// ranges keep each worker's chunk pipeline private; the read pipeline is
+// contains_each, which count_contained runs over each worker range.
 
 namespace {
-
-constexpr uint64_t kProbeChunk = 8;
 
 #if defined(__GNUC__) || defined(__clang__)
 inline void prefetch_line(const void* p, int rw) {
@@ -78,23 +78,22 @@ void blocked_bloom_filter::insert_bulk(std::span<const uint64_t> keys) {
   gpu::launch_ranges(keys.size(), [&](unsigned, uint64_t begin, uint64_t end) {
     uint64_t h2s[kProbeChunk];
     uint32_t* bases[kProbeChunk];
-    uint64_t i = begin;
-    for (; i + kProbeChunk <= end; i += kProbeChunk) {
-      for (uint64_t j = 0; j < kProbeChunk; ++j) {
+    for (uint64_t i = begin; i < end; i += kProbeChunk) {
+      const uint64_t m = std::min(kProbeChunk, end - i);
+      for (uint64_t j = 0; j < m; ++j) {
         auto [h1, h2] = util::hash2(keys[i + j]);
         h2s[j] = h2;
         bases[j] = &words_[util::fast_range(h1, blocks_) * kWordsPerBlock];
         prefetch_line(bases[j], 1);
       }
-      GF_COUNT(cache_lines_touched, kProbeChunk);
-      for (uint64_t j = 0; j < kProbeChunk; ++j) {
+      GF_COUNT(cache_lines_touched, m);
+      for (uint64_t j = 0; j < m; ++j) {
         for (unsigned h = 0; h < k_; ++h) {
           uint64_t bit = util::mix64_seeded(h2s[j], h) & (kBlockBits - 1);
           gpu::atomic_or(&bases[j][bit / 32], uint32_t{1} << (bit % 32));
         }
       }
     }
-    for (; i < end; ++i) insert(keys[i]);
   });
 }
 
@@ -117,33 +116,46 @@ blocked_bloom_filter blocked_bloom_filter::load(std::istream& in) {
   return f;
 }
 
+uint64_t blocked_bloom_filter::contains_each(std::span<const uint64_t> keys,
+                                             std::span<uint8_t> out) const {
+  uint64_t h2s[kProbeChunk];
+  const uint32_t* bases[kProbeChunk];
+  uint64_t found = 0;
+  for (uint64_t i = 0; i < keys.size(); i += kProbeChunk) {
+    const uint64_t m = std::min(kProbeChunk, keys.size() - i);
+    for (uint64_t j = 0; j < m; ++j) {
+      auto [h1, h2] = util::hash2(keys[i + j]);
+      h2s[j] = h2;
+      bases[j] = &words_[util::fast_range(h1, blocks_) * kWordsPerBlock];
+      prefetch_line(bases[j], 0);
+    }
+    GF_COUNT(cache_lines_touched, m);
+    for (uint64_t j = 0; j < m; ++j) {
+      bool hit = true;
+      for (unsigned h = 0; h < k_ && hit; ++h) {
+        uint64_t bit = util::mix64_seeded(h2s[j], h) & (kBlockBits - 1);
+        hit = (gpu::atomic_load(&bases[j][bit / 32]) &
+               (uint32_t{1} << (bit % 32))) != 0;
+      }
+      out[i + j] = hit;
+      found += hit;
+    }
+  }
+  return found;
+}
+
 uint64_t blocked_bloom_filter::count_contained(
     std::span<const uint64_t> keys) const {
+  // Answers land in a stack buffer, a whole number of chunks at a time.
+  constexpr uint64_t kBatch = 64 * kProbeChunk;
   std::atomic<uint64_t> found{0};
   gpu::launch_ranges(keys.size(), [&](unsigned, uint64_t begin, uint64_t end) {
-    uint64_t h2s[kProbeChunk];
-    const uint32_t* bases[kProbeChunk];
+    uint8_t hit[kBatch];
     uint64_t local = 0;
-    uint64_t i = begin;
-    for (; i + kProbeChunk <= end; i += kProbeChunk) {
-      for (uint64_t j = 0; j < kProbeChunk; ++j) {
-        auto [h1, h2] = util::hash2(keys[i + j]);
-        h2s[j] = h2;
-        bases[j] = &words_[util::fast_range(h1, blocks_) * kWordsPerBlock];
-        prefetch_line(bases[j], 0);
-      }
-      GF_COUNT(cache_lines_touched, kProbeChunk);
-      for (uint64_t j = 0; j < kProbeChunk; ++j) {
-        bool hit = true;
-        for (unsigned h = 0; h < k_ && hit; ++h) {
-          uint64_t bit = util::mix64_seeded(h2s[j], h) & (kBlockBits - 1);
-          hit = (gpu::atomic_load(&bases[j][bit / 32]) &
-                 (uint32_t{1} << (bit % 32))) != 0;
-        }
-        local += hit ? 1 : 0;
-      }
+    for (uint64_t b = begin; b < end; b += kBatch) {
+      const uint64_t n = std::min(kBatch, end - b);
+      local += contains_each(keys.subspan(b, n), std::span<uint8_t>(hit, n));
     }
-    for (; i < end; ++i) local += contains(keys[i]) ? 1 : 0;
     // relaxed: worker-private tally; the launch join publishes it to the reader.
     if (local) found.fetch_add(local, std::memory_order_relaxed);
   });

@@ -25,11 +25,19 @@ class blocked_bloom_filter {
   void insert(uint64_t key);
   bool contains(uint64_t key) const;
 
-  /// Batch ops: unrolled in chunks that hash first and software-prefetch
-  /// each target line, then probe — the store's native bulk tier for this
-  /// backend.  insert_bulk is safe alongside other writers (atomicOr);
-  /// count_contained is read-only.
+  /// Keys hashed and prefetched together by the batched ops.
+  static constexpr uint64_t kProbeChunk = 8;
+
+  /// Batch ops: unrolled in chunks of kProbeChunk keys that hash first and
+  /// software-prefetch each target line, then probe — the store's native
+  /// bulk tier for this backend.  insert_bulk is safe alongside other
+  /// writers (atomicOr); contains_each and count_contained only read.
   void insert_bulk(std::span<const uint64_t> keys);
+  /// out[i] = contains(keys[i]) as 0/1 (out.size() == keys.size()),
+  /// serially on the calling thread; returns the number of hits.
+  uint64_t contains_each(std::span<const uint64_t> keys,
+                         std::span<uint8_t> out) const;
+  /// Hits in the batch: contains_each over one static range per worker.
   uint64_t count_contained(std::span<const uint64_t> keys) const;
 
   uint64_t num_blocks() const { return blocks_; }

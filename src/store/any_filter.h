@@ -18,13 +18,13 @@
 // uses atomicOr, the bulk TCF holds a reader-writer lock); cross-shard
 // concurrency needs no coordination at all.
 //
-// The *native bulk tier* (insert_bulk / insert_counted / contains_bulk /
-// erase_bulk) amortizes the virtual dispatch over whole per-shard spans
-// and lets each backend use its paper-native bulk machinery: the GQF's
-// even-odd phased inserts (§5.3–5.4), the TCF's sorted-slab ordering, the
-// bulk TCF's phased zip merges (§4.2), and the blocked Bloom's prefetch-
-// unrolled probes.  Bulk mutations are host-phased like the paper's bulk
-// APIs (Table 1): within one shard, callers must not run a bulk mutation
+// The *native bulk tier* (insert_bulk / insert_counted / erase_bulk)
+// amortizes the virtual dispatch over whole per-shard spans and lets each
+// backend use its paper-native bulk machinery: the GQF's even-odd phased
+// inserts (§5.3–5.4), the TCF's sorted-slab ordering, the bulk TCF's
+// phased zip merges (§4.2), and the blocked Bloom's prefetch-unrolled
+// chunks.  Bulk mutations are host-phased like the paper's bulk APIs
+// (Table 1): within one shard, callers must not run a bulk mutation
 // concurrently with other writers (the store's bulk/drain paths guarantee
 // this by running one logical thread per shard).
 //
@@ -34,10 +34,13 @@
 // the store and the server decide where batches run), so a backend can
 // pipeline a batch's cache-line fetches the way the point TCF does.  Like
 // every bulk op it is host-phased: no concurrent writer on the filter
-// while a batch is probed (concurrent readers are fine).  The defaults
-// are the point loops.
+// while a batch is probed (concurrent readers are fine).  It is the
+// filter layer's only batched read (contains_bulk is its sum).  Every
+// backend implements all five batch methods itself; there are no
+// point-loop defaults.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <istream>
@@ -46,6 +49,7 @@
 #include <shared_mutex>
 #include <span>
 #include <stdexcept>
+#include <vector>
 
 #include "baselines/blocked_bloom.h"
 #include "gqf/gqf_bulk.h"
@@ -106,13 +110,8 @@ class any_filter {
   // (tests/store_bulk_test.cpp locks this in per backend).
 
   /// Insert a batch; returns the number of batch instances answered (see
-  /// the tier contract above).  Defaults to the point loop; backends
-  /// override with their native bulk machinery.
-  virtual uint64_t insert_bulk(std::span<const uint64_t> keys) {
-    uint64_t ok = 0;
-    for (uint64_t key : keys) ok += insert(key, 1) ? 1 : 0;
-    return ok;
-  }
+  /// the tier contract above).
+  virtual uint64_t insert_bulk(std::span<const uint64_t> keys) = 0;
 
   /// Insert (keys[i], counts[i]) pairs — the §5.4 count-compressed form of
   /// a batch.  Counting backends store the multiplicity; membership-only
@@ -123,38 +122,27 @@ class any_filter {
   /// distinct keys placed here would make a fully-successful compressed
   /// batch look mostly failed).
   virtual uint64_t insert_counted(std::span<const uint64_t> keys,
-                                  std::span<const uint64_t> counts) {
-    uint64_t instances = 0;
-    for (size_t i = 0; i < keys.size(); ++i)
-      if (insert(keys[i], counts[i])) instances += counts[i];
-    return instances;
-  }
-
-  /// Number of batch keys the filter answers positively.
-  virtual uint64_t contains_bulk(std::span<const uint64_t> keys) const {
-    uint64_t found = 0;
-    for (uint64_t key : keys) found += contains(key) ? 1 : 0;
-    return found;
-  }
+                                  std::span<const uint64_t> counts) = 0;
 
   /// out[i] = contains(keys[i]) as 0/1; out.size() == keys.size().
   virtual void contains_each(std::span<const uint64_t> keys,
-                             std::span<uint8_t> out) const {
-    for (size_t i = 0; i < keys.size(); ++i) out[i] = contains(keys[i]);
-  }
+                             std::span<uint8_t> out) const = 0;
 
   /// out[i] = count(keys[i]); out.size() == keys.size().
   virtual void count_each(std::span<const uint64_t> keys,
-                          std::span<uint64_t> out) const {
-    for (size_t i = 0; i < keys.size(); ++i) out[i] = count(keys[i]);
+                          std::span<uint64_t> out) const = 0;
+
+  /// Number of batch keys the filter answers positively (contains_each).
+  uint64_t contains_bulk(std::span<const uint64_t> keys) const {
+    std::vector<uint8_t> hit(keys.size());
+    contains_each(keys, hit);
+    uint64_t found = 0;
+    for (uint8_t h : hit) found += h;
+    return found;
   }
 
   /// Remove one instance per batch occurrence; returns instances removed.
-  virtual uint64_t erase_bulk(std::span<const uint64_t> keys) {
-    uint64_t ok = 0;
-    for (uint64_t key : keys) ok += erase(key) ? 1 : 0;
-    return ok;
-  }
+  virtual uint64_t erase_bulk(std::span<const uint64_t> keys) = 0;
 
   /// True when insert_bulk already neutralizes duplicate-heavy batches
   /// (the GQF's §5.4 map-reduce, the TCF's sorted-slab dedup, the Bloom's
@@ -215,9 +203,6 @@ class tcf_backend final : public any_filter {
                           std::span<const uint64_t> counts) override {
     return filter_.insert_counted_sorted(keys, counts);
   }
-  uint64_t contains_bulk(std::span<const uint64_t> keys) const override {
-    return filter_.count_contained(keys);
-  }
   void contains_each(std::span<const uint64_t> keys,
                      std::span<uint8_t> out) const override {
     filter_.contains_each(keys, [&](size_t i, bool hit) { out[i] = hit; });
@@ -259,7 +244,7 @@ class gqf_backend final : public any_filter {
   // Point reads take the region locks: the store's contract allows reads
   // concurrent with point erases, and a GQF deletion rewrites its whole
   // cluster — a lockless probe overlapping that rewrite is a data race.
-  // The bulk read tier below stays lockless (host-phased, no writers).
+  // The batched reads below stay lockless (host-phased, no writers).
   bool contains(uint64_t key) const override {
     return filter_.contains_locked(key);
   }
@@ -277,8 +262,13 @@ class gqf_backend final : public any_filter {
                           std::span<const uint64_t> counts) override {
     return gqf::bulk_insert_counted(filter_.filter(), keys, counts).inserted;
   }
-  uint64_t contains_bulk(std::span<const uint64_t> keys) const override {
-    return filter_.count_contained(keys);
+  void contains_each(std::span<const uint64_t> keys,
+                     std::span<uint8_t> out) const override {
+    for (size_t i = 0; i < keys.size(); ++i) out[i] = filter_.contains(keys[i]);
+  }
+  void count_each(std::span<const uint64_t> keys,
+                  std::span<uint64_t> out) const override {
+    for (size_t i = 0; i < keys.size(); ++i) out[i] = filter_.query(keys[i]);
   }
   uint64_t erase_bulk(std::span<const uint64_t> keys) override {
     return gqf::bulk_erase(filter_.filter(), keys);
@@ -339,8 +329,15 @@ class bloom_backend final : public any_filter {
     items_.fetch_add(instances, std::memory_order_relaxed);
     return instances;
   }
-  uint64_t contains_bulk(std::span<const uint64_t> keys) const override {
-    return filter_.count_contained(keys);
+  void contains_each(std::span<const uint64_t> keys,
+                     std::span<uint8_t> out) const override {
+    filter_.contains_each(keys, out);  // prefetch-unrolled batch probe
+  }
+  void count_each(std::span<const uint64_t> keys,
+                  std::span<uint64_t> out) const override {
+    std::vector<uint8_t> hit(keys.size());
+    filter_.contains_each(keys, hit);
+    std::copy(hit.begin(), hit.end(), out.begin());
   }
   uint64_t erase_bulk(std::span<const uint64_t>) override { return 0; }
   // Duplicate inserts re-set the same bits in the same cache line; a
@@ -418,10 +415,6 @@ class bulk_tcf_backend final : public any_filter {
     for (size_t i = 0; i < keys.size(); ++i)
       if (filter_.contains(keys[i])) instances += counts[i];
     return instances;
-  }
-  uint64_t contains_bulk(std::span<const uint64_t> keys) const override {
-    std::shared_lock lk(mu_);
-    return filter_.count_contained(keys);
   }
   // One shared lock per batch instead of one per key.
   void contains_each(std::span<const uint64_t> keys,

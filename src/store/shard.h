@@ -106,8 +106,8 @@ class shard {
   /// costs more than the duplicates it could merge.
   static constexpr uint64_t kCompressMin = 64;
 
-  /// Same-type runs below this length go through the point ops — gathering
-  /// keys into a scratch array only pays off once the run amortizes it.
+  /// Insert and erase runs below this length go through the point ops —
+  /// the bulk machinery only pays off once the run amortizes it.
   static constexpr size_t kBulkRunMin = 16;
 
   /// Floor for overflow-child capacity so a tiny shard still grows by a
@@ -148,10 +148,11 @@ class shard {
   // once per batch, and each level answers through its backend's batched
   // probe (any_filter.h).  Serial on the calling thread.
 
-  /// Level 0 probes the whole batch; only its misses move deeper.
-  void contains_each(std::span<const uint64_t> keys,
-                     std::span<uint8_t> out) const {
-    if (keys.empty()) return;
+  /// Level 0 probes the whole batch; only its misses move deeper.  Returns
+  /// the number of hits.
+  uint64_t contains_each(std::span<const uint64_t> keys,
+                         std::span<uint8_t> out) const {
+    if (keys.empty()) return 0;
     levels_.front()->contains_each(keys, out);
     if (levels_.size() > 1) {
       std::vector<size_t> idx;
@@ -181,6 +182,7 @@ class shard {
     uint64_t hits = 0;
     for (uint8_t h : out) hits += h;
     note_queries(keys.size(), hits);
+    return hits;
   }
 
   /// Every level counts the whole batch; out[i] is the sum.
@@ -241,13 +243,14 @@ class shard {
   }
 
   /// Apply a span of operations belonging to this shard.  Maximal runs of
-  /// same-type ops are routed through the key-span entry points below (ops
-  /// within a run commute; run boundaries preserve batch order), so an
-  /// all-insert flood becomes one count-compressed bulk insert instead of
-  /// one virtual dispatch per key.
+  /// same-type ops are routed through the key-span entry points below and
+  /// contains_each (ops within a run commute; run boundaries preserve
+  /// batch order), so an all-insert flood becomes one count-compressed
+  /// bulk insert instead of one virtual dispatch per key.
   batch_result apply(std::span<const op> ops) {
     batch_result r;
     std::vector<uint64_t> keys, counts;  // one run's columns, reused
+    std::vector<uint8_t> hits;           // a query run's answers, reused
     for (size_t i = 0, len = 0; i < ops.size(); i += len) {
       len = run_length(ops, i);
       keys.resize(len);
@@ -265,7 +268,8 @@ class shard {
           tally(erase_span(keys), len, r.erased, r.erase_missing);
           break;
         case op_type::query:
-          tally(contains_span(keys), len, r.query_hits, r.query_misses);
+          hits.resize(len);
+          tally(contains_each(keys, hits), len, r.query_hits, r.query_misses);
           break;
       }
     }
@@ -468,6 +472,20 @@ class shard {
     return ok;
   }
 
+  /// §5.4 sort + reduce of a slice into (key, count) pairs; returns false
+  /// (pairs untouched) when the slice turns out duplicate-free.
+  static bool compress_slice(std::span<const uint64_t> keys,
+                             std::vector<uint64_t>& ck,
+                             std::vector<uint64_t>& cc) {
+    std::vector<uint64_t> sorted(keys.begin(), keys.end());
+    par::radix_sort(sorted);
+    auto reduced = par::reduce_by_key(sorted);
+    if (reduced.keys.size() == keys.size()) return false;
+    ck = std::move(reduced.keys);
+    cc = std::move(reduced.counts);
+    return true;
+  }
+
   /// Cascade bulk insert: the slice falls through level by level.  Each
   /// usable level takes a native bulk (or counted) insert; whatever it
   /// refuses is carried to the next level.  Backends report *how many*
@@ -483,20 +501,6 @@ class shard {
   /// budget headroom, else the deepest — with strict placement accounting;
   /// refusals surface as failures and trigger growth instead of risking
   /// count loss.
-  /// §5.4 sort + reduce of a slice into (key, count) pairs; returns false
-  /// (pairs untouched) when the slice turns out duplicate-free.
-  static bool compress_slice(std::span<const uint64_t> keys,
-                             std::vector<uint64_t>& ck,
-                             std::vector<uint64_t>& cc) {
-    std::vector<uint64_t> sorted(keys.begin(), keys.end());
-    par::radix_sort(sorted);
-    auto reduced = par::reduce_by_key(sorted);
-    if (reduced.keys.size() == keys.size()) return false;
-    ck = std::move(reduced.keys);
-    cc = std::move(reduced.counts);
-    return true;
-  }
-
   uint64_t cascade_bulk_insert(std::span<const uint64_t> keys) {
     const uint64_t n = keys.size();
     // Compress once in front of the walk for backends without native
@@ -593,35 +597,6 @@ class shard {
     return n - unanswered;
   }
 
-  /// Bulk membership over the cascade: every level takes the backend's
-  /// native batch probe over a narrowing remainder (mirroring
-  /// cascade_bulk_insert's fall-through), so the deep cascades on exactly
-  /// the shards that grew children keep the bulk tier instead of decaying
-  /// to one virtual point probe per key per level.  When a level answers
-  /// the whole remainder (the hot-level common case) or none of it, no
-  /// per-key work happens at all; a mixed level narrows the remainder by
-  /// membership — the same predicate its batch probe just counted, so the
-  /// total is exactly the per-key walk's answer.
-  uint64_t bulk_contains_keys(std::span<const uint64_t> keys) const {
-    if (levels_.size() == 1) return levels_.front()->contains_bulk(keys);
-    uint64_t hits = 0;
-    std::vector<uint64_t> hold, rem;
-    std::span<const uint64_t> cur = keys;
-    for (size_t l = 0; l < levels_.size() && !cur.empty(); ++l) {
-      const any_filter& f = *levels_[l];
-      const uint64_t got = f.contains_bulk(cur);
-      hits += got;
-      if (got == cur.size() || l + 1 == levels_.size()) break;
-      if (got == 0) continue;  // whole remainder falls through untouched
-      rem.clear();
-      for (uint64_t k : cur)
-        if (!f.contains(k)) rem.push_back(k);
-      hold.swap(rem);
-      cur = hold;
-    }
-    return hits;
-  }
-
   /// Bulk erase over the cascade: per level, the remainder is partitioned
   /// by membership — the occurrences a level answers are erased there with
   /// one native erase_bulk call (first level that holds the key wins, and
@@ -655,18 +630,6 @@ class shard {
   static void tally(uint64_t ok, uint64_t n, uint64_t& hit, uint64_t& miss) {
     hit += ok;
     miss += n - ok;
-  }
-
-  /// apply()'s query runs, point or batched like erase_span; the hits.
-  uint64_t contains_span(std::span<const uint64_t> keys) const {
-    if (keys.size() < kBulkRunMin) {
-      uint64_t hits = 0;
-      for (uint64_t k : keys) hits += contains(k);
-      return hits;
-    }
-    const uint64_t hits = bulk_contains_keys(keys);
-    note_queries(keys.size(), hits);
-    return hits;
   }
 
   std::vector<std::unique_ptr<any_filter>> levels_;

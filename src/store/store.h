@@ -27,6 +27,11 @@
 //   * Per-key reads — contains_each()/count_each() answer a batch key by
 //                     key: grouped by shard, one batched backend probe per
 //                     group and cascade level, at most one pool launch.
+//                     They are the store's only batched read (apply()'s
+//                     query runs call shard::contains_each too), and the
+//                     backend probes are serial: a read reaches the pool
+//                     only through probe_each() or, for flush()'s query
+//                     runs, per_shard().
 //
 // Skew relief: routing is static, so a hot shard cannot shed load to its
 // neighbours — and filters cannot enumerate their keys, so it cannot be
@@ -237,7 +242,8 @@ class filter_store {
   /// shard::contains_each call, so each level answers through its
   /// backend's batched probe.  At most one pool launch (none with
   /// launch::caller — the multi-reactor server probes the slice it owns on
-  /// its own event loop).  Host-phased: no concurrent writers.
+  /// its own event loop).  Host-phased: no concurrent writers.  Throws
+  /// std::invalid_argument unless out.size() == keys.size().
   void contains_each(std::span<const uint64_t> keys, std::span<uint8_t> out,
                      launch where = launch::pool) const {
     probe_each(keys, out, where,
@@ -429,6 +435,8 @@ class filter_store {
   template <class T, class Probe>
   void probe_each(std::span<const uint64_t> keys, std::span<T> out,
                   launch where, const Probe& probe) const {
+    if (out.size() != keys.size())
+      throw std::invalid_argument("gf: per-key read keys/out mismatch");
     if (where == launch::caller) {
       probe_range(keys, out, probe);
       return;

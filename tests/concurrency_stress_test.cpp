@@ -184,7 +184,11 @@ TEST(ConcurrencyStress, BulkInsertsWithConcurrentReaders) {
 TEST(ConcurrencyStress, PhasedBulkRoundsWithParallelVerification) {
   // The host-phased discipline for every backend, including the
   // slot-shifting ones: bulk rounds alternate with a *parallel* read-only
-  // verification pass (readers race each other, never a writer).
+  // verification pass (readers race each other, never a writer).  Readers
+  // verify through the point ops and the per-key read tier on their own
+  // thread, while one pool-launched batch probe runs alongside them — the
+  // GQF's batched reads are lockless, so this is where TSan sees them.
+  using launch = store::filter_store::launch;
   constexpr backend_kind kAllBackends[] = {
       backend_kind::tcf, backend_kind::gqf, backend_kind::blocked_bloom,
       backend_kind::bulk_tcf};
@@ -201,13 +205,26 @@ TEST(ConcurrencyStress, PhasedBulkRoundsWithParallelVerification) {
       for (int t = 0; t < 4; ++t) {
         readers.emplace_back([&, t] {
           uint64_t local = 0;
-          for (size_t i = t; i < all.size(); i += 4)
+          std::vector<uint64_t> mine;
+          for (size_t i = t; i < all.size(); i += 4) {
             local += s.contains(all[i]) ? 0 : 1;
+            mine.push_back(all[i]);
+          }
+          std::vector<uint8_t> hit(mine.size());
+          std::vector<uint64_t> count(mine.size());
+          s.contains_each(mine, hit, launch::caller);
+          s.count_each(mine, count, launch::caller);
+          for (size_t i = 0; i < mine.size(); ++i)
+            local += (hit[i] ? 0 : 1) + (count[i] ? 0 : 1);
           misses.fetch_add(local, std::memory_order_relaxed);
         });
       }
+      std::vector<uint8_t> hit(all.size());
+      s.contains_each(all, hit, launch::pool);
       for (auto& th : readers) th.join();
       ASSERT_EQ(misses.load(), 0u)
+          << backend_name(backend) << " round " << round;
+      ASSERT_EQ(std::count(hit.begin(), hit.end(), 0), 0)
           << backend_name(backend) << " round " << round;
     }
   }

@@ -7,6 +7,7 @@
 #include <memory>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -394,12 +395,29 @@ TEST(StoreBulk, CascadeBulkQueryMatchesPointWalk) {
       probes.push_back(keys[i]);
       probes.push_back(absent[i]);
     }
-    auto r = sh->apply(cascade::query_run(probes));
-    uint64_t expect_hits = 0;
-    for (uint64_t k : probes) expect_hits += sh->contains(k) ? 1 : 0;
-    EXPECT_EQ(r.query_hits, expect_hits) << backend_name(backend);
-    EXPECT_EQ(r.query_misses, probes.size() - expect_hits)
-        << backend_name(backend);
+    // The (queries, query_hits) a call moves in the shard's stats.
+    auto stats_delta = [&](auto&& fn) {
+      const auto before = sh->stats();
+      fn();
+      const auto after = sh->stats();
+      return std::make_pair(after.queries - before.queries,
+                            after.query_hits - before.query_hits);
+    };
+    // Also a run shorter than kBulkRunMin: every query run is batched.
+    for (size_t n : {probes.size(), store::shard::kBulkRunMin - 1}) {
+      std::span<const uint64_t> run(probes.data(), n);
+      store::batch_result r;
+      const auto applied =
+          stats_delta([&] { r = sh->apply(cascade::query_run(run)); });
+      uint64_t expect_hits = 0;
+      const auto walked = stats_delta([&] {
+        for (uint64_t k : run) expect_hits += sh->contains(k) ? 1 : 0;
+      });
+      EXPECT_EQ(r.query_hits, expect_hits) << backend_name(backend);
+      EXPECT_EQ(r.query_misses, run.size() - expect_hits)
+          << backend_name(backend);
+      EXPECT_EQ(applied, walked) << backend_name(backend) << " n=" << n;
+    }
   }
 }
 
@@ -459,13 +477,16 @@ TEST(StoreBulk, CascadeBulkEraseMatchesPointWalk) {
 //
 // contains_each/count_each must answer exactly like the point loop, key by
 // key, on every backend, at cascade depth 1 and on grown cascades, at the
-// TCF pipeline's edge batch sizes, with and without duplicate keys — and
-// move the shard stats exactly as far as the point loop does.
+// TCF pipeline's and the blocked Bloom chunk's edge batch sizes, with and
+// without duplicate keys — and move the shard stats exactly as far as the
+// point loop does.
 
 namespace read_tier {
 
 constexpr size_t kDist = tcf::point_tcf::kPrefetchDistance;
-constexpr size_t kBatchSizes[] = {0, 1, kDist - 1, kDist, kDist + 1, 4096};
+constexpr size_t kChunk = baselines::blocked_bloom_filter::kProbeChunk;
+constexpr size_t kBatchSizes[] = {
+    0, 1, kChunk - 1, kChunk, kChunk + 1, kDist - 1, kDist, kDist + 1, 4096};
 
 /// Half inserted keys, half absent ones; with `dups`, every third key
 /// repeats an earlier one.
@@ -553,23 +574,30 @@ TEST(StoreBulk, ContainsEachAndCountEachMatchPointLoop) {
     store::filter_store flat(config(backend, 4, 1 << 15));
     flat.insert_bulk(keys);
     ASSERT_EQ(read_tier::max_depth(flat), 1u) << backend_name(backend);
+    // One shard: a launch::caller batch reaches the backend unsplit.
+    store::filter_store flat1(config(backend, 1, 1 << 15));
+    flat1.insert_bulk(keys);
+    ASSERT_EQ(read_tier::max_depth(flat1), 1u) << backend_name(backend);
     auto grown = read_tier::grown_store(backend, keys);
     ASSERT_GT(read_tier::max_depth(grown), 1u) << backend_name(backend);
     // Counts above one, so count_each's per-level sums are exercised.
     if (flat.shard_at(0).filter().supports_counting()) {
       flat.insert(keys[0], 3);
+      flat1.insert(keys[0], 3);
       grown.insert(keys[0], 3);
     }
 
-    for (const auto* st : {&flat, &grown})
+    for (const auto* st : {&flat, &flat1, &grown})
       for (size_t n : read_tier::kBatchSizes)
         for (bool dups : {false, true}) {
           auto batch = read_tier::probes(keys, n, dups);
           read_tier::expect_matches_point(
               *st, batch,
               std::string(backend_name(backend)) +
-                  (st == &flat ? " flat" : " grown") + " n=" +
-                  std::to_string(n) + (dups ? " dups" : ""));
+                  (st == &flat    ? " flat"
+                   : st == &flat1 ? " flat1"
+                                  : " grown") +
+                  " n=" + std::to_string(n) + (dups ? " dups" : ""));
         }
   }
 }
@@ -592,6 +620,32 @@ TEST(StoreBulk, ShardContainsEachMatchesPointWalkOnGrownCascade) {
             << backend_name(backend) << " n=" << n << " i=" << i;
       }
     }
+  }
+}
+
+// An `out` whose size differs from the batch is rejected before any probe
+// runs, on the one-shard path and the grouped one, at either launch site.
+// The buffers are larger than `out`, so a probe that ran anyway would
+// stay in bounds and show up only as the missing throw.
+TEST(StoreBulk, PerKeyReadsRejectMismatchedOutput) {
+  using launch = store::filter_store::launch;
+  auto keys = util::hashed_xorwow_items(64, 731);
+  for (uint32_t shards : {1u, 4u}) {
+    store::filter_store st(config(backend_kind::tcf, shards, 1 << 12));
+    st.insert_bulk(keys);
+    std::vector<uint8_t> hit(keys.size() + 1, 7);
+    std::vector<uint64_t> count(keys.size() + 1, 7);
+    for (launch where : {launch::pool, launch::caller})
+      for (size_t n : {keys.size() - 1, keys.size() + 1}) {
+        EXPECT_THROW(st.contains_each(keys, std::span(hit).first(n), where),
+                     std::invalid_argument)
+            << shards << " shards, out " << n;
+        EXPECT_THROW(st.count_each(keys, std::span(count).first(n), where),
+                     std::invalid_argument)
+            << shards << " shards, out " << n;
+      }
+    EXPECT_EQ(hit, std::vector<uint8_t>(keys.size() + 1, 7));
+    EXPECT_EQ(count, std::vector<uint64_t>(keys.size() + 1, 7));
   }
 }
 

@@ -38,6 +38,12 @@ Checks enforced:
    second opcode-to-store mapping that replicas and recovery could drift
    from.
 
+6. store-read-tier: no code in src/store/ or src/net/ may call a filter's
+   count_contained (through `.` or `->`) or gqf::bulk_count_contained.
+   Those helpers launch on the pool and exist for the paper benches; the
+   store reads through the backends' serial contains_each/count_each, so
+   per_shard and probe_each stay the only places it parallelises.
+
 Exit status: 0 clean, 1 violations (printed one per line as
 file:line: message).
 """
@@ -65,6 +71,7 @@ NR_BRANCH_RE = re.compile(
     r"\bnr_\s*(?:==|!=|<=|>=|<|>)\s*[12]\b|\b[12]\s*(?:==|!=|<=|>=|<|>)\s*nr_\b")
 SINGLE_LOOP_RE = re.compile(r"single-loop:")
 STORE_OP_RE = re.compile(r"\bstore::(?:op|make_(?:insert|erase|query))\b")
+POOL_READ_RE = re.compile(r"(?:\.|->)\s*count_contained\s*\(|\bbulk_count_contained\s*\(")
 # A new function starts at an unindented definition line ("inline ...",
 # "class ...", templates, etc.) — good enough to scope the codec check.
 FUNC_START_RE = re.compile(r"^[a-zA-Z/]")
@@ -133,6 +140,18 @@ def check_store_ops(path: Path, lines: list[str], errors: list[str]) -> None:
             )
 
 
+def check_store_read_tier(path: Path, lines: list[str],
+                          errors: list[str]) -> None:
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]  # prose may name the bench helpers
+        if POOL_READ_RE.search(code):
+            errors.append(
+                f"{path.relative_to(REPO)}:{i + 1}: pool-launched filter "
+                f"read in the store or server; use the backend's serial "
+                f"contains_each/count_each"
+            )
+
+
 def check_codec_narrowing(path: Path, lines: list[str],
                           errors: list[str]) -> None:
     func_start = 0
@@ -162,6 +181,8 @@ def main() -> int:
             check_reactor_count_branches(path, lines, errors)
         if path.parent in (REPO / "src" / "net", REPO / "src" / "persist"):
             check_store_ops(path, lines, errors)
+        if path.parent in (REPO / "src" / "store", REPO / "src" / "net"):
+            check_store_read_tier(path, lines, errors)
 
     codec = REPO / "src" / "net" / "codec.h"
     check_codec_narrowing(codec, codec.read_text(encoding="utf-8").splitlines(),
