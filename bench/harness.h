@@ -7,12 +7,16 @@
 //   --full     paper-scale sweep (larger filters, more sizes)
 //   --sizes    comma-separated log2 filter sizes (e.g. --sizes 16,18,20)
 //   --csv      machine-readable output rows
+// Anything else is an error (usage on stderr, exit 2); a binary with flags
+// of its own passes their names to options::parse.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -33,8 +37,18 @@ struct options {
   bool csv = false;
   bool full = false;
 
-  static options parse(int argc, char** argv) {
+  /// The shared flags, plus `value_flags`: the names of the binary's own
+  /// flags that take a value (it reads them from argv itself; here they
+  /// and their values are only skipped).  Any other argument, or a value
+  /// flag without its value, prints usage to stderr and exits 2.
+  static options parse(int argc, char** argv,
+                       std::initializer_list<const char*> value_flags = {}) {
     options o;
+    auto takes_value = [&](const char* arg) {
+      for (const char* f : value_flags)
+        if (!std::strcmp(arg, f)) return true;
+      return false;
+    };
     for (int i = 1; i < argc; ++i) {
       if (!std::strcmp(argv[i], "--full")) {
         o.full = true;
@@ -52,6 +66,16 @@ struct options {
           o.log_sizes.push_back(std::stoi(arg.substr(pos, comma - pos)));
           pos = comma + 1;
         }
+      } else if (takes_value(argv[i]) && i + 1 < argc) {
+        ++i;
+      } else {
+        std::fprintf(stderr,
+                     "%s: unknown or incomplete flag '%s'\n"
+                     "usage: %s [--full] [--csv] [--sizes N,M,...]",
+                     argv[0], argv[i], argv[0]);
+        for (const char* f : value_flags) std::fprintf(stderr, " [%s V]", f);
+        std::fprintf(stderr, "\n");
+        std::exit(2);
       }
     }
     return o;

@@ -133,7 +133,8 @@ struct phase_result {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = bench::options::parse(argc, argv);
+  auto opts =
+      bench::options::parse(argc, argv, {"--json", "--reactors", "--backend"});
   store::backend_kind backend = store::backend_kind::tcf;
   uint32_t max_reactors = 4;
   for (int i = 1; i < argc; ++i) {

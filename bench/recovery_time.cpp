@@ -159,7 +159,7 @@ restart_cost time_restart(const std::string& dir,
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = bench::options::parse(argc, argv);
+  auto opts = bench::options::parse(argc, argv, {"--json", "--backend"});
   store::backend_kind backend = store::backend_kind::tcf;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--backend") && i + 1 < argc) {

@@ -273,7 +273,7 @@ void btcf_frame_cost() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto opts = bench::options::parse(argc, argv);
+  auto opts = bench::options::parse(argc, argv, {"--json"});
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
       g_json = std::fopen(argv[i + 1], "w");

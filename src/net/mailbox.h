@@ -9,10 +9,15 @@
 // push() never blocks and never fails.  A full ring spills to a
 // mutex-guarded overflow queue instead of waiting — a reactor that is
 // also a consumer must never block on a peer's backpressure, or two
-// reactors flooding each other (or a stop-the-world barrier parking a
-// consumer) would deadlock.  FIFO order survives the spill: once
-// anything sits in the overflow, later pushes follow it there until the
-// consumer drains it empty.
+// reactors flooding each other (or the STATS / SNAPSHOT / SYNC barrier
+// parking a consumer) would deadlock.  FIFO order survives the spill:
+// once anything sits in the overflow, later pushes follow it there until
+// the consumer drains it empty.
+//
+// Ring slots are raw storage: a value lives in a slot only from the push
+// that stores it to the pop that takes it, so building a mailbox costs one
+// allocation, not one constructor per slot (a server builds one per
+// reactor pair).
 //
 // The consumer is woken out-of-band (a byte on its wake pipe) by the
 // caller; the mailbox itself carries no notification.
@@ -21,9 +26,10 @@
 #include <atomic>
 #include <cstddef>
 #include <deque>
+#include <memory>
 #include <mutex>
+#include <new>
 #include <utility>
-#include <vector>
 
 namespace gf::net {
 
@@ -34,8 +40,17 @@ class mailbox {
     // Power-of-two ring so index masking is a single AND.
     size_t cap = 1;
     while (cap < capacity) cap <<= 1;
-    ring_.resize(cap);
+    // new[] of a trivial type: the slots are left uninitialized.
+    ring_.reset(new slot[cap]);
+    cap_ = cap;
     mask_ = cap - 1;
+  }
+
+  ~mailbox() {
+    // relaxed: destruction has no concurrent producer or consumer.
+    const size_t tail = tail_.load(std::memory_order_relaxed);
+    for (size_t h = head_.load(std::memory_order_relaxed); h != tail; ++h)
+      at(h)->~T();
   }
 
   mailbox(const mailbox&) = delete;
@@ -48,8 +63,8 @@ class mailbox {
     // relaxed: tail read observes our own last store (single producer).
     const size_t tail = tail_.load(std::memory_order_relaxed);
     if (overflow_count_.load(std::memory_order_acquire) == 0 &&
-        tail - head_.load(std::memory_order_acquire) < ring_.size()) {
-      ring_[tail & mask_] = std::move(v);
+        tail - head_.load(std::memory_order_acquire) < cap_) {
+      ::new (static_cast<void*>(&ring_[tail & mask_])) T(std::move(v));
       tail_.store(tail + 1, std::memory_order_release);
       return;
     }
@@ -64,7 +79,9 @@ class mailbox {
     // relaxed: head read observes our own last store (single consumer).
     const size_t head = head_.load(std::memory_order_relaxed);
     if (head != tail_.load(std::memory_order_acquire)) {
-      out = std::move(ring_[head & mask_]);
+      T* v = at(head);
+      out = std::move(*v);
+      v->~T();
       head_.store(head + 1, std::memory_order_release);
       return true;
     }
@@ -88,7 +105,17 @@ class mailbox {
   }
 
  private:
-  std::vector<T> ring_;
+  struct slot {
+    alignas(T) unsigned char bytes[sizeof(T)];
+  };
+
+  /// The live value in the slot of ring position i.
+  T* at(size_t i) {
+    return std::launder(reinterpret_cast<T*>(ring_[i & mask_].bytes));
+  }
+
+  std::unique_ptr<slot[]> ring_;
+  size_t cap_ = 0;
   size_t mask_ = 0;
   // lane: head_ is written by the consumer only, tail_ by the producer
   // only; each side reads the other with acquire to see the slot contents.

@@ -53,7 +53,8 @@ class repl_log {
 
   /// Append exactly the frames of one lane's range (after, cur] to `out` and
   /// return the tier that served them, or append nothing and return
-  /// repl_tier::none.  Quiesced contexts only (the stop-the-world barrier).
+  /// repl_tier::none.  Quiesced contexts only: a resume is served inside
+  /// SYNC's stop-the-world barrier, which parks every lane's appender.
   repl_tier replay(uint64_t after, uint64_t cur,
                    std::vector<uint8_t>& out) const;
 

@@ -94,6 +94,7 @@ constexpr stat_row kStatRows[] = {
     {&ss::bytes_out, "gf_server_bytes_total", R"(dir="out")", counter, "server", "bytes_out"},
     {&ss::connections_accepted, "gf_server_connections_total", R"(event="accepted")", counter, "server", "connections_accepted"},
     {&ss::connections_closed, "gf_server_connections_total", R"(event="closed")", counter, "server", "connections_closed"},
+    {&ss::barriers, "gf_server_barriers_total", "", counter, "server", "barriers"},
     {&ss::read_only_refusals, "gf_server_read_only_refusals_total", "", counter, "replication", "read_only_refusals"},
     {&ss::frames_forwarded, "gf_repl_frames_forwarded_total", "", counter, "replication", "frames_forwarded"},
     {&ss::subscriber_drops, "gf_repl_dropped_subscribers_total", "", counter, "replication", "subscriber_drops"},
@@ -221,11 +222,14 @@ struct server::reactor_msg {
   uint64_t ticket = 0;   ///< work/done: pending_resp key on the origin
   opcode op = opcode::ping;
   bool from_feed = false;  ///< work: a feed frame (applied, not replicated)
+  uint32_t begin = 0, end = 0, depth = 0;  ///< maintain: work's shard
+                                           ///< slice; done's deepest cascade
   std::vector<uint64_t> keys;    ///< work: this reactor's slice of the batch
   std::vector<uint64_t> counts;  ///< work: insert_counted companions
   std::vector<uint64_t> vals;    ///< done: per-key answers (query/count)
   std::vector<uint32_t> idx;     ///< positions in the original batch
-  uint64_t a = 0, b = 0;         ///< done: (ok, failed); ctrl: t_start
+  uint64_t a = 0, b = 0;         ///< done: (ok, failed) or (grown,
+                                 ///< levels); ctrl: t_start
   uint64_t part_seq = 0;         ///< done: stream sequence this part landed on
   connection* conn = nullptr;    ///< ctrl: requesting connection (owner
                                  ///< holds it via inflight)
@@ -242,16 +246,18 @@ struct server::pending_resp {
   uint32_t key_count = 0;
   bool from_feed = false;
   uint32_t parts_left = 0;
-  uint64_t a = 0, b = 0;            ///< mutating: (ok, failed) totals
+  uint64_t a = 0, b = 0;            ///< (ok, failed) or (grown, levels)
+  uint32_t depth = 0;               ///< maintain: deepest cascade
   std::vector<uint64_t> words;      ///< query bitmap / count values
   std::vector<uint64_t> part_seqs;  ///< one stream sequence per lane touched
   uint64_t t_start = 0;
 
   /// Fold one part's done reply in (an empty index is the identity).
   void fold(const reactor_msg& d) {
-    if (is_mutating(d.op)) {
+    if (is_mutating(d.op) || d.op == opcode::maintain) {
       a += d.a;
       b += d.b;
+      depth = std::max(depth, d.depth);
       if (d.part_seq != 0) part_seqs.push_back(d.part_seq);
       return;
     }
@@ -291,7 +297,7 @@ struct server::reactor {
   std::vector<pending_ack> pending_acks;
   std::unordered_map<uint64_t, pending_resp> pending;
   uint64_t next_ticket = 1;
-  uint32_t mutations_since_maintain = 0;
+  uint32_t parts_since_maintain = 0;  ///< maintain cadence (apply_work)
   uint64_t lane_local = 0;  ///< lane-local stream position
   obs::trace_ring trace;
   obs::latency_histogram op_hist[kNumOpcodes];
@@ -918,6 +924,7 @@ void server::park_for_stw() {
 }
 
 void server::stw(const std::function<void()>& fn) {
+  live<&server_stats::barriers>().add();
   if (in_stw_ || !threads_live_) {
     // Already inside a barrier (a control op that triggers another quiesced
     // section), or the reactor threads are not running (pre-run attach_feed
@@ -1059,7 +1066,7 @@ void server::dispatch_msg(reactor& r, reactor_msg& m) {
         deliver_to_sub(*m.sub, *m.bytes);
       break;
     case reactor_msg::kind::ctrl:
-      exec_ctrl(r, m.conn, m.fr, m.a);
+      exec_ctrl(r, *m.conn, m.fr, m.a);
       break;
     case reactor_msg::kind::none:
       break;
@@ -1467,6 +1474,7 @@ void server::try_resync_feed() {
                     cfg_.resync_timeout_ms, cfg_.connector);
     if (rr.kind == resync_kind::snapshot) {
       live<&server_stats::resyncs_snapshot>().add();
+      // barrier: the swap replaces every shard and resets every lane.
       stw([&] { replace_store(std::move(*rr.store), rr.lane_seqs); });
       attach_feed(std::move(rr.feed), std::move(rr.dec),
                   std::span<const uint64_t>(rr.lane_seqs));
@@ -1526,11 +1534,11 @@ void server::service_timers(reactor& r, uint64_t now_ns) {
         if (!c->dead && c->kind == connection::role::feed)
           condemn(r, *c, "feed idle past the configured timeout");
     }
-    // Checkpoints cannot ride replicate() (any reactor may trigger one,
-    // but a consistent store image needs every lane quiesced): reactor 0
-    // polls the due-ness here, between frames, and stops the world.
-    if (cfg_.durability != nullptr &&
-        cfg_.durability->checkpoint_due())
+    // Checkpoints cannot ride replicate() (any reactor may trigger one):
+    // reactor 0 polls the due-ness here, between frames.
+    // barrier: a checkpoint is one store image at one position per lane,
+    // so every lane's writer must be quiesced.
+    if (cfg_.durability != nullptr && cfg_.durability->checkpoint_due())
       stw([&] { cfg_.durability->checkpoint(store_); });
   }
 }
@@ -1705,6 +1713,7 @@ void server::handle_invite(reactor& r, connection& c, const frame& f) {
                 sr.snapshot_bytes);
     // Defense in depth: serve_sync refuses on a never-fed standby, but any
     // subscriber synced off the pre-invite state is cut loose here.
+    // barrier: the swap replaces every shard and resets every lane.
     stw([&] { replace_store(std::move(sr.store), sr.lane_seqs); });
     attach_feed(std::move(sr.feed), std::move(sr.dec),
                 std::span<const uint64_t>(sr.lane_seqs));
@@ -1751,25 +1760,9 @@ void server::feed_frame(reactor& r, connection& c, const frame& f) {
   }
   feed_expected_by_lane_[lane] = f.sequence + 1;
   live<&server_stats::frames_served>().add();
-  const uint64_t t_start = obs::now_ns();
-  if (f.op == opcode::maintain) {
-    // The primary replicated this maintain at a consistent cut of all
-    // lanes; reproduce that cut here — drain every handed-off part, then
-    // grow the same shard range — so cascade shapes stay in lockstep.
-    uint64_t t_applied = t_start;
-    stw([&] {
-      const shard_range sr = decode_maintain_range(f);
-      const auto m = store_.maintain_range(sr.begin, sr.end);
-      t_applied = obs::now_ns();
-      r.trace.add("store", "maintain", t_start, t_applied - t_start,
-                  "levels", m.total_levels);
-      append_out(c, encode_maintain_response(f.sequence, m.shards_grown,
-                                             m.max_depth, m.total_levels));
-    });
-    record_frame(r, f.op, f.key_count, t_start, t_applied);
-  } else {
-    route_batch(r, c, f, /*from_feed=*/true, t_start);
-  }
+  // A forwarded MAINTAIN is routed like any batch: each shard is grown by
+  // its owner behind every earlier part of the feed, in the lane's order.
+  route_batch(r, c, f, /*from_feed=*/true, obs::now_ns());
   // Release: published after the local apply (the whole frame when this
   // reactor owns every shard), so a stats() reader that sees this
   // sequence also sees its effect on the store — and before the stream
@@ -1788,11 +1781,10 @@ void server::feed_frame(reactor& r, connection& c, const frame& f) {
 void server::handle_frame(reactor& r, connection& c, const frame& f) {
   live<&server_stats::frames_served>().add();
   const uint64_t t_start = obs::now_ns();
-  const bool mutating = is_mutating(f.op);
   // A replica takes mutations only from its feed; clients get an in-band
   // error and keep their connection (they meant well — they just talked
   // to the wrong end of the topology).
-  if ((mutating || f.op == opcode::maintain) && cfg_.read_only) {
+  if ((is_mutating(f.op) || f.op == opcode::maintain) && cfg_.read_only) {
     live<&server_stats::read_only_refusals>().add();
     append_out(c, encode_error_response(
                       f.op, f.sequence, wire_status::unsupported,
@@ -1809,26 +1801,13 @@ void server::handle_frame(reactor& r, connection& c, const frame& f) {
     case opcode::query:
     case opcode::erase:
     case opcode::count:
-      // Periodic skew relief: after enough mutating frames, grow pressured
-      // shards (overflow cascades) without waiting for a client to ask.
-      // The cadence counts per reactor; the growth itself is a control op.
-      // Feed traffic never triggers it: the primary's forwarded MAINTAIN
-      // frames (these synthesized ones included) drive replica growth at
-      // the same stream positions, keeping cascade shapes in lockstep.
-      if (mutating && cfg_.maintain_every != 0 &&
-          ++r.mutations_since_maintain >= cfg_.maintain_every) {
-        r.mutations_since_maintain = 0;
-        frame m;
-        m.op = opcode::maintain;
-        control(r, nullptr, m, t_start);
-      }
+    case opcode::maintain:
       route_batch(r, c, f, /*from_feed=*/false, t_start);
       return;
     case opcode::stats:
-    case opcode::maintain:
     case opcode::snapshot:
     case opcode::sync:
-      control(r, &c, f, t_start);
+      control(r, c, f, t_start);
       return;
   }
 }
@@ -1851,26 +1830,11 @@ bool server::owns_every_shard(const reactor& r) const {
 
 void server::route_batch(reactor& r, connection& c, const frame& f,
                          bool from_feed, uint64_t t_start) {
-  // `w` is this reactor's part (it starts as the whole batch), `d` its
-  // answers for pending_resp::fold().
+  // `w` is this reactor's part (a batch part starts as the whole batch),
+  // `d` its answers for pending_resp::fold().
   reactor_msg w, d;
   w.op = d.op = f.op;
   w.from_feed = from_feed;
-  decode_batch(f, w.keys, w.counts);
-  const size_t n = w.keys.size();
-  live<&server_stats::keys_processed>().add(n);
-  if (n == 0) {
-    // Empty batch: answer inline — there is nothing to apply or gate on.
-    if (f.op == opcode::query)
-      append_out(c, encode_query_response(f.sequence, f.key_count, {}));
-    else if (f.op == opcode::count)
-      append_out(c, encode_count_response(f.sequence, {}));
-    else
-      queue_mutation_response(r, c, from_feed, f.op, f.sequence, f.key_count,
-                              0, 0, {});
-    record_frame(r, f.op, f.key_count, t_start, t_start);
-    return;
-  }
   const uint64_t ticket = r.next_ticket++;
   pending_resp p;
   p.conn = &c;
@@ -1878,51 +1842,80 @@ void server::route_batch(reactor& r, connection& c, const frame& f,
   p.client_seq = f.sequence;
   p.key_count = f.key_count;
   p.from_feed = from_feed;
-  p.parts_left = 1;
   p.t_start = t_start;
-  if (f.op == opcode::query)
-    p.words.assign(bitmap_words(n), 0);
-  else if (f.op == opcode::count)
-    p.words.assign(n, 0);
-  if (!owns_every_shard(r)) {
-    // Partition per key by the store's own shard function — the wire-level
-    // shard_hint is advisory and never trusted for ownership.
-    std::vector<std::vector<uint64_t>> pk(nr_), pc(nr_);
-    std::vector<std::vector<uint32_t>> pi(nr_);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t owner = shard_owner_[store_.shard_of(w.keys[i])];
-      pk[owner].push_back(w.keys[i]);
-      if (f.op == opcode::insert_counted) pc[owner].push_back(w.counts[i]);
-      pi[owner].push_back(static_cast<uint32_t>(i));
-    }
-    p.parts_left = 0;
+  bool local = false;  // this reactor applies a part itself
+  auto hand_off = [&](uint32_t k, reactor_msg&& m) {
+    m.k = reactor_msg::kind::work;
+    m.origin = r.id;
+    m.ticket = ticket;
+    m.op = f.op;
+    m.from_feed = from_feed;
+    post(r, k, std::move(m));
+  };
+  if (f.op == opcode::maintain) {
+    // One part per reactor whose slice meets the requested range, clipped
+    // to that slice: every shard is grown by its owner.
+    const shard_range sr = decode_maintain_range(f);
     for (uint32_t k = 0; k < nr_; ++k) {
-      if (pk[k].empty()) continue;
+      reactor_msg remote;
+      reactor_msg& m = k == r.id ? w : remote;
+      m.begin = std::max(sr.begin, reactors_[k]->shard_begin);
+      m.end = std::min(sr.end, reactors_[k]->shard_end);
+      if (m.begin >= m.end) continue;
       ++p.parts_left;
-      if (k == r.id) continue;
-      reactor_msg m;
-      m.k = reactor_msg::kind::work;
-      m.origin = r.id;
-      m.ticket = ticket;
-      m.op = f.op;
-      m.from_feed = from_feed;
-      m.keys = std::move(pk[k]);
-      m.counts = std::move(pc[k]);
-      m.idx = std::move(pi[k]);
-      post(r, k, std::move(m));
+      if (k != r.id) hand_off(k, std::move(m));
     }
-    if (pk[r.id].size() != n) {
-      w.keys = std::move(pk[r.id]);
-      w.counts = std::move(pc[r.id]);
-      d.idx = std::move(pi[r.id]);
+    local = w.begin < w.end;
+  } else {
+    decode_batch(f, w.keys, w.counts);
+    const size_t n = w.keys.size();
+    live<&server_stats::keys_processed>().add(n);
+    if (f.op == opcode::query)
+      p.words.assign(bitmap_words(n), 0);
+    else if (f.op == opcode::count)
+      p.words.assign(n, 0);
+    if (owns_every_shard(r)) {
+      local = n != 0;
+      p.parts_left = local ? 1 : 0;
+    } else {
+      // Partition per key by the store's own shard function — the
+      // wire-level shard_hint is advisory and never trusted for ownership.
+      std::vector<std::vector<uint64_t>> pk(nr_), pc(nr_);
+      std::vector<std::vector<uint32_t>> pi(nr_);
+      for (size_t i = 0; i < n; ++i) {
+        const uint32_t owner = shard_owner_[store_.shard_of(w.keys[i])];
+        pk[owner].push_back(w.keys[i]);
+        if (f.op == opcode::insert_counted) pc[owner].push_back(w.counts[i]);
+        pi[owner].push_back(static_cast<uint32_t>(i));
+      }
+      for (uint32_t k = 0; k < nr_; ++k) {
+        if (pk[k].empty()) continue;
+        ++p.parts_left;
+        if (k == r.id) continue;
+        reactor_msg m;
+        m.keys = std::move(pk[k]);
+        m.counts = std::move(pc[k]);
+        m.idx = std::move(pi[k]);
+        hand_off(k, std::move(m));
+      }
+      local = !pk[r.id].empty();
+      if (local && pk[r.id].size() != n) {
+        w.keys = std::move(pk[r.id]);
+        w.counts = std::move(pc[r.id]);
+        d.idx = std::move(pi[r.id]);
+      }
     }
   }
-  if (!w.keys.empty()) {
+  if (local) {
     // An empty index is the identity: the part is the whole batch in
     // request order, and replicates the decoded frame itself.
     apply_work(r, w, d, d.idx.empty() ? &f : nullptr);
     p.fold(d);
     --p.parts_left;
+  } else if (p.parts_left == 0) {
+    // Nothing to apply (an empty batch, or a MAINTAIN range no slice
+    // meets): the empty fold is the answer.
+    r.stage_apply_ns.record(0);
   }
   // Done replies are drained only at this reactor's loop top (or by a
   // barrier that first waits for it to park), so the response can be
@@ -1939,7 +1932,21 @@ void server::route_batch(reactor& r, connection& c, const frame& f,
 void server::apply_work(reactor& r, const reactor_msg& w, reactor_msg& d,
                         const frame* whole) {
   const uint64_t t0 = obs::now_ns();
-  if (is_mutating(w.op)) {
+  if (w.op == opcode::maintain) {
+    const auto m = maintain_slice(r, w.begin, w.end, w.from_feed);
+    d.a = m.shards_grown;
+    d.b = m.total_levels;
+    d.depth = m.max_depth;
+  } else if (is_mutating(w.op)) {
+    // Periodic skew relief: every maintain_every-th part this reactor
+    // applies, it first grows the pressured shards of its own slice.  Feed
+    // parts never count: the primary's forwarded MAINTAIN frames drive
+    // replica growth at the same stream positions.
+    if (!w.from_feed && cfg_.maintain_every != 0 &&
+        ++r.parts_since_maintain >= cfg_.maintain_every) {
+      r.parts_since_maintain = 0;
+      maintain_slice(r, r.shard_begin, r.shard_end, /*from_feed=*/false);
+    }
     const pair_result res = apply_mutation(store_, w.op, w.keys, w.counts);
     d.a = res.ok;
     d.b = res.failed;
@@ -1971,6 +1978,33 @@ void server::apply_work(reactor& r, const reactor_msg& w, reactor_msg& d,
   r.stage_apply_ns.record(obs::now_ns() - t0);
 }
 
+store::filter_store::maintain_result server::maintain_slice(
+    reactor& r, uint32_t begin, uint32_t end, bool from_feed) {
+  // Growth swaps a shard's levels_ vector, so only the shard's one writer
+  // may run it: r owns [begin, end), and every mutation of those shards is
+  // applied on r.  Other reactors' bulk launches still visit these shards
+  // (per_shard runs one logical thread per shard of the store), but with
+  // empty spans, and insert_span, insert_counted_span and erase_span
+  // return before they touch levels_ when handed no keys; their reads
+  // probe only the shards they own (launch::caller).
+  const uint64_t t0 = obs::now_ns();
+  const auto m = store_.maintain_range(begin, end);
+  r.trace.add("store", "maintain", t0, obs::now_ns() - t0, "levels",
+              m.total_levels);
+  if (!from_feed) {
+    // A slice that is the whole store streams as the plain (unranged)
+    // MAINTAIN frame.
+    frame mf;
+    mf.op = opcode::maintain;
+    if (begin != 0 || end != store_.num_shards()) {
+      put_u32(mf.payload, begin);
+      put_u32(mf.payload, end);
+    }
+    replicate(r, mf);
+  }
+  return m;
+}
+
 void server::complete_part(reactor& r, uint64_t ticket,
                            const reactor_msg& d) {
   const auto it = r.pending.find(ticket);
@@ -1995,6 +2029,11 @@ void server::finish_resp(reactor& r, pending_resp& p) {
       case opcode::count:
         append_out(*p.conn, encode_count_response(p.client_seq, p.words));
         break;
+      case opcode::maintain:
+        append_out(*p.conn, encode_maintain_response(
+                                p.client_seq, static_cast<uint32_t>(p.a),
+                                p.depth, static_cast<uint32_t>(p.b)));
+        break;
       default:
         queue_mutation_response(r, *p.conn, p.from_feed, p.op, p.client_seq,
                                 p.key_count, p.a, p.b,
@@ -2011,14 +2050,14 @@ void server::finish_resp(reactor& r, pending_resp& p) {
 
 // -- Control plane (reactor 0, stop-the-world) --------------------------------
 
-void server::control(reactor& r, connection* c, const frame& f,
+void server::control(reactor& r, connection& c, const frame& f,
                      uint64_t t_start) {
   // Control ops execute on reactor 0 under the stop-the-world barrier:
   // inline when they arrive there, posted to it otherwise.  The
   // connection is pinned by `inflight` until the reply (built on reactor
   // 0, appended directly — the conn's owner is parked while the barrier
   // holds) is queued.
-  if (c != nullptr) ++c->inflight;
+  ++c.inflight;
   if (r.id == 0) {
     exec_ctrl(r, c, f, t_start);
     return;
@@ -2026,23 +2065,20 @@ void server::control(reactor& r, connection* c, const frame& f,
   reactor_msg m;
   m.k = reactor_msg::kind::ctrl;
   m.origin = r.id;
-  m.conn = c;
+  m.conn = &c;
   m.fr = f;
   m.a = t_start;
   post(r, 0, std::move(m));
 }
 
-void server::exec_ctrl(reactor& r, connection* c, const frame& f,
+void server::exec_ctrl(reactor& r, connection& c, const frame& f,
                        uint64_t t_start) {
+  // barrier: STATS, SNAPSHOT and SYNC read every shard's cascade and every
+  // lane's position, and the scrape reads reactor-local state — one
+  // consistent cut of all lanes, with their owners parked.
   stw([&] {
-    if (c == nullptr) {
-      // Synthesized maintain (a reactor's cadence) — no requester to
-      // answer.
-      maintain_all_slices(r, nullptr, f, obs::now_ns());
-      return;
-    }
-    if (c->inflight > 0) --c->inflight;
-    if (c->dead) return;
+    if (c.inflight > 0) --c.inflight;
+    if (c.dead) return;
     uint64_t t_applied = t_start;
     try {
       switch (f.op) {
@@ -2060,20 +2096,15 @@ void server::exec_ctrl(reactor& r, connection* c, const frame& f,
           else
             text = stats_json();
           t_applied = obs::now_ns();
-          append_out(*c, encode_stats_response(f.sequence, text));
-          break;
-        }
-        case opcode::maintain: {
-          maintain_all_slices(r, c, f, t_start);
-          t_applied = obs::now_ns();
+          append_out(c, encode_stats_response(f.sequence, text));
           break;
         }
         case opcode::snapshot: {
           if (cfg_.snapshot_path.empty()) {
-            append_out(*c, encode_error_response(
-                               opcode::snapshot, f.sequence,
-                               wire_status::unsupported,
-                               "server was started without a snapshot path"));
+            append_out(c, encode_error_response(
+                              opcode::snapshot, f.sequence,
+                              wire_status::unsupported,
+                              "server was started without a snapshot path"));
             break;
           }
           store::save_store(store_, cfg_.snapshot_path, repl_position());
@@ -2082,11 +2113,11 @@ void server::exec_ctrl(reactor& r, connection* c, const frame& f,
           t_applied = obs::now_ns();
           r.trace.add("store", "snapshot", t_start, t_applied - t_start,
                       "bytes", bytes);
-          append_out(*c, encode_snapshot_response(f.sequence, bytes));
+          append_out(c, encode_snapshot_response(f.sequence, bytes));
           break;
         }
         case opcode::sync: {
-          serve_sync(r, *c, f);
+          serve_sync(r, c, f);
           t_applied = obs::now_ns();
           break;
         }
@@ -2098,47 +2129,11 @@ void server::exec_ctrl(reactor& r, connection* c, const frame& f,
       // fault, not the stream's: answer with an error frame, keep the
       // connection.
       t_applied = obs::now_ns();
-      append_out(*c, encode_error_response(f.op, f.sequence,
-                                           wire_status::error, e.what()));
+      append_out(c, encode_error_response(f.op, f.sequence,
+                                          wire_status::error, e.what()));
     }
     record_frame(r, f.op, f.key_count, t_start, t_applied);
   });
-}
-
-void server::maintain_all_slices(reactor& r, connection* c, const frame& f,
-                                 uint64_t t_start) {
-  // Caller holds the stop-the-world barrier: the store has no other
-  // writer, and replicating per-slice frames on each reactor's own lane
-  // keeps every lane's stream a faithful replay of what its owner did.
-  // A ranged request ({u32 begin, u32 end} payload) grows only the
-  // shards of each slice inside its range.
-  const shard_range sr = decode_maintain_range(f);
-  uint64_t grown = 0, max_depth = 0, total = 0;
-  for (const auto& rx : reactors_) {
-    const uint32_t begin = std::max(sr.begin, rx->shard_begin);
-    const uint32_t end = std::min(sr.end, rx->shard_end);
-    if (begin >= end) continue;
-    const auto m = store_.maintain_range(begin, end);
-    grown += m.shards_grown;
-    max_depth = std::max<uint64_t>(max_depth, m.max_depth);
-    total += m.total_levels;
-    // A slice that is the whole store streams as the plain (unranged)
-    // MAINTAIN frame.
-    frame mf;
-    mf.op = opcode::maintain;
-    if (begin != 0 || end != store_.num_shards()) {
-      put_u32(mf.payload, begin);
-      put_u32(mf.payload, end);
-    }
-    replicate(*rx, mf);
-  }
-  r.trace.add("store", "maintain", t_start, obs::now_ns() - t_start,
-              "levels", total);
-  if (c != nullptr)
-    append_out(*c, encode_maintain_response(
-                       f.sequence, static_cast<uint32_t>(grown),
-                       static_cast<uint32_t>(max_depth),
-                       static_cast<uint32_t>(total)));
 }
 
 // -- Exposition ---------------------------------------------------------------

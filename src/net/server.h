@@ -46,16 +46,20 @@
 // in-band, and keeps serving reads if the primary dies.  A multi-reactor
 // server only follows a feed read-only.
 //
-// Control-plane frames (STATS / MAINTAIN / SNAPSHOT / SYNC), and the
-// maintain cadence, execute on reactor 0 inside a stop-the-world barrier:
-// inline when they arrive on reactor 0, posted to it otherwise.  Every
-// other reactor parks at its loop top, reactor 0 drains all mailboxes,
-// runs the operation against the quiesced store, and releases the
-// barrier (with no other reactor, the barrier is a plain call).  This is
-// what makes a metrics scrape, a snapshot, or a SYNC bootstrap observe one
-// consistent cut of all lanes — including every frame pipelined ahead of
-// it on the same connection.  The 1-reactor metrics exposition keeps the
-// pre-lane schema: no lane="k" labels, no per-reactor gauge families.
+// MAINTAIN is a data op: each reactor whose slice meets the requested
+// shard range grows that part of it and replicates the pass on its own
+// lane, and the maintain cadence runs the same pass on the reactor that
+// counts it, so no data frame ever stops another reactor.  Control-plane
+// frames (STATS / SNAPSHOT / SYNC) execute on reactor 0 inside a
+// stop-the-world barrier (counted in stats().barriers): inline when they
+// arrive on reactor 0, posted to it otherwise.  Every other reactor parks
+// at its loop top, reactor 0 drains all mailboxes, runs the operation
+// against the quiesced store, and releases the barrier (with no other
+// reactor, the barrier is a plain call).  This is what makes a metrics
+// scrape, a snapshot, or a SYNC bootstrap observe one consistent cut of
+// all lanes — including every frame pipelined ahead of it on the same
+// connection.  The 1-reactor metrics exposition keeps the pre-lane
+// schema: no lane="k" labels, no per-reactor gauge families.
 //
 // Hostile input: a structurally malformed frame (frame.h) or a payload
 // that disagrees with its opcode's shape (codec.h) condemns the
@@ -114,17 +118,15 @@ struct server_config {
   /// responses stalls itself (TCP pushes back through the kernel buffers)
   /// instead of growing server memory without bound.
   size_t max_queued_response_bytes = size_t{1} << 22;  // 4 MiB
-  /// Run store.maintain() after every N mutating op frames (0 disables):
-  /// sustained skewed wire traffic grows hot-shard overflow cascades
-  /// (store/shard.h) without any client having to send MAINTAIN.  The
-  /// cadence counts per reactor; the pass runs on reactor 0 under the
-  /// stop-the-world barrier (before the triggering batch when that batch
-  /// arrived on reactor 0), so it is host-phased by construction, and is
-  /// replicated as one frame per lane (ranged to the lane's shard slice
-  /// unless the slice is the whole store).  On a replica the feed's
-  /// forwarded MAINTAIN frames drive growth instead, keeping cascade
-  /// shapes in lockstep with the primary (feed traffic never triggers the
-  /// local cadence).
+  /// Grow pressured shards after every N mutating batch parts a reactor
+  /// applies (0 disables), so sustained skewed wire traffic grows
+  /// hot-shard overflow cascades (store/shard.h) without any client
+  /// sending MAINTAIN.  Each reactor counts the client parts it applies
+  /// (an empty batch has none) and, on every Nth, first maintains its own
+  /// shard slice — no other reactor waits — replicating the pass on its
+  /// own lane (ranged unless the slice is the whole store; at one reactor
+  /// a part is the frame).  On a replica the feed's forwarded MAINTAIN
+  /// frames drive growth instead, keeping cascade shapes in lockstep.
   uint32_t maintain_every = 64;
   int backlog = 64;
   /// Event capacity of the in-memory trace ring (obs/trace.h): frame
@@ -243,6 +245,7 @@ struct server_stats {
   uint64_t protocol_errors = 0;  ///< malformed frames / truncated streams
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
+  uint64_t barriers = 0;  ///< stop-the-world sections entered (stw() calls)
 
   // Replication, primary side.
   uint64_t repl_seq = 0;           ///< mutation-stream position (multi-lane:
@@ -359,8 +362,8 @@ class server {
   /// was condemned.
   bool drain_frames(reactor& r, connection& c);
   bool flush_writes(reactor& r, connection& c);  ///< false when peer gone
-  /// Client frames: data ops go through route_batch, control ops (and
-  /// the maintain cadence) through control().
+  /// Client frames: data ops and MAINTAIN go through route_batch, STATS /
+  /// SNAPSHOT / SYNC through control().
   void handle_frame(reactor& r, connection& c, const frame& f);
   /// Close out one frame's timing: apply/encode stages, per-opcode
   /// latency, and its trace event.
@@ -432,25 +435,25 @@ class server {
   void assign_shards();
   bool owns_every_shard(const reactor& r) const;
   /// Apply a data batch: partition it by owning reactor (unless r owns
-  /// every shard), apply the local part inline, hand remote parts to their
-  /// owners, and park the response until every part folded back.
+  /// every shard; a MAINTAIN splits by slice), apply the local part
+  /// inline, hand remote parts to their owners, and park the response
+  /// until every part folded back.
   void route_batch(reactor& r, connection& c, const frame& f, bool from_feed,
                    uint64_t t_start);
   /// Execute one part on its owning reactor, filling the done reply.
   /// `whole` is the request frame when the part is all of it.
   void apply_work(reactor& r, const reactor_msg& w, reactor_msg& d,
                   const frame* whole = nullptr);
+  /// Grow the pressured shards of [begin, end) — a slice r owns — and,
+  /// unless the pass came off the feed, replicate it on r's lane.
+  store::filter_store::maintain_result maintain_slice(
+      reactor& r, uint32_t begin, uint32_t end, bool from_feed);
   void complete_part(reactor& r, uint64_t ticket, const reactor_msg& d);
   void finish_resp(reactor& r, pending_resp& p);
-  /// Run a control op (c == nullptr: a cadence maintain) on reactor 0:
-  /// inline when r is reactor 0, posted to it otherwise.
-  void control(reactor& r, connection* c, const frame& f, uint64_t t_start);
-  void exec_ctrl(reactor& r, connection* c, const frame& f, uint64_t t_start);
-  /// Stop-the-world maintenance over every reactor's slice (within the
-  /// request's range, if any), replicated per lane; responds on `c` when
-  /// non-null.
-  void maintain_all_slices(reactor& r, connection* c, const frame& f,
-                           uint64_t t_start);
+  /// Run a control op on reactor 0: inline when r is reactor 0, posted to
+  /// it otherwise.
+  void control(reactor& r, connection& c, const frame& f, uint64_t t_start);
+  void exec_ctrl(reactor& r, connection& c, const frame& f, uint64_t t_start);
   bool process_inboxes(reactor& r);
   void dispatch_msg(reactor& r, reactor_msg& m);
   void post(reactor& from, uint32_t to, reactor_msg&& m);

@@ -501,6 +501,8 @@ class shard {
   /// budget headroom, else the deepest — with strict placement accounting;
   /// refusals surface as failures and trigger growth instead of risking
   /// count loss.
+  /// Membership is read with one contains_each per level, the backend's
+  /// batch probe, not a point lookup (and its locks) per key.
   uint64_t cascade_bulk_insert(std::span<const uint64_t> keys) {
     const uint64_t n = keys.size();
     // Compress once in front of the walk for backends without native
@@ -550,6 +552,7 @@ class shard {
 
     std::vector<uint64_t> hold_k, hold_c;  // backing for cur after level 0
     std::vector<uint64_t> rem_k, rem_c;    // remainder being built
+    std::vector<uint8_t> hit;              // a level's answers, reused
     uint64_t unanswered = n;
     for (size_t l = 0; l <= deepest && !cur_k.empty(); ++l) {
       any_filter& f = *levels_[l];
@@ -570,9 +573,11 @@ class shard {
         // Bottom of the cascade: credit what the level answers (placed or
         // aliased, same as the fall-through rule) — only keys the whole
         // cascade cannot answer are real refusals.
+        hit.resize(cur_k.size());
+        f.contains_each(cur_k, hit);
         uint64_t answered = 0;
         for (size_t i = 0; i < cur_k.size(); ++i)
-          if (f.contains(cur_k[i])) answered += counted ? cur_c[i] : 1;
+          if (hit[i]) answered += counted ? cur_c[i] : 1;
         uint64_t credit = answered > got ? answered : got;
         unanswered -= credit;
         if (l > 0) note_overflow(credit);
@@ -580,9 +585,11 @@ class shard {
       }
       rem_k.clear();
       rem_c.clear();
+      hit.resize(cur_k.size());
+      f.contains_each(cur_k, hit);
       uint64_t still = 0;
       for (size_t i = 0; i < cur_k.size(); ++i) {
-        if (f.contains(cur_k[i])) continue;  // answered by this level
+        if (hit[i]) continue;  // answered by this level
         rem_k.push_back(cur_k[i]);
         if (counted) rem_c.push_back(cur_c[i]);
         still += counted ? cur_c[i] : 1;
@@ -609,6 +616,7 @@ class shard {
     if (levels_.size() == 1) return levels_.front()->erase_bulk(keys);
     uint64_t ok = 0;
     std::vector<uint64_t> mine, hold, rest;
+    std::vector<uint8_t> hit;  // a level's answers, reused
     std::span<const uint64_t> cur = keys;
     for (size_t l = 0; l < levels_.size() && !cur.empty(); ++l) {
       any_filter& f = *levels_[l];
@@ -619,7 +627,10 @@ class shard {
       }
       mine.clear();
       rest.clear();
-      for (uint64_t k : cur) (f.contains(k) ? mine : rest).push_back(k);
+      hit.resize(cur.size());
+      f.contains_each(cur, hit);
+      for (size_t i = 0; i < cur.size(); ++i)
+        (hit[i] ? mine : rest).push_back(cur[i]);
       if (!mine.empty()) ok += f.erase_bulk(mine);
       hold.swap(rest);
       cur = hold;

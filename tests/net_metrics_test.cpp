@@ -354,6 +354,7 @@ counter gf_server_bytes_total{dir="in"}
 counter gf_server_bytes_total{dir="out"}
 counter gf_server_connections_total{event="accepted"}
 counter gf_server_connections_total{event="closed"}
+counter gf_server_barriers_total
 counter gf_server_read_only_refusals_total
 counter gf_trace_events_total
 counter gf_repl_frames_forwarded_total
@@ -430,6 +431,7 @@ counter gf_server_bytes_total{dir="in"}
 counter gf_server_bytes_total{dir="out"}
 counter gf_server_connections_total{event="accepted"}
 counter gf_server_connections_total{event="closed"}
+counter gf_server_barriers_total
 counter gf_server_read_only_refusals_total
 counter gf_trace_events_total
 counter gf_repl_frames_forwarded_total
@@ -575,6 +577,7 @@ const surface_row kServerSurfaces[] = {
     {&ss::bytes_out, R"(gf_server_bytes_total{dir="out"})", "server", "bytes_out"},
     {&ss::connections_accepted, R"(gf_server_connections_total{event="accepted"})", "server", "connections_accepted"},
     {&ss::connections_closed, R"(gf_server_connections_total{event="closed"})", "server", "connections_closed"},
+    {&ss::barriers, "gf_server_barriers_total", "server", "barriers"},
     {&ss::read_only_refusals, "gf_server_read_only_refusals_total", "replication", "read_only_refusals"},
     {&ss::frames_forwarded, "gf_repl_frames_forwarded_total", "replication", "frames_forwarded"},
     {&ss::subscriber_drops, "gf_repl_dropped_subscribers_total", "replication", "subscriber_drops"},

@@ -7,10 +7,12 @@
 //   * the shutdown fan-out regression: request_stop() must wake *every*
 //     reactor, including ones whose only connections are idle or parked
 //     mid-frame — a stop that only woke reactor 0 deadlocks the join;
-//   * control-plane ops (STATS/MAINTAIN/SNAPSHOT) executing on reactor 0
-//     under the stop-the-world barrier while data traffic flows, at one
-//     reactor and at four, and reading the writes pipelined ahead of them
-//     on the same connection;
+//   * control-plane ops (STATS/SNAPSHOT) executing on reactor 0 under the
+//     stop-the-world barrier while data traffic flows, at one reactor and
+//     at four, and reading the writes pipelined ahead of them on the same
+//     connection;
+//   * MAINTAIN, client-sent or the cadence's, running on each slice's
+//     owner with no barrier at all;
 //   * reactor-count clamping (more reactors than shards).
 #include <gtest/gtest.h>
 
@@ -89,8 +91,12 @@ void expect_wire_matches_direct(store::backend_kind backend,
     const uint64_t direct_ok = direct.insert_bulk(copy);
     EXPECT_EQ(wire.ok, direct_ok) << ctx;
     if (grow) {
-      cli.maintain();
-      direct.maintain();
+      // Each owner grows its slice; the folded reply is the whole store's.
+      const net::maintain_reply wire_m = cli.maintain();
+      const auto direct_m = direct.maintain();
+      EXPECT_EQ(wire_m.shards_grown, direct_m.shards_grown) << ctx;
+      EXPECT_EQ(wire_m.max_depth, direct_m.max_depth) << ctx;
+      EXPECT_EQ(wire_m.total_levels, direct_m.total_levels) << ctx;
     }
   }
   if (grow) {
@@ -168,9 +174,9 @@ TEST(NetReactor, FourReactorEquivalence) {
 }
 
 TEST(NetReactor, ControlPlaneUnderTraffic) {
-  // Control ops run on reactor 0 at every reactor count: inline when they
-  // arrive there, posted to it (and run under the stop-the-world barrier)
-  // otherwise.
+  // STATS runs on reactor 0 under the stop-the-world barrier at every
+  // reactor count: inline when it arrives there, posted to it otherwise.
+  // MAINTAIN is routed to the owners of the slices it grows.
   for (uint32_t reactors : {1u, 4u}) {
     live_server ls{reactor_config(reactors),
                    store::filter_store(shard_config())};
@@ -290,6 +296,54 @@ TEST(NetReactor, ControlOpsReadTheirOwnWrites) {
     }
   }
   std::remove(path.c_str());
+}
+
+TEST(NetReactor, DataPathTakesNoBarrier) {
+  // Every data frame — MAINTAIN and the cadence's growth passes (here one
+  // before every part) included — runs on the reactors that own its
+  // shards.  Only the closing STATS stops the world.
+  for (uint32_t reactors : {1u, 2u, 4u}) {
+    const std::string ctx = "reactors=" + std::to_string(reactors);
+    net::server_config cfg = reactor_config(reactors);
+    cfg.maintain_every = 1;
+    live_server ls{std::move(cfg), store::filter_store(shard_config())};
+    // Round-robin accept: on reactor 0, then on reactor 1 (at one
+    // reactor, both on 0).
+    auto on_zero = ls.connect();
+    on_zero.ping();
+    auto on_one = ls.connect();
+    on_one.ping();
+
+    uint64_t seed = 500;
+    for (net::client* cli : {&on_zero, &on_one}) {
+      const auto keys = util::hashed_xorwow_items(2048, ++seed);
+      std::span<const uint64_t> span(keys);
+      const std::vector<uint64_t> twos(512, 2);
+      const uint64_t s_ins = cli->submit_insert(span);
+      const uint64_t s_cnt =
+          cli->submit_insert_counted(span.subspan(0, 512), twos);
+      const uint64_t s_erase = cli->submit_erase(span.subspan(1024, 256));
+      const uint64_t s_maint = cli->submit_control(net::opcode::maintain);
+      EXPECT_EQ(net::decode_pair_response(
+                    cli->expect_ok(s_ins, net::opcode::insert))
+                    .ok,
+                keys.size())
+          << ctx;
+      cli->expect_ok(s_cnt, net::opcode::insert_counted);
+      cli->expect_ok(s_erase, net::opcode::erase);
+      const net::maintain_reply m = net::decode_maintain_response(
+          cli->expect_ok(s_maint, net::opcode::maintain));
+      EXPECT_GE(m.total_levels, 8u) << ctx << ": every shard reports";
+    }
+    EXPECT_EQ(ls.srv.stats().barriers, 0u) << ctx;
+
+    // The STATS JSON is rendered inside its own barrier.
+    const std::string js = on_one.stats_json();
+    const std::string key = "\"barriers\":";
+    const size_t at = js.find(key);
+    ASSERT_NE(at, std::string::npos) << ctx;
+    EXPECT_EQ(std::stoull(js.substr(at + key.size())), 1u) << ctx;
+  }
 }
 
 TEST(NetReactor, ReactorCountClampsToShards) {

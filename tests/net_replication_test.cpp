@@ -475,26 +475,32 @@ TEST(NetReplication, ClientRefusesRawSyncSubmit) {
 
 TEST(NetReplication, MultiReactorPrimaryByteIdenticalReplica) {
   // A 4-reactor primary stamps each reactor's applied slices on its own
-  // replication lane (net/lane.h).  A single-loop replica receives all
-  // four lanes over its one feed connection — lane table in the
-  // bootstrap, per-lane sequence tracking live — and must still end
-  // byte-identical: each shard's operation stream is exactly one lane's,
-  // in lane order.
+  // replication lane (net/lane.h).  A replica receives all four lanes over
+  // its one feed connection — lane table in the bootstrap, per-lane
+  // sequence tracking live — and must still end byte-identical: each
+  // shard's operation stream is exactly one lane's, in lane order.  The
+  // single-loop replica applies every lane itself; the 2-reactor one
+  // routes each feed frame, MAINTAIN included, to the owners of its
+  // shards.
   net::server_config pcfg;
   pcfg.reactors = 4;
-  pcfg.maintain_every = 16;  // force synthesized STW maintains mid-stream
+  pcfg.maintain_every = 1;  // each reactor grows its slice before every part
   auto cfg = small_config(store::backend_kind::tcf);
   cfg.num_shards = 8;
   live_server primary{store::filter_store(cfg), pcfg};
   auto cli = primary.connect();
 
-  // History before the replica exists: the snapshot must carry the lane
+  // History before the replicas exist: the snapshot must carry the lane
   // table alongside it.
   auto base = util::hashed_xorwow_items(30000, 1901);
   cli.insert(base);
 
   live_server replica = make_replica(primary);
+  net::server_config wide = replica_config();
+  wide.reactors = 2;
+  live_server wide_replica = make_replica(primary, wide);
   EXPECT_EQ(replica.srv.store().size(), primary.srv.store().size());
+  EXPECT_EQ(wide_replica.srv.store().size(), primary.srv.store().size());
 
   // Live phase across every mutating opcode, partitioned to all four
   // reactors per batch.
@@ -506,24 +512,33 @@ TEST(NetReplication, MultiReactorPrimaryByteIdenticalReplica) {
   for (size_t i = 0; i < counts.size(); ++i) counts[i] = 1 + i % 3;
   cli.insert_counted(fresh_span.subspan(0, 2000), counts);
   cli.erase(std::span<const uint64_t>(base).subspan(0, 5000));
-  cli.maintain();  // explicit stop-the-world maintain, replicated ranged
+  cli.maintain();  // each owner grows its slice, replicated ranged
 
   ASSERT_TRUE(converged(primary, replica));
+  ASSERT_TRUE(converged(primary, wide_replica));
 
   std::vector<uint64_t> probes = base;
   probes.insert(probes.end(), fresh.begin(), fresh.end());
   auto absent = util::hashed_xorwow_items(50000, 1903);
   probes.insert(probes.end(), absent.begin(), absent.end());
-
-  auto rcli = replica.connect();
-  EXPECT_EQ(rcli.query_bitmap(probes), cli.query_bitmap(probes));
   auto probe_counts = std::span<const uint64_t>(probes).subspan(20000, 20000);
-  EXPECT_EQ(rcli.counts(probe_counts), cli.counts(probe_counts));
+  const auto want_bits = cli.query_bitmap(probes);
+  const auto want_counts = cli.counts(probe_counts);
 
+  // Each replica's first connection lands on its reactor 0, the feed's
+  // owner, so its parts queue behind the feed's in the same mailboxes.
+  for (live_server* r : {&replica, &wide_replica}) {
+    auto rcli = r->connect();
+    EXPECT_EQ(rcli.query_bitmap(probes), want_bits);
+    EXPECT_EQ(rcli.counts(probe_counts), want_counts);
+  }
+
+  wide_replica.stop();
   replica.stop();
   primary.stop();
-  EXPECT_EQ(store::serialize_store(replica.srv.store()),
-            store::serialize_store(primary.srv.store()));
+  const std::string bytes = store::serialize_store(primary.srv.store());
+  EXPECT_EQ(store::serialize_store(replica.srv.store()), bytes);
+  EXPECT_EQ(store::serialize_store(wide_replica.srv.store()), bytes);
 }
 
 TEST(NetReplication, MultiReactorReplicaChainsDownstream) {

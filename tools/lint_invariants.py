@@ -44,6 +44,13 @@ Checks enforced:
    store reads through the backends' serial contains_each/count_each, so
    per_shard and probe_each stay the only places it parallelises.
 
+7. barrier-site: every call of the stop-the-world barrier (`stw(`) in
+   src/net/ must carry a "barrier:" comment (same line or above, like the
+   relaxed rule) naming why that operation needs a consistent cut of all
+   lanes.  Data frames, MAINTAIN included, run on the reactors that own
+   their shards; the comment keeps the barrier from creeping back onto the
+   data path unnoticed.
+
 Exit status: 0 clean, 1 violations (printed one per line as
 file:line: message).
 """
@@ -70,6 +77,9 @@ LANE_RE = re.compile(r"lane:")
 NR_BRANCH_RE = re.compile(
     r"\bnr_\s*(?:==|!=|<=|>=|<|>)\s*[12]\b|\b[12]\s*(?:==|!=|<=|>=|<|>)\s*nr_\b")
 SINGLE_LOOP_RE = re.compile(r"single-loop:")
+# stw( calls; park_for_stw and the declaration/definition are not calls.
+STW_CALL_RE = re.compile(r"(?<![\w:])stw\s*\(")
+BARRIER_RE = re.compile(r"barrier:")
 STORE_OP_RE = re.compile(r"\bstore::(?:op|make_(?:insert|erase|query))\b")
 POOL_READ_RE = re.compile(r"(?:\.|->)\s*count_contained\s*\(|\bbulk_count_contained\s*\(")
 # A new function starts at an unindented definition line ("inline ...",
@@ -129,6 +139,24 @@ def check_reactor_count_branches(path: Path, lines: list[str],
         )
 
 
+def check_barrier_sites(path: Path, lines: list[str],
+                        errors: list[str]) -> None:
+    for i, line in enumerate(lines):
+        code = line.split("//", 1)[0]  # prose about stw() is not a call
+        if not STW_CALL_RE.search(code) or re.match(r"\s*void\s", code):
+            continue
+        if BARRIER_RE.search(line):
+            continue
+        window = lines[max(0, i - LOOKBACK_LINES):i]
+        if any(BARRIER_RE.search(w) for w in window):
+            continue
+        errors.append(
+            f"{path.relative_to(REPO)}:{i + 1}: stop-the-world call without "
+            f'a "barrier:" comment (same line or above) naming why it needs '
+            f"a consistent cut of all lanes"
+        )
+
+
 def check_store_ops(path: Path, lines: list[str], errors: list[str]) -> None:
     for i, line in enumerate(lines):
         code = line.split("//", 1)[0]  # prose may name the op vocabulary
@@ -179,6 +207,7 @@ def main() -> int:
         check_mailbox_ownership(path, lines, errors)
         if path.parent == REPO / "src" / "net":
             check_reactor_count_branches(path, lines, errors)
+            check_barrier_sites(path, lines, errors)
         if path.parent in (REPO / "src" / "net", REPO / "src" / "persist"):
             check_store_ops(path, lines, errors)
         if path.parent in (REPO / "src" / "store", REPO / "src" / "net"):
