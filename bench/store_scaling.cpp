@@ -18,7 +18,11 @@
 // ERASE frames into a table held at 60 % load.  A bulk launch covers only
 // the blocks a frame touches, so the larger table may cost more per frame
 // through cache misses, never through work proportional to its size; CI
-// bounds the 2^22 / 2^16 ratio.
+// bounds the 2^22 / 2^16 ratio.  The point TCF's rows follow: 2048-key
+// frames into a table at 33 % load, at 2^16 and 2^26 slots, where CI
+// bounds the 2^26 / 2^16 insert ratio (the batch pipeline keeps a frame's
+// block fetches in flight, so the DRAM-sized table costs a bounded
+// multiple of the cache-resident one).
 //
 // --json FILE writes one JSON object per line per measurement (plus
 // derived bulk-vs-point speedups and insert-failure rates); CI gates on
@@ -33,7 +37,8 @@
 //             zipf_overflow_maint_mops, zipf_overflow_maint_fail_rate,
 //             zipf_overflow_maint_depth, zipf_overflow_nomaint_mops,
 //             zipf_overflow_nomaint_fail_rate, batched_ops_mops,
-//             bulk_query_mops, btcf_frame_insert_us, btcf_frame_erase_us
+//             bulk_query_mops, btcf_frame_insert_us, btcf_frame_erase_us,
+//             tcf_frame_insert_us, tcf_frame_erase_us
 //   value     4 decimal places: Mops/s unless the name says otherwise
 //             (*_fail_rate is a fraction in [0,1], *_depth a cascade
 //             level count, *_us microseconds per frame)
@@ -52,6 +57,7 @@
 #include "gpu/thread_pool.h"
 #include "store/store.h"
 #include "tcf/bulk_tcf.h"
+#include "tcf/tcf.h"
 #include "util/json.h"
 #include "util/timer.h"
 #include "util/zipf.h"
@@ -270,6 +276,47 @@ void btcf_frame_cost() {
   }
 }
 
+constexpr uint64_t kTcfFrameKeys = 2048;
+constexpr int kTcfFrameSizes[] = {16, 26};
+
+/// Median microseconds per 2048-key INSERT and ERASE frame (one
+/// wire_bulk_tcf reactor part) on a point TCF held at 33 % load, timed as
+/// btcf_frame_cost() times its frames but on one pool worker: a reactor
+/// part reaches the filter inside the store's per-shard launch, where the
+/// filter's own launch runs inline.  A 2^16-slot table is cache resident
+/// and a 2^26-slot one is not, so their ratio is what a frame pays for
+/// DRAM fetches the batch pipeline does not overlap.
+void tcf_frame_cost() {
+  std::vector<std::string> cols = {"insert", "erase"};
+  bench::print_series_header("tcf 2048-key frame us (33% load)", cols);
+  for (int log_size : kTcfFrameSizes) {
+    tcf::point_tcf f(uint64_t{1} << log_size);
+    const uint64_t prefill = f.capacity() * 33 / 100;
+    auto keys = util::hashed_xorwow_items(
+        prefill + kFramesTimed * kTcfFrameKeys, 9600 + log_size);
+    f.insert_bulk(std::span<const uint64_t>(keys).first(prefill));
+    std::vector<double> ins_us, era_us;
+    gpu::launch_ranges(1, [&](unsigned, uint64_t, uint64_t) {
+      for (int i = 0; i < kFramesTimed; ++i) {
+        std::span<const uint64_t> frame(
+            keys.data() + prefill + i * kTcfFrameKeys, kTcfFrameKeys);
+        util::wall_timer t;
+        f.insert_bulk(frame);
+        ins_us.push_back(t.seconds() * 1e6);
+        t.reset();
+        f.erase_bulk(frame);
+        era_us.push_back(t.seconds() * 1e6);
+      }
+    });
+    std::vector<double> vals = {median(ins_us), median(era_us)};
+    bench::print_series_row(log_size, vals);
+    emit_json(store::backend_kind::tcf, 1, log_size, "tcf_frame_insert_us",
+              vals[0]);
+    emit_json(store::backend_kind::tcf, 1, log_size, "tcf_frame_erase_us",
+              vals[1]);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -293,6 +340,7 @@ int main(int argc, char** argv) {
   sweep_backend(store::backend_kind::blocked_bloom, opts);
   sweep_backend(store::backend_kind::bulk_tcf, opts);
   btcf_frame_cost();
+  tcf_frame_cost();
 
   if (g_json) std::fclose(g_json);
   return 0;

@@ -226,7 +226,8 @@ struct server::reactor_msg {
                                            ///< slice; done's deepest cascade
   std::vector<uint64_t> keys;    ///< work: this reactor's slice of the batch
   std::vector<uint64_t> counts;  ///< work: insert_counted companions
-  std::vector<uint64_t> vals;    ///< done: per-key answers (query/count)
+  std::vector<uint64_t> vals;    ///< done: per-key counts (count)
+  std::vector<uint8_t> hits;     ///< done: per-key membership (query)
   std::vector<uint32_t> idx;     ///< positions in the original batch
   uint64_t a = 0, b = 0;         ///< done: (ok, failed) or (grown,
                                  ///< levels); ctrl: t_start
@@ -261,12 +262,11 @@ struct server::pending_resp {
       if (d.part_seq != 0) part_seqs.push_back(d.part_seq);
       return;
     }
-    for (size_t j = 0; j < d.vals.size(); ++j) {
+    for (size_t j = 0; j < d.vals.size(); ++j)
+      words[d.idx.empty() ? j : d.idx[j]] = d.vals[j];
+    for (size_t j = 0; j < d.hits.size(); ++j) {
       const size_t i = d.idx.empty() ? j : d.idx[j];
-      if (d.op == opcode::count)
-        words[i] = d.vals[j];
-      else if (d.vals[j])
-        words[i >> 6] |= uint64_t{1} << (i & 63);
+      words[i >> 6] |= uint64_t{d.hits[j] != 0} << (i & 63);
     }
   }
 };
@@ -1967,9 +1967,8 @@ void server::apply_work(reactor& r, const reactor_msg& w, reactor_msg& d,
                            ? store::filter_store::launch::pool
                            : store::filter_store::launch::caller;
     if (w.op == opcode::query) {
-      std::vector<uint8_t> hits(w.keys.size());
-      store_.contains_each(w.keys, hits, where);
-      d.vals.assign(hits.begin(), hits.end());
+      d.hits.resize(w.keys.size());
+      store_.contains_each(w.keys, d.hits, where);
     } else {
       d.vals.resize(w.keys.size());
       store_.count_each(w.keys, d.vals, where);

@@ -28,6 +28,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <vector>
@@ -102,69 +103,25 @@ class tcf {
   /// Insert a key; returns false only when both blocks and the backing
   /// table are full (the filter is beyond its stable load factor).
   bool insert(uint64_t key, uint16_t value = 0) {
-    const hashed h = hash_key(key);
-    const uint16_t composite = make_composite(h.fp, value);
-    gpu::cooperative_group cg(cfg_.cg_size);
-
-    block_type& primary = blocks_[h.b1];
-    GF_COUNT(cache_lines_touched, 1);
-    unsigned fill1 = block_fill(primary);
-    if (cfg_.enable_shortcut && fill1 < shortcut_threshold_) {
-      if (block_insert(primary, composite, cg)) {
-        GF_COUNT(shortcut_inserts, 1);
-        // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
-        live_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    block_type& secondary = blocks_[h.b2];
-    GF_COUNT(cache_lines_touched, 1);
-    unsigned fill2 = block_fill(secondary);
-    block_type& first = fill1 <= fill2 ? primary : secondary;
-    block_type& second = fill1 <= fill2 ? secondary : primary;
-    if (block_insert(first, composite, cg) ||
-        block_insert(second, composite, cg)) {
-      // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
-      live_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    if (cfg_.enable_backing && backing_.insert(h.h1, h.h2, composite)) {
-      GF_COUNT(backing_inserts, 1);
-      // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
-      live_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
+    return insert_hashed(hash_key(key), value);
   }
 
   /// Membership query: probes the two candidate blocks, then (for negative
   /// results) the backing table (§6.1's negative-query overhead).
   bool contains(uint64_t key) const { return probe(hash_key(key)); }
 
-  /// Keys hashed ahead of the one being probed by contains_each().
+  /// Keys hashed ahead of the one being operated on by every batch call.
   static constexpr size_t kPrefetchDistance = 16;
 
   /// Batched membership: calls sink(i, contains(keys[i])) for every i, in
-  /// order, on the calling thread (no pool launch).  A point probe spends
-  /// nearly all its time waiting on its block's cache line; this pipeline
-  /// hashes kPrefetchDistance keys ahead and prefetches both candidate
-  /// blocks and the first backing-table slot, so many line fetches are in
-  /// flight while earlier keys are probed.  The answer is contains()'s —
-  /// the same probe runs on the same hash.
+  /// order, on the calling thread (no pool launch).  It runs the probe
+  /// through pipelined(), the hash-ahead prefetch pipeline the batch
+  /// inserts and erases share; the answer is contains()'s — the same
+  /// probe runs on the same hash.
   template <class Sink>
   void contains_each(std::span<const uint64_t> keys, Sink&& sink) const {
-    constexpr size_t kMask = kPrefetchDistance - 1;
-    static_assert((kPrefetchDistance & kMask) == 0);
-    hashed ring[kPrefetchDistance]{};
-    const size_t n = keys.size();
-    for (size_t i = 0; i < n && i < kPrefetchDistance; ++i)
-      ring[i] = prefetch(hash_key(keys[i]));
-    for (size_t i = 0; i < n; ++i) {
-      const hashed h = ring[i & kMask];
-      if (i + kPrefetchDistance < n)
-        ring[i & kMask] = prefetch(hash_key(keys[i + kPrefetchDistance]));
-      sink(i, probe(h));
-    }
+    pipelined(0, keys.size(), [&](uint64_t i) { return keys[i]; },
+              [&](uint64_t i, const hashed& h) { sink(i, probe(h)); });
   }
 
   /// Value lookup (ValBits > 0): value stored with the fingerprint, or
@@ -182,62 +139,45 @@ class tcf {
   }
 
   /// Delete one instance of the key (tombstone CAS; §6.4).
-  bool erase(uint64_t key) {
-    const hashed h = hash_key(key);
-    for (uint64_t b : {h.b1, h.b2}) {
-      block_type& blk = blocks_[b];
-      // Retry while a matching slot exists: a failed claim means some other
-      // operation completed (lock-free progress), most often a neighbor-
-      // slot write invalidating the packed-12 word.
-      for (;;) {
-        int slot = block_find(blk, h.fp);
-        if (slot < 0) break;
-        uint16_t observed = blk.load(static_cast<unsigned>(slot));
-        if (static_cast<uint16_t>(observed >> ValBits) == h.fp &&
-            blk.try_delete(static_cast<unsigned>(slot), observed)) {
-          // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
-          live_.fetch_sub(1, std::memory_order_relaxed);
-          return true;
-        }
-      }
-    }
-    if (cfg_.enable_backing && backing_.erase(h.h1, h.h2, h.fp, ValBits)) {
-      // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
-      live_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
+  bool erase(uint64_t key) { return erase_hashed(hash_key(key)); }
 
   // -- Host-side bulk helpers (parallel over the device) -------------------
+  //
+  // Each batch call gives every pool worker one contiguous range of the
+  // batch and runs it through pipelined(), so a worker keeps up to
+  // kPrefetchDistance keys' block fetches in flight — the CPU analogue of
+  // the thousands of GPU threads whose outstanding loads make the TCF
+  // fast (§4).  Within a range keys are applied in batch order, so on a
+  // serial pool (width 1, or a launch nested in another) a batch call
+  // places every key exactly where the point loop would.
 
-  /// Insert a batch with one logical GPU thread per item; returns the
-  /// number successfully inserted (== keys.size() below the stable load).
+  /// Insert a batch; returns the number successfully inserted
+  /// (== keys.size() below the stable load).
   uint64_t insert_bulk(std::span<const uint64_t> keys) {
-    std::atomic<uint64_t> ok{0};
-    gpu::launch_threads(keys.size(), [&](uint64_t i) {
-      // relaxed: worker-private tally; the launch join publishes it to the reader.
-      if (insert(keys[i])) ok.fetch_add(1, std::memory_order_relaxed);
+    return sum_over_ranges(keys.size(), [&](uint64_t begin, uint64_t end) {
+      uint64_t ok = 0;
+      pipelined(begin, end, [&](uint64_t i) { return keys[i]; },
+                [&](uint64_t, const hashed& h) { ok += insert_hashed(h); });
+      return ok;
     });
-    return ok.load();
   }
 
   uint64_t count_contained(std::span<const uint64_t> keys) const {
-    std::atomic<uint64_t> found{0};
-    gpu::launch_threads(keys.size(), [&](uint64_t i) {
-      // relaxed: worker-private tally; the launch join publishes it to the reader.
-      if (contains(keys[i])) found.fetch_add(1, std::memory_order_relaxed);
+    return sum_over_ranges(keys.size(), [&](uint64_t begin, uint64_t end) {
+      uint64_t found = 0;
+      contains_each(keys.subspan(begin, end - begin),
+                    [&](size_t, bool hit) { found += hit; });
+      return found;
     });
-    return found.load();
   }
 
   uint64_t erase_bulk(std::span<const uint64_t> keys) {
-    std::atomic<uint64_t> ok{0};
-    gpu::launch_threads(keys.size(), [&](uint64_t i) {
-      // relaxed: worker-private tally; the launch join publishes it to the reader.
-      if (erase(keys[i])) ok.fetch_add(1, std::memory_order_relaxed);
+    return sum_over_ranges(keys.size(), [&](uint64_t begin, uint64_t end) {
+      uint64_t ok = 0;
+      pipelined(begin, end, [&](uint64_t i) { return keys[i]; },
+                [&](uint64_t, const hashed& h) { ok += erase_hashed(h); });
+      return ok;
     });
-    return ok.load();
   }
 
   /// Sorted-slab bulk insert: order the batch by (primary block,
@@ -260,8 +200,8 @@ class tcf {
     // than a single stray block probe.
     if (n < kSortedSlabMin) return insert_small_deduped(keys);
     // Adaptive §5.4: a duplicate-free batch gains nothing from the dedup
-    // sort (and the point path's two-choice probes are already cache-
-    // resident at CI table sizes), so only skewed batches pay for it.
+    // sort, and insert_bulk's pipeline already keeps its scattered block
+    // fetches in flight, so only skewed batches pay for the sort.
     if (!par::sample_has_duplicates(keys)) return insert_bulk(keys);
     std::vector<uint64_t> order(n);
     std::vector<uint64_t> payload(keys.begin(), keys.end());
@@ -271,27 +211,9 @@ class tcf {
     });
     par::radix_sort_by_key(order, payload,
                            util::log2_ceil(blocks_.size()) + 16);
-    std::atomic<uint64_t> ok{0};
-    gpu::launch_ranges(n, [&](unsigned, uint64_t begin, uint64_t end) {
-      uint64_t local = 0;
-      uint64_t prev_key = 0;
-      bool have_prev = false, prev_ok = false;
-      for (uint64_t i = begin; i < end; ++i) {
-        if (have_prev && payload[i] == prev_key) {
-          // Duplicate: answered by the copy just inserted (or charged as
-          // failed along with it).
-          local += prev_ok ? 1 : 0;
-          continue;
-        }
-        prev_key = payload[i];
-        have_prev = true;
-        prev_ok = insert(prev_key);
-        local += prev_ok ? 1 : 0;
-      }
-      // relaxed: worker-private tally; the launch join publishes it to the reader.
-      if (local) ok.fetch_add(local, std::memory_order_relaxed);
+    return sum_over_ranges(n, [&](uint64_t begin, uint64_t end) {
+      return insert_runs(begin, end, [&](uint64_t i) { return payload[i]; });
     });
-    return ok.load();
   }
 
   /// Counted sorted-slab insert: keys[i] is stored once (the TCF has no
@@ -304,30 +226,26 @@ class tcf {
   uint64_t insert_counted_sorted(std::span<const uint64_t> keys,
                                  std::span<const uint64_t> counts) {
     const uint64_t n = keys.size();
-    if (n == 0) return 0;
-    if (n < kSortedSlabMin) {
-      uint64_t instances = 0;
-      for (uint64_t i = 0; i < n; ++i)
-        if (insert(keys[i])) instances += counts[i];
-      return instances;
-    }
-    std::vector<uint64_t> order(n);
     std::vector<uint64_t> index(n);
-    gpu::launch_threads(n, [&](uint64_t i) {
-      order[i] = util::fast_range(util::murmur64(keys[i]), blocks_.size());
-      index[i] = i;
+    if (n < kSortedSlabMin) {
+      std::iota(index.begin(), index.end(), uint64_t{0});
+    } else {
+      std::vector<uint64_t> order(n);
+      gpu::launch_threads(n, [&](uint64_t i) {
+        order[i] = util::fast_range(util::murmur64(keys[i]), blocks_.size());
+        index[i] = i;
+      });
+      par::radix_sort_by_key(order, index,
+                             std::max(util::log2_ceil(blocks_.size()), 1));
+    }
+    return sum_over_ranges(n, [&](uint64_t begin, uint64_t end) {
+      uint64_t instances = 0;
+      pipelined(begin, end, [&](uint64_t i) { return keys[index[i]]; },
+                [&](uint64_t i, const hashed& h) {
+                  if (insert_hashed(h)) instances += counts[index[i]];
+                });
+      return instances;
     });
-    par::radix_sort_by_key(order, index,
-                           std::max(util::log2_ceil(blocks_.size()), 1));
-    std::atomic<uint64_t> instances{0};
-    gpu::launch_ranges(n, [&](unsigned, uint64_t begin, uint64_t end) {
-      uint64_t local = 0;
-      for (uint64_t i = begin; i < end; ++i)
-        if (insert(keys[index[i]])) local += counts[index[i]];
-      // relaxed: worker-private tally; the launch join publishes it to the reader.
-      if (local) instances.fetch_add(local, std::memory_order_relaxed);
-    });
-    return instances.load();
   }
 
   /// Serial §5.4 path for sub-slab batches: sort, insert each distinct key
@@ -340,20 +258,7 @@ class tcf {
     std::sort(sorted.begin(), sorted.end());
     if (std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end())
       return insert_bulk(keys);  // duplicate-free: no dedup to exploit
-    uint64_t ok = 0;
-    uint64_t prev_key = 0;
-    bool have_prev = false, prev_ok = false;
-    for (uint64_t key : sorted) {
-      if (have_prev && key == prev_key) {
-        ok += prev_ok ? 1 : 0;
-        continue;
-      }
-      prev_key = key;
-      have_prev = true;
-      prev_ok = insert(prev_key);
-      ok += prev_ok ? 1 : 0;
-    }
-    return ok;
+    return insert_runs(0, n, [&](uint64_t i) { return sorted[i]; });
   }
 
   // -- Enumeration ------------------------------------------------------------
@@ -468,6 +373,123 @@ class tcf {
     return h;
   }
 
+  /// insert() on an already-hashed key.
+  bool insert_hashed(const hashed& h, uint16_t value = 0) {
+    const uint16_t composite = make_composite(h.fp, value);
+    gpu::cooperative_group cg(cfg_.cg_size);
+
+    block_type& primary = blocks_[h.b1];
+    GF_COUNT(cache_lines_touched, 1);
+    unsigned fill1 = block_fill(primary);
+    if (cfg_.enable_shortcut && fill1 < shortcut_threshold_) {
+      if (block_insert(primary, composite, cg)) {
+        GF_COUNT(shortcut_inserts, 1);
+        // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
+        live_.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      }
+    }
+    block_type& secondary = blocks_[h.b2];
+    GF_COUNT(cache_lines_touched, 1);
+    unsigned fill2 = block_fill(secondary);
+    block_type& first = fill1 <= fill2 ? primary : secondary;
+    block_type& second = fill1 <= fill2 ? secondary : primary;
+    if (block_insert(first, composite, cg) ||
+        block_insert(second, composite, cg)) {
+      // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
+      live_.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
+    if (cfg_.enable_backing && backing_.insert(h.h1, h.h2, composite)) {
+      GF_COUNT(backing_inserts, 1);
+      // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
+      live_.fetch_add(1, std::memory_order_relaxed);
+      return true;
+    }
+    return false;
+  }
+
+  /// erase() on an already-hashed key.
+  bool erase_hashed(const hashed& h) {
+    for (uint64_t b : {h.b1, h.b2}) {
+      block_type& blk = blocks_[b];
+      // Retry while a matching slot exists: a failed claim means some other
+      // operation completed (lock-free progress), most often a neighbor-
+      // slot write invalidating the packed-12 word.
+      for (;;) {
+        int slot = block_find(blk, h.fp);
+        if (slot < 0) break;
+        uint16_t observed = blk.load(static_cast<unsigned>(slot));
+        if (static_cast<uint16_t>(observed >> ValBits) == h.fp &&
+            blk.try_delete(static_cast<unsigned>(slot), observed)) {
+          // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
+          live_.fetch_sub(1, std::memory_order_relaxed);
+          return true;
+        }
+      }
+    }
+    if (cfg_.enable_backing && backing_.erase(h.h1, h.h2, h.fp, ValBits)) {
+      // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
+      live_.fetch_sub(1, std::memory_order_relaxed);
+      return true;
+    }
+    return false;
+  }
+
+  /// The hash-ahead prefetch pipeline: op(i, hash of key_at(i)) for i in
+  /// [begin, end), in order, on the calling thread.  An op spends nearly
+  /// all its time waiting on its blocks' cache lines, so the pipeline
+  /// hashes kPrefetchDistance keys ahead and prefetches both candidate
+  /// blocks and the first backing-table slot of each; many line fetches
+  /// are then in flight while earlier keys are operated on.  Hashing reads
+  /// only the table geometry and a prefetch changes nothing, so the ops
+  /// see exactly what a point loop in the same order would.
+  template <class KeyAt, class Op>
+  void pipelined(uint64_t begin, uint64_t end, KeyAt&& key_at,
+                 Op&& op) const {
+    constexpr uint64_t kMask = kPrefetchDistance - 1;
+    static_assert((kPrefetchDistance & kMask) == 0);
+    hashed ring[kPrefetchDistance]{};
+    for (uint64_t i = begin; i < end && i - begin < kPrefetchDistance; ++i)
+      ring[i & kMask] = prefetch(hash_key(key_at(i)));
+    for (uint64_t i = begin; i < end; ++i) {
+      const hashed h = ring[i & kMask];
+      if (end - i > kPrefetchDistance)
+        ring[i & kMask] = prefetch(hash_key(key_at(i + kPrefetchDistance)));
+      op(i, h);
+    }
+  }
+
+  /// Sum of range(begin, end) over one static range of [0, n) per pool
+  /// worker.  A batch of at most one launch grain runs as a single range
+  /// on the caller: waking the pool costs more than such a batch.
+  template <class Range>
+  static uint64_t sum_over_ranges(uint64_t n, Range&& range) {
+    if (n <= gpu::kDefaultGrain) return n == 0 ? 0 : range(0, n);
+    std::atomic<uint64_t> total{0};
+    gpu::launch_ranges(n, [&](unsigned, uint64_t begin, uint64_t end) {
+      const uint64_t local = range(begin, end);
+      // relaxed: worker-private tally; the launch join publishes it to the reader.
+      if (local) total.fetch_add(local, std::memory_order_relaxed);
+    });
+    return total.load();
+  }
+
+  /// Insert key_at(i) for i in [begin, end), where equal keys are
+  /// adjacent: each run of equal keys is inserted once, and every copy
+  /// is answered (or charged as failed) with it.  Returns the copies
+  /// answered.
+  template <class KeyAt>
+  uint64_t insert_runs(uint64_t begin, uint64_t end, KeyAt&& key_at) {
+    uint64_t ok = 0;
+    bool run_ok = false;
+    pipelined(begin, end, key_at, [&](uint64_t i, const hashed& h) {
+      if (i == begin || key_at(i) != key_at(i - 1)) run_ok = insert_hashed(h);
+      ok += run_ok ? 1 : 0;
+    });
+    return ok;
+  }
+
   /// contains() on an already-hashed key.
   bool probe(const hashed& h) const {
     GF_COUNT(cache_lines_touched, 1);
@@ -478,7 +500,7 @@ class tcf {
     return backing_.contains(h.h1, h.h2, h.fp, ValBits);
   }
 
-  /// Start the line fetches probe(h) will need; returns h.  A block is
+  /// Start the line fetches an op on h will need; returns h.  A block is
   /// not line-aligned, so both of its end bytes are prefetched.
   const hashed& prefetch(const hashed& h) const {
     for (uint64_t b : {h.b1, h.b2}) {

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <span>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "gpu/launch.h"
+#include "gpu/thread_pool.h"
+#include "util/hash.h"
 #include "util/xorwow.h"
 
 namespace gf::tcf {
@@ -215,6 +221,191 @@ TEST(TcfPoint, ContainsEachMatchesContainsWithBackingTable) {
   check(f);
   tcf_12_16 g(1 << 14);
   check(g);
+}
+
+std::string saved(const point_tcf& f) {
+  std::ostringstream out;
+  f.save(out);
+  return out.str();
+}
+
+point_tcf clone(const point_tcf& f) {
+  std::istringstream in(saved(f));
+  return point_tcf::load(in);
+}
+
+/// The order insert_bulk_sorted's slab walks a batch in, as positions in
+/// the batch: stable by (primary block, fingerprint), derived as the
+/// filter hashes a key.  With by_block_only it is insert_counted_sorted's
+/// order instead: stable by primary block.
+std::vector<size_t> slab_order(const point_tcf& f,
+                               const std::vector<uint64_t>& keys,
+                               bool by_block_only = false) {
+  const uint64_t blocks = f.capacity() / point_tcf::kSlotsPerBlock;
+  auto sort_key = [&](uint64_t k) {
+    const uint64_t h1 = util::murmur64(k), h2 = util::mix64_b(k);
+    const uint64_t b1 = util::fast_range(h1, blocks);
+    if (by_block_only) return b1;
+    const uint16_t fp =
+        remap_fingerprint<point_tcf::kFpBits,
+                          point_tcf::block_type::kNeedsNonzeroNibble>(
+            h1 ^ (h1 >> 32) ^ (h2 << 13));
+    return (b1 << 16) | fp;
+  };
+  std::vector<size_t> order(keys.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return sort_key(keys[a]) < sort_key(keys[b]);
+  });
+  return order;
+}
+
+/// The point loop every deduplicating batch insert must match: each run
+/// of equal adjacent keys is inserted once and answers all its copies.
+uint64_t insert_runs(point_tcf& f, const std::vector<uint64_t>& keys) {
+  uint64_t ok = 0;
+  bool run_ok = false;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i == 0 || keys[i] != keys[i - 1]) run_ok = f.insert(keys[i]);
+    ok += run_ok ? 1 : 0;
+  }
+  return ok;
+}
+
+/// A batch of n keys drawn from `distinct` fresh keys, each repeated.
+std::vector<uint64_t> duplicate_heavy(size_t n, size_t distinct,
+                                      uint64_t seed) {
+  const auto pool = util::hashed_xorwow_items(distinct, seed);
+  std::vector<uint64_t> batch(n);
+  for (size_t i = 0; i < n; ++i) batch[i] = pool[(i * 7 + i / 3) % distinct];
+  return batch;
+}
+
+/// Every pipelined batch write on a filter near 0.9 load against the point
+/// loop it replaces: same return value, same save() bytes.  Must run on a
+/// serial path, where the batch calls apply keys in their own order.
+void check_pipelined_writes_match_point_loop() {
+  constexpr size_t d = point_tcf::kPrefetchDistance;
+  const size_t sizes[] = {0, 1, d - 1, d, d + 1, 3 * d + 5};
+  for (bool backing : {true, false}) {
+    SCOPED_TRACE(backing ? "backing on" : "backing off");
+    tcf_config cfg;
+    cfg.enable_backing = backing;
+    point_tcf base(1 << 12, cfg);
+    // Past 0.9 load, and with backing on until a few keys overflow to the
+    // backing table, so the batches below take secondary-block and
+    // backing-table inserts.
+    std::vector<uint64_t> fill;
+    for (uint64_t k : util::hashed_xorwow_items(base.capacity(), 40)) {
+      if (fill.size() >= base.capacity() * 9 / 10 &&
+          (!backing || base.backing_size() >= 8))
+        break;
+      if (base.insert(k)) fill.push_back(k);
+    }
+    EXPECT_GT(base.load_factor(), 0.89);
+    if (backing) {
+      EXPECT_GE(base.backing_size(), 8u);
+    }
+    const auto fresh = util::hashed_xorwow_items(4096, 41);
+
+    // Two filters from the same state: `bulk` takes the batch call,
+    // `point` the loop; both must end byte-identical.
+    auto expect_same = [&](const char* what, size_t n, auto&& bulk_call,
+                           auto&& point_loop) {
+      point_tcf bulk = clone(base), point = clone(base);
+      EXPECT_EQ(bulk_call(bulk), point_loop(point)) << what << " n=" << n;
+      EXPECT_TRUE(saved(bulk) == saved(point)) << what << " n=" << n;
+    };
+
+    for (size_t n : sizes) {
+      const std::vector<uint64_t> batch(fresh.begin(), fresh.begin() + n);
+      expect_same(
+          "insert_bulk", n, [&](point_tcf& f) { return f.insert_bulk(batch); },
+          [&](point_tcf& f) {
+            uint64_t ok = 0;
+            for (uint64_t k : batch) ok += f.insert(k);
+            return ok;
+          });
+      // Erase: alternate stored keys with misses.
+      std::vector<uint64_t> mixed;
+      for (size_t i = 0; i < n; ++i)
+        mixed.push_back(i % 2 ? fresh[4095 - i] : fill[i * 37 % fill.size()]);
+      expect_same(
+          "erase_bulk", n, [&](point_tcf& f) { return f.erase_bulk(mixed); },
+          [&](point_tcf& f) {
+            uint64_t ok = 0;
+            for (uint64_t k : mixed) ok += f.erase(k);
+            return ok;
+          });
+      // Counted: distinct keys, in batch order below the slab size.
+      std::vector<uint64_t> counts(n);
+      for (size_t i = 0; i < n; ++i) counts[i] = 1 + i % 5;
+      expect_same(
+          "insert_counted_sorted", n,
+          [&](point_tcf& f) { return f.insert_counted_sorted(batch, counts); },
+          [&](point_tcf& f) {
+            uint64_t ok = 0;
+            for (size_t i = 0; i < n; ++i)
+              if (f.insert(batch[i])) ok += counts[i];
+            return ok;
+          });
+      // Duplicate-heavy below the slab size: the serial sort-and-dedup.
+      const auto dups = duplicate_heavy(n, n / 4 + 1, 42 + n);
+      expect_same(
+          "insert_bulk_sorted (small)", n,
+          [&](point_tcf& f) { return f.insert_bulk_sorted(dups); },
+          [&](point_tcf& f) {
+            auto sorted = dups;
+            std::sort(sorted.begin(), sorted.end());
+            return insert_runs(f, sorted);
+          });
+    }
+
+    // Slab loops: batches past the slab minimum and past one launch grain.
+    for (size_t n : {size_t{300}, size_t{2000}}) {
+      const auto dups = duplicate_heavy(n, n / 6, 50 + n);
+      expect_same(
+          "insert_bulk_sorted (slab)", n,
+          [&](point_tcf& f) { return f.insert_bulk_sorted(dups); },
+          [&](point_tcf& f) {
+            std::vector<uint64_t> sorted;
+            for (size_t i : slab_order(f, dups)) sorted.push_back(dups[i]);
+            return insert_runs(f, sorted);
+          });
+      const std::vector<uint64_t> batch(fresh.begin(), fresh.begin() + n);
+      std::vector<uint64_t> counts(n);
+      for (size_t i = 0; i < n; ++i) counts[i] = 1 + i % 3;
+      expect_same(
+          "insert_counted_sorted (slab)", n,
+          [&](point_tcf& f) { return f.insert_counted_sorted(batch, counts); },
+          [&](point_tcf& f) {
+            uint64_t ok = 0;
+            for (size_t i : slab_order(f, batch, /*by_block_only=*/true))
+              if (f.insert(batch[i])) ok += counts[i];
+            return ok;
+          });
+      expect_same(
+          "insert_bulk (grain)", n,
+          [&](point_tcf& f) { return f.insert_bulk(batch); },
+          [&](point_tcf& f) {
+            uint64_t ok = 0;
+            for (uint64_t k : batch) ok += f.insert(k);
+            return ok;
+          });
+    }
+  }
+}
+
+TEST(TcfPoint, PipelinedWritesMatchPointLoop) {
+  // At pool width 1 every batch call is serial on the caller (the
+  // tcf_point_test_w1 registration runs this binary at that width).
+  if (gpu::thread_pool::instance().size() == 1)
+    check_pipelined_writes_match_point_loop();
+  // Inside a pool launch, as the store's per-shard launch calls the
+  // filter, every nested launch runs inline on the worker.
+  gpu::launch_ranges(1, [](unsigned, uint64_t, uint64_t) {
+    check_pipelined_writes_match_point_loop();
+  });
 }
 
 }  // namespace
