@@ -148,18 +148,15 @@ uint64_t blocked_bloom_filter::count_contained(
     std::span<const uint64_t> keys) const {
   // Answers land in a stack buffer, a whole number of chunks at a time.
   constexpr uint64_t kBatch = 64 * kProbeChunk;
-  std::atomic<uint64_t> found{0};
-  gpu::launch_ranges(keys.size(), [&](unsigned, uint64_t begin, uint64_t end) {
+  return gpu::launch_sum(keys.size(), [&](uint64_t begin, uint64_t end) {
     uint8_t hit[kBatch];
-    uint64_t local = 0;
+    uint64_t found = 0;
     for (uint64_t b = begin; b < end; b += kBatch) {
       const uint64_t n = std::min(kBatch, end - b);
-      local += contains_each(keys.subspan(b, n), std::span<uint8_t>(hit, n));
+      found += contains_each(keys.subspan(b, n), std::span<uint8_t>(hit, n));
     }
-    // relaxed: worker-private tally; the launch join publishes it to the reader.
-    if (local) found.fetch_add(local, std::memory_order_relaxed);
+    return found;
   });
-  return found.load();
 }
 
 }  // namespace gf::baselines

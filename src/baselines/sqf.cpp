@@ -327,12 +327,11 @@ uint64_t sqf::count_contained(std::span<const uint64_t> keys) const {
   std::vector<uint64_t> hashes(n);
   gpu::launch_threads(n, [&](uint64_t i) { hashes[i] = hash_of(keys[i]); });
   par::radix_sort(hashes, static_cast<int>(q_bits_ + r_bits_));
-  std::atomic<uint64_t> found{0};
-  gpu::launch_threads(n, [&](uint64_t i) {
-    // relaxed: worker-private tally; the launch join publishes it to the reader.
-    if (query_hash(hashes[i])) found.fetch_add(1, std::memory_order_relaxed);
+  return gpu::launch_sum(n, [&](uint64_t begin, uint64_t end) {
+    uint64_t found = 0;
+    for (uint64_t i = begin; i < end; ++i) found += query_hash(hashes[i]);
+    return found;
   });
-  return found.load();
 }
 
 uint64_t sqf::erase_bulk(std::span<const uint64_t> keys) {

@@ -1,7 +1,5 @@
 #include "baselines/vqf.h"
 
-#include <atomic>
-
 #include "gpu/launch.h"
 #include "util/hash.h"
 
@@ -86,21 +84,19 @@ uint64_t vqf::size() const {
 }
 
 uint64_t vqf::insert_bulk(std::span<const uint64_t> keys) {
-  std::atomic<uint64_t> ok{0};
-  gpu::launch_threads(keys.size(), [&](uint64_t i) {
-    // relaxed: worker-private tally; the launch join publishes it to the reader.
-    if (insert(keys[i])) ok.fetch_add(1, std::memory_order_relaxed);
+  return gpu::launch_sum(keys.size(), [&](uint64_t begin, uint64_t end) {
+    uint64_t ok = 0;
+    for (uint64_t i = begin; i < end; ++i) ok += insert(keys[i]);
+    return ok;
   });
-  return ok.load();
 }
 
 uint64_t vqf::count_contained(std::span<const uint64_t> keys) const {
-  std::atomic<uint64_t> found{0};
-  gpu::launch_threads(keys.size(), [&](uint64_t i) {
-    // relaxed: worker-private tally; the launch join publishes it to the reader.
-    if (contains(keys[i])) found.fetch_add(1, std::memory_order_relaxed);
+  return gpu::launch_sum(keys.size(), [&](uint64_t begin, uint64_t end) {
+    uint64_t found = 0;
+    for (uint64_t i = begin; i < end; ++i) found += contains(keys[i]);
+    return found;
   });
-  return found.load();
 }
 
 }  // namespace gf::baselines

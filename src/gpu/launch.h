@@ -2,19 +2,20 @@
 //
 // A CUDA kernel launch <<<grid, block>>> becomes a decomposition of work
 // items over the thread pool:
-//   * launch_threads(n, fn)         — one logical GPU thread per item
-//                                     (point-API benches: one op per thread)
-//   * launch_groups(n, cg_size, fn) — one cooperative group per item
-//                                     (TCF block ops)
-//   * launch_warps(n, fn)           — one warp-sized task per item
+//   * launch_threads(n, fn) — one logical GPU thread per item
+//                             (point-API benches: one op per thread)
+//   * launch_ranges(n, fn)  — one static range per pool worker
+//   * launch_sum(n, range)  — launch_ranges that adds up range(begin, end),
+//                             one add per worker: a batch's tally
+//                             (block-reduce, then one atomicAdd per block)
 //
 // Grain sizes are chosen so that scheduling overhead stays below the cost
 // of the per-item filter operation.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
-#include "gpu/coop_groups.h"
 #include "gpu/thread_pool.h"
 
 namespace gf::gpu {
@@ -28,21 +29,26 @@ void launch_threads(uint64_t n, Fn&& fn, uint64_t grain = kDefaultGrain) {
                                        [&](uint64_t i) { fn(i); });
 }
 
-/// One cooperative group (of `cg_size` lanes) per index in [0, n).
-/// `fn(index, cg)` runs with a group object it can ballot on.
-template <class Fn>
-void launch_groups(uint64_t n, unsigned cg_size, Fn&& fn,
-                   uint64_t grain = kDefaultGrain) {
-  cooperative_group cg(cg_size);
-  thread_pool::instance().parallel_for(0, n, grain,
-                                       [&](uint64_t i) { fn(i, cg); });
-}
-
 /// Static per-worker ranges: fn(worker, begin, end).  Bulk phases that need
 /// per-worker scratch (histograms, buffers) use this.
 template <class Fn>
 void launch_ranges(uint64_t n, Fn&& fn) {
   thread_pool::instance().parallel_ranges(n, std::forward<Fn>(fn));
+}
+
+/// Sum of range(begin, end) over one static range of [0, n) per pool
+/// worker.  A batch of at most one launch grain runs as a single range
+/// on the caller: waking the pool costs more than such a batch.
+template <class Range>
+uint64_t launch_sum(uint64_t n, Range&& range) {
+  if (n <= kDefaultGrain) return n == 0 ? 0 : range(0, n);
+  std::atomic<uint64_t> total{0};
+  launch_ranges(n, [&](unsigned, uint64_t begin, uint64_t end) {
+    const uint64_t local = range(begin, end);
+    // relaxed: worker-private tally; the launch join publishes it to the reader.
+    if (local) total.fetch_add(local, std::memory_order_relaxed);
+  });
+  return total.load();
 }
 
 }  // namespace gf::gpu

@@ -174,12 +174,11 @@ bulk_stats bulk_insert_counted(gqf_filter<SlotT>& f,
 template <class SlotT>
 uint64_t bulk_count_contained(const gqf_filter<SlotT>& f,
                               std::span<const uint64_t> keys) {
-  std::atomic<uint64_t> found{0};
-  gpu::launch_threads(keys.size(), [&](uint64_t i) {
-    // relaxed: worker-private tally; the launch join publishes it to the reader.
-    if (f.contains(keys[i])) found.fetch_add(1, std::memory_order_relaxed);
+  return gpu::launch_sum(keys.size(), [&](uint64_t begin, uint64_t end) {
+    uint64_t found = 0;
+    for (uint64_t i = begin; i < end; ++i) found += f.contains(keys[i]);
+    return found;
   });
-  return found.load();
 }
 
 /// Per-key counts, preserving input order.

@@ -78,6 +78,14 @@ class mailbox {
     // lane: single consumer — only the owning reactor pops, so the
     // relaxed: head read observes our own last store (single consumer).
     const size_t head = head_.load(std::memory_order_relaxed);
+    // Spill count first, then tail: every ring push older than a spill
+    // happens before the store that counted it, so once this acquire sees
+    // a spill, the tail load below sees every ring message older than it.
+    // An empty ring after a non-zero count therefore means the overflow
+    // front is the oldest message.  Loaded the other way round, a consumer
+    // paused between the two loads could pop a fresh spill ahead of ring
+    // messages pushed during the pause.
+    const size_t spilled = overflow_count_.load(std::memory_order_acquire);
     if (head != tail_.load(std::memory_order_acquire)) {
       T* v = at(head);
       out = std::move(*v);
@@ -85,7 +93,7 @@ class mailbox {
       head_.store(head + 1, std::memory_order_release);
       return true;
     }
-    if (overflow_count_.load(std::memory_order_acquire) == 0) return false;
+    if (spilled == 0) return false;
     std::lock_guard<std::mutex> lk(overflow_mu_);
     if (overflow_.empty()) return false;
     out = std::move(overflow_.front());

@@ -234,12 +234,11 @@ class bulk_tcf {
   }
 
   uint64_t count_contained(std::span<const uint64_t> keys) const {
-    std::atomic<uint64_t> found{0};
-    gpu::launch_threads(keys.size(), [&](uint64_t i) {
-      // relaxed: worker-private tally; the launch join publishes it to the reader.
-      if (contains(keys[i])) found.fetch_add(1, std::memory_order_relaxed);
+    return gpu::launch_sum(keys.size(), [&](uint64_t begin, uint64_t end) {
+      uint64_t found = 0;
+      for (uint64_t i = begin; i < end; ++i) found += contains(keys[i]);
+      return found;
     });
-    return found.load();
   }
 
   /// Bulk delete: remove one stored copy per batch instance.  Returns the

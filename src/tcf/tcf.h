@@ -143,8 +143,9 @@ class tcf {
 
   // -- Host-side bulk helpers (parallel over the device) -------------------
   //
-  // Each batch call gives every pool worker one contiguous range of the
-  // batch and runs it through pipelined(), so a worker keeps up to
+  // Each batch call is a gpu::launch_sum: every pool worker takes one
+  // contiguous range of the batch, runs it through pipelined() (or the
+  // serial contains_each) and adds its tally once.  A worker keeps up to
   // kPrefetchDistance keys' block fetches in flight — the CPU analogue of
   // the thousands of GPU threads whose outstanding loads make the TCF
   // fast (§4).  Within a range keys are applied in batch order, so on a
@@ -154,7 +155,7 @@ class tcf {
   /// Insert a batch; returns the number successfully inserted
   /// (== keys.size() below the stable load).
   uint64_t insert_bulk(std::span<const uint64_t> keys) {
-    return sum_over_ranges(keys.size(), [&](uint64_t begin, uint64_t end) {
+    return gpu::launch_sum(keys.size(), [&](uint64_t begin, uint64_t end) {
       uint64_t ok = 0;
       pipelined(begin, end, [&](uint64_t i) { return keys[i]; },
                 [&](uint64_t, const hashed& h) { ok += insert_hashed(h); });
@@ -163,7 +164,7 @@ class tcf {
   }
 
   uint64_t count_contained(std::span<const uint64_t> keys) const {
-    return sum_over_ranges(keys.size(), [&](uint64_t begin, uint64_t end) {
+    return gpu::launch_sum(keys.size(), [&](uint64_t begin, uint64_t end) {
       uint64_t found = 0;
       contains_each(keys.subspan(begin, end - begin),
                     [&](size_t, bool hit) { found += hit; });
@@ -172,7 +173,7 @@ class tcf {
   }
 
   uint64_t erase_bulk(std::span<const uint64_t> keys) {
-    return sum_over_ranges(keys.size(), [&](uint64_t begin, uint64_t end) {
+    return gpu::launch_sum(keys.size(), [&](uint64_t begin, uint64_t end) {
       uint64_t ok = 0;
       pipelined(begin, end, [&](uint64_t i) { return keys[i]; },
                 [&](uint64_t, const hashed& h) { ok += erase_hashed(h); });
@@ -211,7 +212,7 @@ class tcf {
     });
     par::radix_sort_by_key(order, payload,
                            util::log2_ceil(blocks_.size()) + 16);
-    return sum_over_ranges(n, [&](uint64_t begin, uint64_t end) {
+    return gpu::launch_sum(n, [&](uint64_t begin, uint64_t end) {
       return insert_runs(begin, end, [&](uint64_t i) { return payload[i]; });
     });
   }
@@ -238,7 +239,7 @@ class tcf {
       par::radix_sort_by_key(order, index,
                              std::max(util::log2_ceil(blocks_.size()), 1));
     }
-    return sum_over_ranges(n, [&](uint64_t begin, uint64_t end) {
+    return gpu::launch_sum(n, [&](uint64_t begin, uint64_t end) {
       uint64_t instances = 0;
       pipelined(begin, end, [&](uint64_t i) { return keys[index[i]]; },
                 [&](uint64_t i, const hashed& h) {
@@ -458,21 +459,6 @@ class tcf {
         ring[i & kMask] = prefetch(hash_key(key_at(i + kPrefetchDistance)));
       op(i, h);
     }
-  }
-
-  /// Sum of range(begin, end) over one static range of [0, n) per pool
-  /// worker.  A batch of at most one launch grain runs as a single range
-  /// on the caller: waking the pool costs more than such a batch.
-  template <class Range>
-  static uint64_t sum_over_ranges(uint64_t n, Range&& range) {
-    if (n <= gpu::kDefaultGrain) return n == 0 ? 0 : range(0, n);
-    std::atomic<uint64_t> total{0};
-    gpu::launch_ranges(n, [&](unsigned, uint64_t begin, uint64_t end) {
-      const uint64_t local = range(begin, end);
-      // relaxed: worker-private tally; the launch join publishes it to the reader.
-      if (local) total.fetch_add(local, std::memory_order_relaxed);
-    });
-    return total.load();
   }
 
   /// Insert key_at(i) for i in [begin, end), where equal keys are

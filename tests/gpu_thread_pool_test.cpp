@@ -4,9 +4,12 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gpu/launch.h"
@@ -56,6 +59,41 @@ TEST(ThreadPool, ParallelRangesPartition) {
       hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (uint64_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ThreadPool, LaunchSumMatchesSerialSum) {
+  for (uint64_t n : {uint64_t{0}, uint64_t{1}, kDefaultGrain,
+                     kDefaultGrain + 1, uint64_t{100000}}) {
+    std::vector<uint64_t> v(n);
+    std::iota(v.begin(), v.end(), uint64_t{7});
+    std::mutex mu;
+    std::vector<std::pair<uint64_t, uint64_t>> calls;
+    const uint64_t sum = launch_sum(n, [&](uint64_t begin, uint64_t end) {
+      {
+        std::lock_guard lk(mu);
+        calls.emplace_back(begin, end);
+      }
+      return std::accumulate(v.begin() + begin, v.begin() + end, uint64_t{0});
+    });
+    EXPECT_EQ(sum, std::accumulate(v.begin(), v.end(), uint64_t{0})) << n;
+    if (n == 0) {
+      EXPECT_TRUE(calls.empty());
+    } else if (n <= kDefaultGrain) {
+      // One range, on the caller: too small to wake the pool for.
+      ASSERT_EQ(calls.size(), 1u) << n;
+      EXPECT_EQ(calls[0], std::make_pair(uint64_t{0}, n));
+    } else {
+      EXPECT_LE(calls.size(), thread_pool::instance().size()) << n;
+      std::sort(calls.begin(), calls.end());
+      uint64_t covered = 0;  // sorted ranges must tile [0, n) exactly
+      for (const auto& [begin, end] : calls) {
+        EXPECT_EQ(begin, covered) << n;
+        EXPECT_LT(begin, end) << n;
+        covered = end;
+      }
+      EXPECT_EQ(covered, n);
+    }
+  }
 }
 
 TEST(ThreadPool, NestedLaunchExecutesInline) {
