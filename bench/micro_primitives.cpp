@@ -2,6 +2,7 @@
 // hashing, rank/select words, radix sort, and the single-item filter ops.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "baselines/blocked_bloom.h"
@@ -48,6 +49,40 @@ static void BM_RadixSort(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_RadixSort)->Arg(1 << 16)->Arg(1 << 20);
+
+// Sort cost per key of the two caller-side tiers of radix_sort_by_key —
+// args (tier: 0 comparison, 1 serial radix; n; key bits) — on random keys
+// of `key bits` bits with index payloads, as the bulk TCF sorts its
+// batches.  The crossover between the tiers is par::kComparisonKeysPerPass.
+// Successive iterations sort successive batches of a 2^16-key pool, so the
+// branch predictor cannot learn one batch's comparisons; each iteration
+// also copies its n unsorted pairs in, which both tiers pay.
+static void BM_SortTier(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(1));
+  const int key_bits = static_cast<int>(state.range(2));
+  constexpr size_t kPool = size_t{1} << 16;
+  auto pool = util::hashed_xorwow_items(kPool + n, 17);
+  for (auto& k : pool) k &= util::bitmask(static_cast<uint64_t>(key_bits));
+  std::vector<uint64_t> k(n), v(n);
+  size_t at = 0;
+  for (auto _ : state) {
+    std::copy(pool.begin() + at, pool.begin() + at + n, k.begin());
+    at = (at + n) % kPool;
+    for (size_t i = 0; i < n; ++i) v[i] = i;
+    if (state.range(0) == 0)
+      par::tier::comparison_by_key(k, v);
+    else
+      par::tier::serial_radix_by_key(k, v, key_bits);
+    benchmark::DoNotOptimize(k.data());
+    benchmark::DoNotOptimize(v.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_SortTier)
+    ->ArgNames({"tier", "n", "bits"})
+    ->ArgsProduct({{0, 1},
+                   {8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096},
+                   {29, 44, 64}});
 
 static void BM_TcfPointInsert(benchmark::State& state) {
   tcf::point_tcf f(1 << 20);

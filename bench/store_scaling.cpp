@@ -58,6 +58,7 @@
 #include "store/store.h"
 #include "tcf/bulk_tcf.h"
 #include "tcf/tcf.h"
+#include "util/hash.h"
 #include "util/json.h"
 #include "util/timer.h"
 #include "util/zipf.h"
@@ -236,6 +237,8 @@ void sweep_backend(store::backend_kind backend,
 }
 
 constexpr uint64_t kFrameKeys = 1024;
+/// One store shard's slice of a 1024-key frame on an 8-shard store.
+constexpr uint64_t kShardSliceKeys = 128;
 constexpr int kFrameSizes[] = {16, 22};
 constexpr int kFramesTimed = 256;
 
@@ -244,11 +247,30 @@ double median(std::vector<double> v) {
   return v[v.size() / 2];
 }
 
-/// Median microseconds per 1024-key INSERT and ERASE frame on a bulk TCF
-/// held at 60 % load: each timed insert frame of fresh keys is followed
-/// by a timed erase of the same frame, so the load never drifts.
+/// A host-speed control timed next to each frame: a dependent chain of
+/// 1024 murmur64 steps, which no filter code change can move.  A frame's
+/// cost over the control's is a ratio one process measures on one core,
+/// so a slow or shared host moves both sides.
+double control_us() {
+  static volatile uint64_t sink = 0;
+  util::wall_timer t;
+  uint64_t h = sink;
+  for (int i = 0; i < 1024; ++i) h = util::murmur64(h);
+  sink = h;
+  return t.seconds() * 1e6;
+}
+
+/// Median microseconds per 1024-key and per 128-key INSERT and ERASE frame
+/// on a bulk TCF held at 60 % load: each timed insert frame of fresh keys
+/// is followed by a timed erase of the same frame, so the load never
+/// drifts.  Frames are timed on one pool worker, as tcf_frame_cost() times
+/// its own: a reactor part reaches the filter inside the store's per-shard
+/// launch, where the filter's phase launches run inline.  A 128-key frame
+/// is what one shard of an 8-shard store gets from a 1024-key wire frame.
+/// The control (control_us) is timed before each 1024-key frame.
 void btcf_frame_cost() {
-  std::vector<std::string> cols = {"insert", "erase"};
+  std::vector<std::string> cols = {"insert", "erase", "insert128",
+                                   "erase128", "control"};
   bench::print_series_header("btcf 1024-key frame us (60% load)", cols);
   for (int log_size : kFrameSizes) {
     tcf::bulk_tcf<> f(uint64_t{1} << log_size);
@@ -256,23 +278,33 @@ void btcf_frame_cost() {
     auto keys = util::hashed_xorwow_items(
         prefill + kFramesTimed * kFrameKeys, 9500 + log_size);
     f.insert_bulk(std::span<const uint64_t>(keys).first(prefill));
-    std::vector<double> ins_us, era_us;
-    for (int i = 0; i < kFramesTimed; ++i) {
-      std::span<const uint64_t> frame(keys.data() + prefill + i * kFrameKeys,
-                                      kFrameKeys);
-      util::wall_timer t;
-      f.insert_bulk(frame);
-      ins_us.push_back(t.seconds() * 1e6);
-      t.reset();
-      f.erase_bulk(frame);
-      era_us.push_back(t.seconds() * 1e6);
+    std::vector<double> vals, ctl_us;
+    for (uint64_t frame_keys : {kFrameKeys, kShardSliceKeys}) {
+      std::vector<double> ins_us, era_us;
+      gpu::launch_ranges(1, [&](unsigned, uint64_t, uint64_t) {
+        for (int i = 0; i < kFramesTimed; ++i) {
+          std::span<const uint64_t> frame(
+              keys.data() + prefill + i * frame_keys, frame_keys);
+          if (frame_keys == kFrameKeys) ctl_us.push_back(control_us());
+          util::wall_timer t;
+          f.insert_bulk(frame);
+          ins_us.push_back(t.seconds() * 1e6);
+          t.reset();
+          f.erase_bulk(frame);
+          era_us.push_back(t.seconds() * 1e6);
+        }
+      });
+      vals.push_back(median(ins_us));
+      vals.push_back(median(era_us));
     }
-    std::vector<double> vals = {median(ins_us), median(era_us)};
+    vals.push_back(median(ctl_us));
     bench::print_series_row(log_size, vals);
-    emit_json(store::backend_kind::bulk_tcf, 1, log_size,
-              "btcf_frame_insert_us", vals[0]);
-    emit_json(store::backend_kind::bulk_tcf, 1, log_size,
-              "btcf_frame_erase_us", vals[1]);
+    const auto btcf = store::backend_kind::bulk_tcf;
+    emit_json(btcf, 1, log_size, "btcf_frame_insert_us", vals[0]);
+    emit_json(btcf, 1, log_size, "btcf_frame_erase_us", vals[1]);
+    emit_json(btcf, 1, log_size, "btcf_frame128_insert_us", vals[2]);
+    emit_json(btcf, 1, log_size, "btcf_frame128_erase_us", vals[3]);
+    emit_json(btcf, 1, log_size, "btcf_frame_control_us", vals[4]);
   }
 }
 

@@ -631,6 +631,12 @@ uint64_t server::repl_position() const {
   return sum;
 }
 
+uint64_t server::last_before(uint32_t lane, uint64_t next) {
+  // next - 1, except at a lane's very start, where "nothing applied" is
+  // the lane-stamped zero.
+  return lane_local(next) == 0 ? lane_seq(lane, 0) : next - 1;
+}
+
 void server::advance_lane(uint64_t stamped) {
   const uint32_t l = lane_of(stamped);
   if (l >= kMaxLanes) return;
@@ -672,7 +678,7 @@ void server::adopt_feed(socket_fd fd, frame_decoder dec,
                         std::vector<uint64_t> next_seqs) {
   // single-loop: a writable replica's own mutations and its feed's would
   // both stamp lanes 0..N-1; one reactor continues lane 0 from the feed's
-  // position (chain_forward keeps it current).
+  // position (publish_feed keeps it current).
   if (nr_ > 1 && !cfg_.read_only)
     throw std::runtime_error(
         "gf: a multi-reactor server can only follow a feed read-only");
@@ -692,9 +698,9 @@ void server::adopt_feed(socket_fd fd, frame_decoder dec,
     const uint32_t l = lane_of(next);
     if (l >= kMaxLanes) continue;
     feed_expected_by_lane_[l] = next;
-    // The lane's last applied position is next - 1 — except at a lane's
-    // very start, where "nothing applied" is the lane-stamped zero.
-    advance_lane(lane_local(next) == 0 ? lane_seq(l, 0) : next - 1);
+    // Frames of the lost feed still in flight publish the lanes up to
+    // these positions themselves when they finish.
+    if (feed_unpublished_.empty()) advance_lane(last_before(l, next));
   }
   live<&server_stats::feed_attached>().set(1);
   reactor& r0 = *reactors_[0];
@@ -1205,14 +1211,6 @@ uint64_t server::replicate(reactor& r, const frame& f) {
   return seq;
 }
 
-void server::chain_forward(reactor& r, const frame& f) {
-  // A replica propagates each feed frame — upstream lane stamp intact — on
-  // reactor 0 (the feed's owner) in arrival order, so chained subscribers
-  // and the log see the primary's own interleaving.
-  advance_lane(f.sequence);
-  fan_out(r, f, f.sequence);
-}
-
 void server::fan_out(reactor& r, const frame& f, uint64_t seq) {
   if (live<&server_stats::subscribers>().get() == 0 && !log_.keeps(seq))
     return;
@@ -1451,18 +1449,17 @@ void server::try_resync_feed() {
   const uint64_t t0 = obs::now_ns();
   try {
     auto [host, port] = parse_host_port(cfg_.feed_addr);
-    // One lane-stamped last-applied position per lane this replica has
-    // seen; a replica of a single-lane primary presents the one scalar
-    // (the request bytes are then identical to the pre-lane protocol).
+    // One lane-stamped last-routed position per lane this replica has
+    // seen — a routed frame's parts still in flight will apply, so it must
+    // not be replayed; a replica of a single-lane primary presents the one
+    // scalar (the request bytes are then identical to the pre-lane
+    // protocol).
     std::vector<uint64_t> lasts;
     if (feed_expected_by_lane_.empty()) {
       lasts = current_lane_seqs();
     } else {
-      for (const auto& [l, next] : feed_expected_by_lane_) {
-        (void)next;
-        // relaxed: single-writer (event loop) telemetry; readers need no ordering.
-        lasts.push_back(lane_seqs_[l].load(std::memory_order_relaxed));
-      }
+      for (const auto& [l, next] : feed_expected_by_lane_)
+        lasts.push_back(last_before(l, next));
     }
     // Blocking re-sync on the loop thread, bounded by resync_timeout_ms
     // per silent read: a replica that is catching up is allowed to pause
@@ -1762,18 +1759,41 @@ void server::feed_frame(reactor& r, connection& c, const frame& f) {
   live<&server_stats::frames_served>().add();
   // A forwarded MAINTAIN is routed like any batch: each shard is grown by
   // its owner behind every earlier part of the feed, in the lane's order.
-  route_batch(r, c, f, /*from_feed=*/true, obs::now_ns());
-  // Release: published after the local apply (the whole frame when this
-  // reactor owns every shard), so a stats() reader that sees this
-  // sequence also sees its effect on the store — and before the stream
-  // position moves, so a reader that sees the position sees these too.
-  live<&server_stats::feed_last_seq>().a.store(f.sequence,
-                                              std::memory_order_release);
-  live<&server_stats::feed_applied>().a.fetch_add(1,
-                                                  std::memory_order_release);
-  // Chain the frame downstream in arrival order (reactor 0 is the feed's
-  // owner, so this *is* the upstream interleaving).
-  chain_forward(r, f);
+  // The frame's position is published when its last part folds back
+  // (finish_resp): right here when this reactor owns every shard.
+  feed_unpublished_.push_back({f.sequence, false});
+  try {
+    route_batch(r, c, f, /*from_feed=*/true, obs::now_ns());
+  } catch (...) {
+    // A frame that failed to route holds back no later frame's position.
+    std::erase_if(feed_unpublished_,
+                  [&](const auto& e) { return e.first == f.sequence; });
+    throw;
+  }
+  // Chain the frame downstream, upstream lane stamp intact, in arrival
+  // order (reactor 0 is the feed's owner, so this *is* the upstream
+  // interleaving).
+  fan_out(r, f, f.sequence);
+}
+
+void server::publish_feed(uint64_t seq) {
+  for (auto& [s, applied] : feed_unpublished_)
+    if (s == seq) applied = true;
+  // Positions publish in arrival order: a frame that finished early waits
+  // for every frame that arrived before it.
+  while (!feed_unpublished_.empty() && feed_unpublished_.front().second) {
+    const uint64_t done = feed_unpublished_.front().first;
+    feed_unpublished_.pop_front();
+    // Release: published after every part of the frame applied, so a
+    // stats() reader that sees this sequence also sees its effect on the
+    // store — and before the stream position moves, so a reader that
+    // sees the position sees these too.
+    live<&server_stats::feed_last_seq>().a.store(done,
+                                                std::memory_order_release);
+    live<&server_stats::feed_applied>().a.fetch_add(
+        1, std::memory_order_release);
+    advance_lane(done);
+  }
 }
 
 // -- Frame handling -----------------------------------------------------------
@@ -2018,6 +2038,7 @@ void server::complete_part(reactor& r, uint64_t ticket,
 
 void server::finish_resp(reactor& r, pending_resp& p) {
   if (p.conn->inflight > 0) --p.conn->inflight;
+  if (p.from_feed) publish_feed(p.client_seq);
   const uint64_t t0 = obs::now_ns();
   if (!p.conn->dead) {
     switch (p.op) {

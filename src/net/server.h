@@ -81,6 +81,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -378,9 +379,9 @@ class server {
   /// Stamp a just-applied mutation with the next stream sequence on
   /// reactor r's lane and fan it out.  Returns the stamped sequence.
   uint64_t replicate(reactor& r, const frame& f);
-  /// Replica chain-forwarding: advance the feed frame's lane (its upstream
-  /// stamp intact) and fan it out, in arrival order.
-  void chain_forward(reactor& r, const frame& f);
+  /// A feed frame's last part applied: publish, in arrival order, the
+  /// stream position of every feed frame whose parts have all applied.
+  void publish_feed(uint64_t seq);
   /// Encode `f` stamped with `seq` once, append it to the replication log,
   /// and copy it to every subscriber.
   void fan_out(reactor& r, const frame& f, uint64_t seq);
@@ -473,6 +474,8 @@ class server {
   /// Record a lane-stamped position as its lane's tip (and the local
   /// reactor's lane counter, for a lane this server owns).
   void advance_lane(uint64_t stamped);
+  /// The lane-stamped position before `next` on `lane`.
+  static uint64_t last_before(uint32_t lane, uint64_t next);
   std::vector<uint64_t> current_lane_seqs() const;
 
   server_config cfg_;
@@ -511,6 +514,10 @@ class server {
   std::atomic<uint32_t> lane_count_{1};
   /// Next expected feed sequence per lane (reactor-0 state).
   std::map<uint32_t, uint64_t> feed_expected_by_lane_;
+  /// Routed feed frames whose position is not yet published, in arrival
+  /// order, each with whether all its parts have applied (reactor-0
+  /// state).
+  std::deque<std::pair<uint64_t, bool>> feed_unpublished_;
 
   /// Live values of the stored server_stats fields, indexed by counter-
   /// table row.  mutable: live() hands cells out to const readers too.

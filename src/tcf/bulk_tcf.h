@@ -12,8 +12,14 @@
 //  * Inserts are phased host-side bulk operations: a batch is sorted by
 //    primary block, and each block merges three sorted lists — the items
 //    already stored, the items shortcutted into it, and the items POTC-
-//    assigned to it — with a zip merge in (simulated) shared memory,
-//    followed by one coalesced write-back.
+//    assigned to it.  The paper's kernel zip-merges a block in shared
+//    memory and writes it back coalesced; a CPU core already holds the
+//    block's 256 B in L1 once it is fetched, so here each phase merges in
+//    place (binary search plus one memmove per incoming fingerprint, see
+//    "Block edits") and prefetches the blocks of the runs ahead of the one
+//    it merges — the CPU's way to keep the fetches in flight that a GPU
+//    hides behind its other warps.  Equal fingerprints are equal bytes,
+//    so the blocks come out as the zip merge leaves them.
 //  * Blocks are larger (128 slots of 16-bit fingerprints by default),
 //    giving the measured ~0.3-0.4% false-positive rate at 16 bits/item.
 //
@@ -32,8 +38,10 @@
 //                  fails when the backing table is disabled).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -133,21 +141,21 @@ class bulk_tcf {
     uint64_t failed = 0;
     if (!cfg_.enable_backing) {
       failed = residue_keys.size();
-    } else if (!residue_keys.empty()) {
-      std::atomic<uint64_t> fails{0};
-      gpu::launch_threads(residue_keys.size(), [&](uint64_t i) {
-        uint16_t fp = static_cast<uint16_t>(residue_keys[i] & 0xFFFF);
-        uint64_t block = residue_keys[i] >> 16;
-        // Reconstruct probe digests from (block, fp): the backing table
-        // only needs a well-spread position sequence.
-        uint64_t h1 = util::murmur64((block << 16) | fp);
-        uint64_t h2 = util::mix64_b((block << 16) | fp);
-        GF_COUNT(backing_inserts, 1);
-        if (!backing_.insert(h1, h2, fp))
-          // relaxed: worker-private tally; the launch join publishes it to the reader.
-          fails.fetch_add(1, std::memory_order_relaxed);
-      });
-      failed = fails.load();
+    } else {
+      failed = gpu::launch_sum(
+          residue_keys.size(), [&](uint64_t begin, uint64_t end) {
+            uint64_t fails = 0;
+            for (uint64_t i = begin; i < end; ++i) {
+              // Reconstruct probe digests from (block, fp): the backing
+              // table only needs a well-spread position sequence.
+              const uint64_t item = residue_keys[i];
+              GF_COUNT(backing_inserts, 1);
+              fails += !backing_.insert(util::murmur64(item),
+                                        util::mix64_b(item),
+                                        static_cast<uint16_t>(item & 0xFFFF));
+            }
+            return fails;
+          });
     }
     uint64_t inserted = n - failed;
     live_ += inserted;
@@ -179,12 +187,8 @@ class bulk_tcf {
       ++live_;
       return true;
     }
-    uint16_t* s = &slots_[target * NumSlots];
-    unsigned fill = fills_[target];
-    unsigned pos = 0;
-    while (pos < fill && s[pos] < h.fp) ++pos;
-    for (unsigned i = fill; i > pos; --i) s[i] = s[i - 1];
-    s[pos] = h.fp;
+    const unsigned fill = fills_[target];
+    merge_in(block(target), fill, 1, [&](uint64_t) { return h.fp; });
     fills_[target] = static_cast<uint8_t>(fill + 1);
     ++live_;
     return true;
@@ -195,14 +199,11 @@ class bulk_tcf {
   bool erase(uint64_t key) {
     hashed h = hash_key(key);
     for (uint64_t b : {h.b1, h.b2}) {
-      uint16_t* s = &slots_[b * NumSlots];
-      unsigned fill = fills_[b];
-      unsigned pos = 0;
-      while (pos < fill && s[pos] < h.fp) ++pos;
-      if (pos < fill && s[pos] == h.fp) {
-        for (unsigned i = pos; i + 1 < fill; ++i) s[i] = s[i + 1];
-        s[fill - 1] = kBulkEmpty;
-        fills_[b] = static_cast<uint8_t>(fill - 1);
+      const unsigned fill = fills_[b];
+      const unsigned kept = subtract(
+          block(b), fill, 1, [&](uint64_t) { return h.fp; }, [](uint64_t) {});
+      if (kept != fill) {
+        fills_[b] = static_cast<uint8_t>(kept);
         --live_;
         return true;
       }
@@ -272,20 +273,17 @@ class bulk_tcf {
                   /*payload_is_next_target=*/true);
     }
 
-    uint64_t failed = 0;
-    if (!final_missed.empty()) {
-      std::atomic<uint64_t> fails{0};
-      gpu::launch_threads(final_missed.size(), [&](uint64_t i) {
-        uint16_t fp = static_cast<uint16_t>(final_missed[i] & 0xFFFF);
-        uint64_t b1 = final_missed[i] >> 16;
-        uint64_t c1 = util::murmur64((b1 << 16) | fp);
-        uint64_t c2 = util::mix64_b((b1 << 16) | fp);
-        if (!backing_.erase(c1, c2, fp, 0))
-          // relaxed: worker-private tally; the launch join publishes it to the reader.
-          fails.fetch_add(1, std::memory_order_relaxed);
-      });
-      failed = fails.load();
-    }
+    const uint64_t failed = gpu::launch_sum(
+        final_missed.size(), [&](uint64_t begin, uint64_t end) {
+          uint64_t fails = 0;
+          for (uint64_t i = begin; i < end; ++i) {
+            const uint64_t item = final_missed[i];  // (b1 << 16 | fp)
+            fails += !backing_.erase(util::murmur64(item),
+                                     util::mix64_b(item),
+                                     static_cast<uint16_t>(item & 0xFFFF), 0);
+          }
+          return fails;
+        });
     uint64_t removed = n - failed;
     live_ -= removed < live_ ? removed : live_;
     return removed;
@@ -402,17 +400,83 @@ class bulk_tcf {
             util::fast_range(h2, num_blocks_), fp};
   }
 
-  bool block_search(uint64_t block, uint16_t fp) const {
-    const uint16_t* s = &slots_[block * NumSlots];
-    unsigned lo = 0, hi = fills_[block];
-    while (lo < hi) {
-      unsigned mid = (lo + hi) / 2;
-      if (s[mid] < fp)
-        lo = mid + 1;
-      else
-        hi = mid;
+  uint16_t* block(uint64_t b) { return &slots_[b * NumSlots]; }
+  const uint16_t* block(uint64_t b) const { return &slots_[b * NumSlots]; }
+
+  bool block_search(uint64_t b, uint16_t fp) const {
+    const uint16_t* s = block(b);
+    const unsigned fill = fills_[b];
+    const unsigned pos = count_below(s, fill, fp);
+    return pos < fill && s[pos] == fp;
+  }
+
+  // -- Block edits -------------------------------------------------------
+  //
+  // Every write to a block goes through merge_in() or subtract(), point
+  // ops and bulk phases alike: in place, by binary search plus one memmove
+  // of the stored tail per incoming fingerprint.  A scratch copy of the
+  // block (the paper's shared-memory zip merge, §4.2) would cost a copy
+  // each way for 256 B that are already in L1.
+
+  /// How many of the sorted s[0, fill) are below fp — with `or_equal`, at
+  /// or below it: the lower (upper) bound, by branch-free binary search.
+  template <bool or_equal = false>
+  static unsigned count_below(const uint16_t* s, unsigned fill,
+                              uint16_t fp) {
+    if (fill == 0) return 0;
+    const uint16_t* base = s;
+    unsigned len = fill;
+    while (len > 1) {
+      const unsigned half = len / 2;
+      base = (or_equal ? base[half] <= fp : base[half] < fp) ? base + half
+                                                             : base;
+      len -= half;
     }
-    return lo < fills_[block] && s[lo] == fp;
+    return static_cast<unsigned>(base - s) +
+           (or_equal ? *base <= fp : *base < fp);
+  }
+
+  /// Merge `take` ascending fingerprints fp_at(0..take) into the sorted
+  /// block s[0, fill), which has room for them: from the largest down,
+  /// each lands after its equals and the stored tail above it moves once.
+  template <class FpAt>
+  static void merge_in(uint16_t* s, unsigned fill, uint64_t take,
+                       FpAt&& fp_at) {
+    unsigned hi = fill;  // s[0, hi) has not moved yet
+    for (uint64_t k = take; k-- > 0;) {
+      const uint16_t fp = fp_at(k);
+      const unsigned pos = count_below<true>(s, hi, fp);
+      std::memmove(s + pos + k + 1, s + pos, (hi - pos) * sizeof(uint16_t));
+      s[pos + k] = fp;
+      hi = pos;
+    }
+  }
+
+  /// Remove one stored copy of each of `count` ascending fingerprints
+  /// fp_at(0..count) from the sorted block s[0, fill), compacting in place
+  /// (no tombstones) and emptying the freed tail; miss(k) is called, in
+  /// order, for each one with no copy left.  Returns the new fill.
+  template <class FpAt, class Miss>
+  static unsigned subtract(uint16_t* s, unsigned fill, uint64_t count,
+                           FpAt&& fp_at, Miss&& miss) {
+    unsigned read = 0, write = 0;  // s[read, fill) is unvisited
+    for (uint64_t k = 0; k < count; ++k) {
+      const uint16_t fp = fp_at(k);
+      const unsigned pos = read + count_below(s + read, fill - read, fp);
+      if (write != read)
+        std::memmove(s + write, s + read, (pos - read) * sizeof(uint16_t));
+      write += pos - read;
+      read = pos;
+      if (read < fill && s[read] == fp)
+        ++read;  // cancelled
+      else
+        miss(k);
+    }
+    if (write == read) return fill;
+    std::memmove(s + write, s + read, (fill - read) * sizeof(uint16_t));
+    write += fill - read;
+    std::fill(s + write, s + fill, kBulkEmpty);
+    return write;
   }
 
   /// The blocks a sorted (block << 16 | fp) phase batch touches, with each
@@ -422,9 +486,48 @@ class bulk_tcf {
     return par::touched_runs(items, [](uint64_t v) { return v >> 16; });
   }
 
+  /// Runs ahead of the one being merged whose blocks a phase prefetches.
+  /// A wire frame touches about one block per key, so a run's time is
+  /// mostly the wait for its block's lines; the distance keeps that many
+  /// fetches in flight, as the point TCF's kPrefetchDistance does.
+  static constexpr uint64_t kPrefetchRuns = 8;
+  /// Runs per pool task in a phase launch; a phase of at most this many
+  /// runs stays on the caller.  A run costs about 60 ns and a pool launch
+  /// about 15 us (perfbench's gpu.pool.launch_ns), so a smaller phase
+  /// would pay more to wake the pool than to merge its blocks.
+  static constexpr uint64_t kRunGrain = 256;
+
+  /// Start the fetches of run r's fill byte and block, if there is a run r.
+  /// A task (kRunGrain runs from a multiple of kRunGrain) first starts its
+  /// opening kPrefetchRuns - 1 runs' fetches.
+  void prefetch_ahead(const std::vector<par::touched_run>& runs,
+                      uint64_t r) const {
+    if (r % kRunGrain == 0)
+      for (uint64_t j = 1; j < kPrefetchRuns; ++j) prefetch_run(runs, r + j);
+    prefetch_run(runs, r + kPrefetchRuns);
+  }
+
+  void prefetch_run(const std::vector<par::touched_run>& runs,
+                    uint64_t r) const {
+    if (r >= runs.size()) return;
+    const uint64_t b = runs[r].region;
+    prefetch_line(&fills_[b]);
+    const char* p = reinterpret_cast<const char*>(block(b));
+    for (unsigned line = 0; line < NumSlots * sizeof(uint16_t); line += 64)
+      prefetch_line(p + line);
+  }
+
+  /// Start the fetch of p's cache line.  The empty asm marks the address
+  /// as used: without it gcc 12 -O1 and up deletes these prefetches (their
+  /// addresses feed nothing else), and the phases emit no prefetch at all.
+  static void prefetch_line(const void* p) {
+    asm volatile("" : : "r"(p));
+    __builtin_prefetch(p);
+  }
+
   /// One insert phase: `items` are (target block << 16 | fp), sorted.  For
-  /// each touched target block, zip-merge the stored list with the
-  /// incoming list up to `fill_limit` occupied slots; overflow items are
+  /// each touched target block, merge the incoming list into the stored
+  /// one in place, up to `fill_limit` occupied slots; overflow items are
   /// emitted as (next target << 16 | fp) into `out_keys`/`out_payload`.
   /// When `payload_is_next_target` the payload holds the block index the
   /// overflow should try next; otherwise overflow keeps the current
@@ -445,33 +548,19 @@ class bulk_tcf {
     gpu::launch_threads(
         runs.size(),
         [&](uint64_t r) {
+          prefetch_ahead(runs, r);
           const auto [b, begin, end] = runs[r];
-          uint16_t* stored = &slots_[b * NumSlots];
-          unsigned fill = fills_[b];
-          unsigned budget = fill_limit > fill ? fill_limit - fill : 0;
-          uint64_t take = end - begin < budget ? end - begin : budget;
-          uint64_t overflow_at = begin + take;
+          const unsigned fill = fills_[b];
+          const unsigned budget = fill_limit > fill ? fill_limit - fill : 0;
+          const uint64_t take = end - begin < budget ? end - begin : budget;
+          const uint64_t overflow_at = begin + take;
 
           if (take > 0) {
-            // Zip merge in "shared memory", one coalesced write back.
-            gpu::scratch shmem;
-            uint16_t* merged = shmem.alloc<uint16_t>(fill + take);
-            uint64_t i = 0, j = begin, o = 0;
-            while (i < fill && j < overflow_at) {
-              uint16_t incoming = static_cast<uint16_t>(items[j] & 0xFFFF);
-              if (stored[i] <= incoming)
-                merged[o++] = stored[i++];
-              else {
-                merged[o++] = incoming;
-                ++j;
-              }
-            }
-            while (i < fill) merged[o++] = stored[i++];
-            while (j < overflow_at)
-              merged[o++] = static_cast<uint16_t>(items[j++] & 0xFFFF);
-            for (uint64_t k = 0; k < o; ++k) stored[k] = merged[k];
-            fills_[b] = static_cast<uint8_t>(o);
-            GF_COUNT(cache_lines_touched, (o * 2 + 127) / 128 + 1);
+            merge_in(block(b), fill, take, [&](uint64_t k) {
+              return static_cast<uint16_t>(items[begin + k] & 0xFFFF);
+            });
+            fills_[b] = static_cast<uint8_t>(fill + take);
+            GF_COUNT(cache_lines_touched, ((fill + take) * 2 + 127) / 128 + 1);
           }
           if (overflow_at < end) {
             uint64_t cnt = end - overflow_at;
@@ -487,7 +576,7 @@ class bulk_tcf {
             }
           }
         },
-        /*grain=*/64);
+        kRunGrain);
 
     uint64_t total = ov_cursor.load();
     ov_keys.resize(total);
@@ -512,32 +601,19 @@ class bulk_tcf {
     gpu::launch_threads(
         runs.size(),
         [&](uint64_t r) {
+          prefetch_ahead(runs, r);
           const auto [b, begin, end] = runs[r];
-          uint16_t* stored = &slots_[b * NumSlots];
-          unsigned fill = fills_[b];
-
           gpu::scratch shmem;
-          uint16_t* kept = shmem.alloc<uint16_t>(fill);
-          uint64_t i = 0, o = 0, j = begin;
-          uint64_t miss_local = 0;
           uint64_t* misses = shmem.alloc<uint64_t>(end - begin);
+          uint64_t miss_local = 0;
           // Merge-subtract: both lists sorted; each incoming fp cancels at
           // most one stored copy.
-          while (i < fill && j < end) {
-            uint16_t incoming = static_cast<uint16_t>(items[j] & 0xFFFF);
-            if (stored[i] < incoming)
-              kept[o++] = stored[i++];
-            else if (stored[i] == incoming) {
-              ++i;  // cancelled
-              ++j;
-            } else
-              misses[miss_local++] = j++;
-          }
-          while (j < end) misses[miss_local++] = j++;
-          while (i < fill) kept[o++] = stored[i++];
-          for (uint64_t k = 0; k < o; ++k) stored[k] = kept[k];
-          for (uint64_t k = o; k < fill; ++k) stored[k] = kBulkEmpty;
-          fills_[b] = static_cast<uint8_t>(o);
+          fills_[b] = static_cast<uint8_t>(subtract(
+              block(b), fills_[b], end - begin,
+              [&](uint64_t k) {
+                return static_cast<uint16_t>(items[begin + k] & 0xFFFF);
+              },
+              [&](uint64_t k) { misses[miss_local++] = begin + k; }));
 
           if (miss_local > 0) {
             // relaxed: cursor hands out disjoint indices; data is read after the join.
@@ -553,7 +629,7 @@ class bulk_tcf {
             }
           }
         },
-        /*grain=*/64);
+        kRunGrain);
 
     uint64_t total = ms_cursor.load();
     ms_keys.resize(total);

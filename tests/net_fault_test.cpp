@@ -18,10 +18,14 @@
 //
 // Every fault is a seeded script keyed on cumulative byte offsets —
 // identical runs on every machine, no sleeps standing in for faults.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -150,6 +154,26 @@ net::fault_plan one_event(net::fault_kind kind, net::fault_dir dir,
   net::fault_plan plan;
   plan.events.push_back({kind, dir, at_bytes, arg});
   return plan;
+}
+
+/// The server end, in this process, of the connection whose client end is
+/// `client_fd`: the socket whose peer is the client's local address.
+int server_end_of(int client_fd) {
+  sockaddr_in mine{};
+  socklen_t len = sizeof(mine);
+  if (::getsockname(client_fd, reinterpret_cast<sockaddr*>(&mine), &len) != 0)
+    return -1;
+  for (int fd = 0; fd < 4096; ++fd) {
+    sockaddr_in peer{};
+    len = sizeof(peer);
+    if (fd == client_fd ||
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) != 0)
+      continue;
+    if (peer.sin_family == AF_INET && peer.sin_port == mine.sin_port &&
+        peer.sin_addr.s_addr == mine.sin_addr.s_addr)
+      return fd;
+  }
+  return -1;
 }
 
 /// A stand-in 100-byte (or `n`-byte) frame for the memory tier, which
@@ -720,6 +744,83 @@ TEST(NetFault, MultiReactorPrimarySigkillWalRecovery) {
   for (uint64_t k : keys)
     EXPECT_TRUE(recovered.contains(k)) << "acknowledged key lost: " << k;
   std::filesystem::remove_all(dir);
+}
+
+TEST(NetFault, MultiReactorReplicaPublishesAFrameOnlyOnceApplied) {
+  // A 2-reactor read-only replica routes each feed frame's keys to the
+  // reactors that own their shards.  Reactor 1 is held in a scripted
+  // stall — the server end of a client connection it owns sleeps on its
+  // next read — so the parts for its shards wait in its mailbox.  Until
+  // they apply, the replica must not report the frame's sequence: a reader
+  // that sees it would miss the frame's keys on reactor 1's shards.
+  fault_guard guard;
+  live_server primary{store::filter_store(small_config())};
+  auto cli = primary.connect();
+  cli.insert(util::hashed_xorwow_items(2000, 2501));
+  auto sr = net::sync_from("127.0.0.1", primary.srv.port());
+  net::server_config rcfg = replica_config();
+  rcfg.reactors = 2;
+  live_server replica(std::move(sr.store), rcfg, std::move(sr.feed),
+                      std::move(sr.dec),
+                      std::span<const uint64_t>(sr.lane_seqs));
+  ASSERT_TRUE(converged(primary, replica));
+
+  // Connections are dealt round robin: the first to reactor 0, the
+  // second to reactor 1.
+  auto on_r0 = replica.connect();
+  on_r0.ping();
+  int client_fd = -1;
+  net::client on_r1("127.0.0.1", replica.srv.port(),
+                    net::kDefaultMaxFrameBytes, /*timeout_ms=*/0,
+                    [&](const std::string& host, uint16_t port) {
+                      net::socket_fd fd = net::tcp_connect(host, port);
+                      client_fd = fd.get();
+                      return fd;
+                    });
+  on_r1.ping();
+  const int server_fd = server_end_of(client_fd);
+  ASSERT_GE(server_fd, 0);
+  net::fault_engine::instance().arm(
+      server_fd,
+      one_event(net::fault_kind::stall, net::fault_dir::recv, 0, 2000));
+  std::atomic<bool> stall_over{false};
+  std::thread stalled([&] {
+    on_r1.ping();  // reactor 1 sleeps in this ping's read
+    stall_over = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const uint64_t keys_before = replica.srv.stats().keys_processed;
+  auto keys = util::hashed_xorwow_items(2000, 2502);
+  cli.insert(keys);
+  const uint64_t seq = primary.srv.stats().repl_seq;
+  // A second frame only reactor 0's shards (0 and 1) answer: it applies
+  // at once, but its position must wait behind the first frame's.
+  std::vector<uint64_t> r0_keys;
+  for (uint64_t k : util::hashed_xorwow_items(2000, 2503))
+    if (primary.srv.store().shard_of(k) < 2) r0_keys.push_back(k);
+  cli.insert(r0_keys);
+  // Reactor 0 routed both frames: its own parts applied, reactor 1's wait.
+  ASSERT_TRUE(wait_until([&] {
+    return replica.srv.stats().keys_processed >=
+           keys_before + keys.size() + r0_keys.size();
+  }));
+  EXPECT_FALSE(wait_until(
+      [&] {
+        const net::server_stats st = replica.srv.stats();
+        return st.feed_last_seq >= seq || st.repl_seq >= seq;
+      },
+      300))
+      << "the replica published sequence " << seq
+      << " before reactor 1 applied its parts";
+  ASSERT_FALSE(stall_over.load()) << "the stall ended before the check";
+
+  stalled.join();
+  ASSERT_TRUE(converged(primary, replica));
+  EXPECT_EQ(replica.srv.stats().feed_last_seq, seq + 1);
+  const auto hits = on_r1.query_bitmap(keys);
+  for (size_t i = 0; i < keys.size(); ++i)
+    ASSERT_TRUE((hits[i / 64] >> (i % 64)) & 1) << "key " << i;
 }
 
 TEST(NetFault, ReplicaCountsOnlyInboundConnections) {

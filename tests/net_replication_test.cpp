@@ -15,6 +15,7 @@
 //     downstream with their upstream sequence.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
@@ -198,7 +199,9 @@ TEST(NetReplication, SnapshotTransfersInManyChunks) {
 }
 
 TEST(NetReplication, SyncThroughSnapshotPathWritesAtomically) {
-  const std::string path = "/tmp/gf_replication_sync_snapshot.gfs";
+  // Per process: ctest runs this binary under two registrations at once.
+  const std::string path = "/tmp/gf_replication_sync_snapshot." +
+                           std::to_string(::getpid()) + ".gfs";
   std::remove(path.c_str());
   live_server primary{store::filter_store(
       small_config(store::backend_kind::gqf))};

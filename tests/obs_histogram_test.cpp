@@ -4,6 +4,7 @@
 // associativity — the properties the registry's rendered quantiles rest on.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -125,20 +126,26 @@ TEST(ObsHistogram, SnapshotConcurrentWithRecording) {
   obs::latency_histogram h(kThreads);
 
   std::atomic<bool> stop{false};
+  // Recorders start once the merger is looping: on a loaded host it could
+  // otherwise first run after they finished and take no snapshot at all.
+  std::atomic<bool> merging{false};
   uint64_t snapshots = 0;
   std::thread merger([&] {
     uint64_t last = 0;
     while (!stop.load(std::memory_order_relaxed)) {
       const auto s = h.snapshot();
+      ++snapshots;
+      merging.store(true, std::memory_order_relaxed);
       ASSERT_GE(s.count(), last);
       last = s.count();
-      ++snapshots;
     }
   });
 
   std::vector<std::thread> workers;
   for (unsigned t = 0; t < kThreads; ++t)
-    workers.emplace_back([&h, t] {
+    workers.emplace_back([&h, &merging, t] {
+      while (!merging.load(std::memory_order_relaxed))
+        std::this_thread::yield();
       for (uint64_t i = 0; i < kPerThread; ++i) h.record_lane(t, i & 2047);
     });
   for (auto& w : workers) w.join();

@@ -112,26 +112,27 @@ uint64_t save_digest(const bulk_tcf<>& f) {
   return fnv1a(out.str());
 }
 
-/// A fixed-seed stream of 1024-key wire-sized frames: three INSERT frames
-/// of fresh keys, then one ERASE frame of the oldest live keys, until the
-/// table holds 60 % of capacity.  The live set is always the contiguous
-/// window keys[lo, hi).  At pool width 1 the bulk phases are deterministic,
-/// so the saved bytes are pinned to `width1_digest`: the launch shape may
-/// change, the placement may not.
-void run_frame_stream(int log_slots, uint64_t width1_digest) {
-  constexpr uint64_t kFrame = 1024;
+/// A fixed-seed stream of `frame_keys`-key wire-sized frames: three INSERT
+/// frames of fresh keys, then one ERASE frame of the oldest live keys,
+/// until the table holds 60 % of capacity.  The live set is always the
+/// contiguous window keys[lo, hi).  At pool width 1 the bulk phases are
+/// deterministic, so the saved bytes are pinned to `width1_digest`: the
+/// launch shape, the sort and the block merge may change, the placement
+/// may not.
+void run_frame_stream(int log_slots, uint64_t frame_keys,
+                      uint64_t width1_digest) {
   bulk_tcf<> f(uint64_t{1} << log_slots);
   const uint64_t target = f.capacity() * 60 / 100;
   auto keys = util::hashed_xorwow_items(2 * target, 1600 + log_slots);
   uint64_t lo = 0, hi = 0, expect_size = 0;
   for (uint64_t frame = 0; hi - lo < target; ++frame) {
     if (frame % 4 == 3) {
-      expect_size -= f.erase_bulk({keys.data() + lo, kFrame});
-      lo += kFrame;
+      expect_size -= f.erase_bulk({keys.data() + lo, frame_keys});
+      lo += frame_keys;
     } else {
-      ASSERT_LE(hi + kFrame, keys.size());
-      expect_size += f.insert_bulk({keys.data() + hi, kFrame});
-      hi += kFrame;
+      ASSERT_LE(hi + frame_keys, keys.size());
+      expect_size += f.insert_bulk({keys.data() + hi, frame_keys});
+      hi += frame_keys;
     }
     ASSERT_EQ(f.size(), expect_size) << "frame " << frame;
     if (frame % 32 == 0) {
@@ -143,7 +144,8 @@ void run_frame_stream(int log_slots, uint64_t width1_digest) {
   std::span<const uint64_t> live(keys.data() + lo, hi - lo);
   EXPECT_EQ(f.count_contained(live), live.size());
   if (gpu::thread_pool::instance().size() == 1) {
-    EXPECT_EQ(save_digest(f), width1_digest) << "2^" << log_slots;
+    EXPECT_EQ(save_digest(f), width1_digest)
+        << "2^" << log_slots << ", " << frame_keys << "-key frames";
   }
 }
 
@@ -151,11 +153,23 @@ void run_frame_stream(int log_slots, uint64_t width1_digest) {
 // (the paper's full grid), so they pin that launching over the touched
 // blocks only places every fingerprint identically.
 TEST(BulkTcfProperty, FrameStreamPlacementIsPinned2e16) {
-  run_frame_stream(16, 0x687ff97113e722f9ull);
+  run_frame_stream(16, 1024, 0x687ff97113e722f9ull);
 }
 
 TEST(BulkTcfProperty, FrameStreamPlacementIsPinned2e20) {
-  run_frame_stream(20, 0xe0247dc9c4b4ce4full);
+  run_frame_stream(20, 1024, 0xe0247dc9c4b4ce4full);
+}
+
+// Frame sizes around the sort's tiers and a store shard's slice of a
+// 1024-key frame (about 128 keys): recorded with the comparison sort on
+// every batch below 4096 keys and the scratch zip merge, so they pin that
+// the serial radix sort and the in-place block merges place identically.
+TEST(BulkTcfProperty, FrameStreamPlacementIsPinnedSmallFrames) {
+  run_frame_stream(16, 16, 0x9259f3a5aba00225ull);
+  run_frame_stream(16, 127, 0xf77e3af2a20d37ccull);
+  run_frame_stream(20, 128, 0x57171f8cca356369ull);
+  run_frame_stream(16, 129, 0x2abe6caa881758abull);
+  run_frame_stream(16, 4095, 0xd7683e3e0cfa16c2ull);
 }
 
 /// Keys drawn until `want` of them satisfy `pred(b1)` for the primary block
