@@ -22,7 +22,9 @@
 // frames into a table at 33 % load, at 2^16 and 2^26 slots, where CI
 // bounds the 2^26 / 2^16 insert ratio (the batch pipeline keeps a frame's
 // block fetches in flight, so the DRAM-sized table costs a bounded
-// multiple of the cache-resident one).
+// multiple of the cache-resident one) and the 2^16 QUERY frame against a
+// host-speed control (the whole-block scan, tcf_block.h, keeps a probe
+// to one SIMD compare per block).
 //
 // --json FILE writes one JSON object per line per measurement (plus
 // derived bulk-vs-point speedups and insert-failure rates); CI gates on
@@ -38,7 +40,9 @@
 //             zipf_overflow_maint_depth, zipf_overflow_nomaint_mops,
 //             zipf_overflow_nomaint_fail_rate, batched_ops_mops,
 //             bulk_query_mops, btcf_frame_insert_us, btcf_frame_erase_us,
-//             tcf_frame_insert_us, tcf_frame_erase_us
+//             btcf_frame128_insert_us, btcf_frame128_erase_us,
+//             btcf_frame_control_us, tcf_frame_query_us,
+//             tcf_frame_insert_us, tcf_frame_erase_us, tcf_frame_control_us
 //   value     4 decimal places: Mops/s unless the name says otherwise
 //             (*_fail_rate is a fraction in [0,1], *_depth a cascade
 //             level count, *_us microseconds per frame)
@@ -309,17 +313,23 @@ void btcf_frame_cost() {
 }
 
 constexpr uint64_t kTcfFrameKeys = 2048;
+/// Keeps the timed QUERY frames' answers live.
+volatile uint64_t g_query_hits = 0;
 constexpr int kTcfFrameSizes[] = {16, 26};
 
-/// Median microseconds per 2048-key INSERT and ERASE frame (one
+/// Median microseconds per 2048-key QUERY, INSERT and ERASE frame (one
 /// wire_bulk_tcf reactor part) on a point TCF held at 33 % load, timed as
 /// btcf_frame_cost() times its frames but on one pool worker: a reactor
 /// part reaches the filter inside the store's per-shard launch, where the
 /// filter's own launch runs inline.  A 2^16-slot table is cache resident
 /// and a 2^26-slot one is not, so their ratio is what a frame pays for
-/// DRAM fetches the batch pipeline does not overlap.
+/// DRAM fetches the batch pipeline does not overlap.  A QUERY frame
+/// alternates stored keys with never-inserted ones, so half its keys scan
+/// both candidate blocks (and the backing table) to answer no; it runs
+/// through contains_each, the store's read path.  The control
+/// (control_us) is timed before each QUERY frame.
 void tcf_frame_cost() {
-  std::vector<std::string> cols = {"insert", "erase"};
+  std::vector<std::string> cols = {"query", "insert", "erase", "control"};
   bench::print_series_header("tcf 2048-key frame us (33% load)", cols);
   for (int log_size : kTcfFrameSizes) {
     tcf::point_tcf f(uint64_t{1} << log_size);
@@ -327,12 +337,24 @@ void tcf_frame_cost() {
     auto keys = util::hashed_xorwow_items(
         prefill + kFramesTimed * kTcfFrameKeys, 9600 + log_size);
     f.insert_bulk(std::span<const uint64_t>(keys).first(prefill));
-    std::vector<double> ins_us, era_us;
+    const auto absent = util::hashed_xorwow_items(
+        kFramesTimed * kTcfFrameKeys / 2, 9700 + log_size);
+    std::vector<uint64_t> query(kFramesTimed * kTcfFrameKeys);
+    for (uint64_t i = 0; i < query.size(); ++i)
+      query[i] = i % 2 ? absent[i / 2] : keys[(i / 2 * 7919) % prefill];
+    std::vector<double> qry_us, ins_us, era_us, ctl_us;
+    uint64_t hits = 0;
     gpu::launch_ranges(1, [&](unsigned, uint64_t, uint64_t) {
       for (int i = 0; i < kFramesTimed; ++i) {
         std::span<const uint64_t> frame(
             keys.data() + prefill + i * kTcfFrameKeys, kTcfFrameKeys);
+        ctl_us.push_back(control_us());
         util::wall_timer t;
+        f.contains_each(std::span<const uint64_t>(query).subspan(
+                            i * kTcfFrameKeys, kTcfFrameKeys),
+                        [&](size_t, bool hit) { hits += hit; });
+        qry_us.push_back(t.seconds() * 1e6);
+        t.reset();
         f.insert_bulk(frame);
         ins_us.push_back(t.seconds() * 1e6);
         t.reset();
@@ -340,12 +362,15 @@ void tcf_frame_cost() {
         era_us.push_back(t.seconds() * 1e6);
       }
     });
-    std::vector<double> vals = {median(ins_us), median(era_us)};
+    g_query_hits = hits;
+    std::vector<double> vals = {median(qry_us), median(ins_us),
+                                median(era_us), median(ctl_us)};
     bench::print_series_row(log_size, vals);
-    emit_json(store::backend_kind::tcf, 1, log_size, "tcf_frame_insert_us",
-              vals[0]);
-    emit_json(store::backend_kind::tcf, 1, log_size, "tcf_frame_erase_us",
-              vals[1]);
+    const auto backend = store::backend_kind::tcf;
+    emit_json(backend, 1, log_size, "tcf_frame_query_us", vals[0]);
+    emit_json(backend, 1, log_size, "tcf_frame_insert_us", vals[1]);
+    emit_json(backend, 1, log_size, "tcf_frame_erase_us", vals[2]);
+    emit_json(backend, 1, log_size, "tcf_frame_control_us", vals[3]);
   }
 }
 

@@ -18,6 +18,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "gpu/thread_pool.h"
 #include "net/codec.h"
 #include "net/mailbox.h"
 #include "net/mutation.h"
@@ -81,6 +82,9 @@ struct stat_row {
   stat_kind kind;
   const char* section;  ///< STATS JSON object
   const char* key;      ///< STATS JSON key
+  /// Reads a value the server does not own (the process's thread pool);
+  /// the row's live cell then stays unused.  Null for the server's cells.
+  uint64_t (*source)() = nullptr;
 };
 
 using ss = server_stats;
@@ -95,6 +99,8 @@ constexpr stat_row kStatRows[] = {
     {&ss::connections_accepted, "gf_server_connections_total", R"(event="accepted")", counter, "server", "connections_accepted"},
     {&ss::connections_closed, "gf_server_connections_total", R"(event="closed")", counter, "server", "connections_closed"},
     {&ss::barriers, "gf_server_barriers_total", "", counter, "server", "barriers"},
+    {&ss::pool_contended_launches, "gf_pool_contended_launches_total", "", counter, "server", "pool_contended_launches",
+     [] { return gpu::thread_pool::instance().contended_launches(); }},
     {&ss::read_only_refusals, "gf_server_read_only_refusals_total", "", counter, "replication", "read_only_refusals"},
     {&ss::frames_forwarded, "gf_repl_frames_forwarded_total", "", counter, "replication", "frames_forwarded"},
     {&ss::subscriber_drops, "gf_repl_dropped_subscribers_total", "", counter, "replication", "subscriber_drops"},
@@ -394,9 +400,14 @@ void server::register_metrics() {
       registry_.add_gauge(name, labels, std::move(read));
   };
   auto add_rows = [&](size_t from, size_t to) {
-    for (size_t i = from; i < to; ++i)
-      add(kStatRows[i].kind, kStatRows[i].metric, kStatRows[i].labels,
-          [cell = stat_cell{live_[i]}] { return cell.get(); });
+    for (size_t i = from; i < to; ++i) {
+      const stat_row& row = kStatRows[i];
+      if (row.source != nullptr)
+        add(row.kind, row.metric, row.labels, row.source);
+      else
+        add(row.kind, row.metric, row.labels,
+            [cell = stat_cell{live_[i]}] { return cell.get(); });
+    }
   };
 
   // Build identity and uptime.
@@ -610,7 +621,9 @@ server_stats server::stats() const {
   // Acquire pairs with the feed apply path's release on feed_applied and
   // feed_last_seq; the other cells need no ordering and pay nothing extra.
   for (size_t i = 0; i < std::size(kStatRows); ++i)
-    s.*kStatRows[i].field = live_[i].load(std::memory_order_acquire);
+    s.*kStatRows[i].field = kStatRows[i].source != nullptr
+                                ? kStatRows[i].source()
+                                : live_[i].load(std::memory_order_acquire);
   return s;
 }
 

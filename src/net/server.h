@@ -247,6 +247,9 @@ struct server_stats {
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
   uint64_t barriers = 0;  ///< stop-the-world sections entered (stw() calls)
+  uint64_t pool_contended_launches = 0;  ///< process-wide pool launches that
+                                         ///< found the pool busy and ran
+                                         ///< inline on their caller
 
   // Replication, primary side.
   uint64_t repl_seq = 0;           ///< mutation-stream position (multi-lane:
@@ -282,7 +285,8 @@ struct server_stats {
   uint64_t read_only_refusals = 0;
 };
 
-/// server_stats fields with a live cell: all but the derived repl_seq.
+/// server_stats fields with a counter-table row: all but the derived
+/// repl_seq.
 inline constexpr size_t kStoredServerStats =
     sizeof(server_stats) / sizeof(uint64_t) - 1;
 

@@ -19,6 +19,15 @@
 //    shifting-based GQF (§6.4).
 //  * Value association (ValBits > 0): the slot stores (fingerprint <<
 //    ValBits) | value, the "Key - Val" composite of Algorithm 1 line 8.
+//  * A query probes a whole block at once, the CPU analogue of the
+//    cooperative group reading its cache line in one transaction (§6.3):
+//    on the aligned layouts that fill whole 16-byte vectors (16-16, 16-32
+//    and the key-value 12+4-32 among the named variants) block_find and
+//    block_fill are one SSE2 compare over relaxed 64-bit word loads
+//    (tcf_block.h, "Whole-block scan").  The packed-12 layout and blocks
+//    whose size is not a multiple of 16 bytes (8-8) keep the per-slot
+//    loop.  Both give the same answers, and inserts keep Algorithm 1's
+//    per-lane ballot order, so placement does not change.
 //
 // Template parameters: FpBits ∈ {8, 12, 16} fingerprint bits, NumSlots
 // slots per block, ValBits associated-value bits (FpBits + ValBits must be
@@ -131,7 +140,7 @@ class tcf {
   {
     const hashed h = hash_key(key);
     for (uint64_t b : {h.b1, h.b2}) {
-      int slot = block_find(blocks_[b], h.fp);
+      int slot = block_find<ValBits>(blocks_[b], h.fp);
       if (slot >= 0)
         return static_cast<uint16_t>(blocks_[b].load(slot) & val_mask());
     }
@@ -418,7 +427,7 @@ class tcf {
       // operation completed (lock-free progress), most often a neighbor-
       // slot write invalidating the packed-12 word.
       for (;;) {
-        int slot = block_find(blk, h.fp);
+        int slot = block_find<ValBits>(blk, h.fp);
         if (slot < 0) break;
         uint16_t observed = blk.load(static_cast<unsigned>(slot));
         if (static_cast<uint16_t>(observed >> ValBits) == h.fp &&
@@ -479,9 +488,9 @@ class tcf {
   /// contains() on an already-hashed key.
   bool probe(const hashed& h) const {
     GF_COUNT(cache_lines_touched, 1);
-    if (block_find(blocks_[h.b1], h.fp) >= 0) return true;
+    if (block_find<ValBits>(blocks_[h.b1], h.fp) >= 0) return true;
     GF_COUNT(cache_lines_touched, 1);
-    if (block_find(blocks_[h.b2], h.fp) >= 0) return true;
+    if (block_find<ValBits>(blocks_[h.b2], h.fp) >= 0) return true;
     if (!cfg_.enable_backing) return false;
     return backing_.contains(h.h1, h.h2, h.fp, ValBits);
   }
@@ -532,17 +541,6 @@ class tcf {
       }
     }
     return false;  // no slots were available (Algorithm 1 line 17)
-  }
-
-  /// Scan a block for a fingerprint; returns the slot index or -1.
-  int block_find(const block_type& blk, uint16_t fp) const {
-    for (unsigned i = 0; i < NumSlots; ++i) {
-      uint16_t v = blk.load(i);
-      if (block_type::is_empty(v)) continue;
-      if (block_type::is_tombstone(v)) continue;
-      if (static_cast<uint16_t>(v >> ValBits) == fp) return static_cast<int>(i);
-    }
-    return -1;
   }
 
   /// Below this batch size the block sort costs more than the locality it

@@ -8,7 +8,9 @@
 //   * host-phased bulk inserts with concurrent point *readers*,
 //   * two independent stores bulk-building at once (concurrent top-level
 //     pool launches — the thread_pool::run_on_all admission path),
-//   * obs::latency_histogram lane recording against concurrent snapshots.
+//   * obs::latency_histogram lane recording against concurrent snapshots,
+//   * the point TCF's whole-block scan (relaxed 64-bit word loads) racing
+//     single-slot claim and delete CASes on the same blocks.
 //
 // Assertions are exact where the contract is exact (every completed insert
 // is visible after the threads join; histogram counts balance) and bounded
@@ -24,6 +26,7 @@
 #include "gpu/thread_pool.h"
 #include "obs/histogram.h"
 #include "store/store.h"
+#include "tcf/tcf.h"
 #include "util/xorwow.h"
 
 namespace {
@@ -179,6 +182,54 @@ TEST(ConcurrencyStress, BulkInsertsWithConcurrentReaders) {
     for (auto& r : rounds)
       for (uint64_t k : r) ASSERT_TRUE(s.contains(k)) << backend_name(backend);
   }
+}
+
+TEST(ConcurrencyStress, PointTcfBlockScansRaceSlotWrites) {
+  // Three readers run contains_each batches over keys stored before they
+  // start, scanning each block as relaxed 64-bit words (tcf_block.h),
+  // while one writer claims and tombstones 16-bit slots of the same blocks
+  // with point insert/erase.  No stored key may ever read as absent.
+  tcf::point_tcf f(1 << 10);  // 32 blocks: every block sees both sides
+  const auto stored = util::hashed_xorwow_items(f.capacity() / 3, 4242);
+  ASSERT_EQ(f.insert_bulk(stored), stored.size());
+  // The writer's keys alias no stored key: an erase tombstones the lowest
+  // slot matching its fingerprint in its blocks, so a key that already
+  // reads as present could take a stored key's slot.  That is the TCF's
+  // aliased delete (§6.4), not a race, so such keys are left out.
+  std::vector<uint64_t> churn;
+  for (uint64_t k : util::hashed_xorwow_items(20000, 4343))
+    if (!f.contains(k)) churn.push_back(k);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
+  std::atomic<uint64_t> misses{0}, batches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&] {
+      started.fetch_add(1);
+      uint64_t local_misses = 0, local_batches = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        f.contains_each(stored,
+                        [&](size_t, bool hit) { local_misses += !hit; });
+        ++local_batches;
+      }
+      misses.fetch_add(local_misses);
+      batches.fetch_add(local_batches);
+    });
+  }
+  while (started.load() < 3) std::this_thread::yield();
+  for (int round = 0; round < 4; ++round)
+    for (uint64_t k : churn) {
+      ASSERT_TRUE(f.insert(k));
+      ASSERT_TRUE(f.erase(k));
+    }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : readers) th.join();
+
+  EXPECT_EQ(misses.load(), 0u);
+  EXPECT_GE(batches.load(), 3u);
+  EXPECT_EQ(f.size(), stored.size());
+  EXPECT_EQ(f.count_contained(stored), stored.size());
 }
 
 TEST(ConcurrencyStress, PhasedBulkRoundsWithParallelVerification) {

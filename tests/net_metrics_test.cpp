@@ -6,7 +6,8 @@
 // at one and two reactors), per-opcode and per-stage wire histograms
 // actually fill, counters are monotone between scrapes, a scrape leaves
 // protocol_errors at zero, and stats(), the scrape and the STATS JSON report
-// the same value for every stored server and durability stat.
+// the same value for every server and durability stat (the process pool's
+// contended-launch count included).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "gpu/thread_pool.h"
 #include "net/client.h"
 #include "net/replication.h"
 #include "net/server.h"
@@ -355,6 +357,7 @@ counter gf_server_bytes_total{dir="out"}
 counter gf_server_connections_total{event="accepted"}
 counter gf_server_connections_total{event="closed"}
 counter gf_server_barriers_total
+counter gf_pool_contended_launches_total
 counter gf_server_read_only_refusals_total
 counter gf_trace_events_total
 counter gf_repl_frames_forwarded_total
@@ -432,6 +435,7 @@ counter gf_server_bytes_total{dir="out"}
 counter gf_server_connections_total{event="accepted"}
 counter gf_server_connections_total{event="closed"}
 counter gf_server_barriers_total
+counter gf_pool_contended_launches_total
 counter gf_server_read_only_refusals_total
 counter gf_trace_events_total
 counter gf_repl_frames_forwarded_total
@@ -578,6 +582,7 @@ const surface_row kServerSurfaces[] = {
     {&ss::connections_accepted, R"(gf_server_connections_total{event="accepted"})", "server", "connections_accepted"},
     {&ss::connections_closed, R"(gf_server_connections_total{event="closed"})", "server", "connections_closed"},
     {&ss::barriers, "gf_server_barriers_total", "server", "barriers"},
+    {&ss::pool_contended_launches, "gf_pool_contended_launches_total", "server", "pool_contended_launches"},
     {&ss::read_only_refusals, "gf_server_read_only_refusals_total", "replication", "read_only_refusals"},
     {&ss::frames_forwarded, "gf_repl_frames_forwarded_total", "replication", "frames_forwarded"},
     {&ss::subscriber_drops, "gf_repl_dropped_subscribers_total", "replication", "subscriber_drops"},
@@ -713,4 +718,35 @@ TEST(NetMetrics, StatsScrapeAndJsonAgreeOnEveryStoredStat) {
     expect_surfaces_agree(replica.srv, nullptr, "replica, " + tag);
     std::filesystem::remove_all(dir);
   }
+}
+
+TEST(NetMetrics, PoolContendedLaunchesReachEverySurface) {
+  // gf_pool_contended_launches_total reads the process pool's count of
+  // top-level launches that found it busy and ran inline on their caller.
+  // One launch made while another thread's launch holds the pool shows in
+  // stats(), the scrape and the STATS JSON alike.
+  net::server srv(net::server_config{}, small_store());
+  gpu::thread_pool& pool = gpu::thread_pool::instance();
+  const uint64_t before = pool.contended_launches();
+  std::atomic<bool> holding{false}, done{false};
+  std::thread holder([&] {
+    pool.run_on_all([&](unsigned w) {
+      if (w != 0) return;
+      holding.store(true);
+      while (!done.load()) std::this_thread::yield();
+    });
+  });
+  while (!holding.load()) std::this_thread::yield();
+  pool.run_on_all([](unsigned) {});
+  done.store(true);
+  holder.join();
+  // A one-worker pool runs every launch inline and never contends.
+  const uint64_t want = before + (pool.size() > 1 ? 1 : 0);
+  EXPECT_EQ(pool.contended_launches(), want);
+  EXPECT_EQ(srv.stats().pool_contended_launches, want);
+  EXPECT_EQ(exact_sample(srv.metrics_text(),
+                         "gf_pool_contended_launches_total"),
+            want);
+  EXPECT_EQ(json_value(srv.stats_json(), "server", "pool_contended_launches"),
+            std::to_string(want));
 }
