@@ -18,7 +18,9 @@
 // ERASE frames into a table held at 60 % load.  A bulk launch covers only
 // the blocks a frame touches, so the larger table may cost more per frame
 // through cache misses, never through work proportional to its size; CI
-// bounds the 2^22 / 2^16 ratio.  The point TCF's rows follow: 2048-key
+// bounds the 2^22 / 2^16 ratio.  4096-key QUERY frames run through the
+// hash-ahead pipeline (bulk_tcf::contains_each), timed next to a
+// host-speed control.  The point TCF's rows follow: 2048-key
 // frames into a table at 33 % load, at 2^16 and 2^26 slots, where CI
 // bounds the 2^26 / 2^16 insert ratio (the batch pipeline keeps a frame's
 // block fetches in flight, so the DRAM-sized table costs a bounded
@@ -41,7 +43,8 @@
 //             zipf_overflow_nomaint_fail_rate, batched_ops_mops,
 //             bulk_query_mops, btcf_frame_insert_us, btcf_frame_erase_us,
 //             btcf_frame128_insert_us, btcf_frame128_erase_us,
-//             btcf_frame_control_us, tcf_frame_query_us,
+//             btcf_frame_control_us, btcf_frame_query_us,
+//             tcf_frame_query_us,
 //             tcf_frame_insert_us, tcf_frame_erase_us, tcf_frame_control_us
 //   value     4 decimal places: Mops/s unless the name says otherwise
 //             (*_fail_rate is a fraction in [0,1], *_depth a cascade
@@ -241,6 +244,7 @@ void sweep_backend(store::backend_kind backend,
 }
 
 constexpr uint64_t kFrameKeys = 1024;
+constexpr uint64_t kBtcfQueryKeys = 4096;
 /// One store shard's slice of a 1024-key frame on an 8-shard store.
 constexpr uint64_t kShardSliceKeys = 128;
 constexpr int kFrameSizes[] = {16, 22};
@@ -264,6 +268,22 @@ double control_us() {
   return t.seconds() * 1e6;
 }
 
+/// Keeps the timed QUERY frames' answers live.
+volatile uint64_t g_query_hits = 0;
+
+/// Query frames alternating keys[(i / 2 * 7919) % stored] with
+/// never-inserted keys, so half of them probe both candidate blocks (and
+/// the backing table) to answer no.
+std::vector<uint64_t> query_frames(const std::vector<uint64_t>& keys,
+                                   uint64_t stored, uint64_t n,
+                                   uint64_t absent_seed) {
+  const auto absent = util::hashed_xorwow_items(n / 2, absent_seed);
+  std::vector<uint64_t> query(n);
+  for (uint64_t i = 0; i < n; ++i)
+    query[i] = i % 2 ? absent[i / 2] : keys[(i / 2 * 7919) % stored];
+  return query;
+}
+
 /// Median microseconds per 1024-key and per 128-key INSERT and ERASE frame
 /// on a bulk TCF held at 60 % load: each timed insert frame of fresh keys
 /// is followed by a timed erase of the same frame, so the load never
@@ -271,10 +291,11 @@ double control_us() {
 /// its own: a reactor part reaches the filter inside the store's per-shard
 /// launch, where the filter's phase launches run inline.  A 128-key frame
 /// is what one shard of an 8-shard store gets from a 1024-key wire frame.
-/// The control (control_us) is timed before each 1024-key frame.
+/// Before each 1024-key frame the control (control_us) is timed, then a
+/// 4096-key QUERY frame through contains_each, the store's read path.
 void btcf_frame_cost() {
-  std::vector<std::string> cols = {"insert", "erase", "insert128",
-                                   "erase128", "control"};
+  std::vector<std::string> cols = {"insert",   "erase",   "insert128",
+                                   "erase128", "control", "query4096"};
   bench::print_series_header("btcf 1024-key frame us (60% load)", cols);
   for (int log_size : kFrameSizes) {
     tcf::bulk_tcf<> f(uint64_t{1} << log_size);
@@ -282,14 +303,25 @@ void btcf_frame_cost() {
     auto keys = util::hashed_xorwow_items(
         prefill + kFramesTimed * kFrameKeys, 9500 + log_size);
     f.insert_bulk(std::span<const uint64_t>(keys).first(prefill));
-    std::vector<double> vals, ctl_us;
+    const auto query = query_frames(keys, prefill,
+                                    kFramesTimed * kBtcfQueryKeys,
+                                    9800 + log_size);
+    std::vector<double> vals, ctl_us, qry_us;
+    uint64_t hits = 0;
     for (uint64_t frame_keys : {kFrameKeys, kShardSliceKeys}) {
       std::vector<double> ins_us, era_us;
       gpu::launch_ranges(1, [&](unsigned, uint64_t, uint64_t) {
         for (int i = 0; i < kFramesTimed; ++i) {
           std::span<const uint64_t> frame(
               keys.data() + prefill + i * frame_keys, frame_keys);
-          if (frame_keys == kFrameKeys) ctl_us.push_back(control_us());
+          if (frame_keys == kFrameKeys) {
+            ctl_us.push_back(control_us());
+            util::wall_timer t;
+            f.contains_each(std::span<const uint64_t>(query).subspan(
+                                i * kBtcfQueryKeys, kBtcfQueryKeys),
+                            [&](size_t, bool hit) { hits += hit; });
+            qry_us.push_back(t.seconds() * 1e6);
+          }
           util::wall_timer t;
           f.insert_bulk(frame);
           ins_us.push_back(t.seconds() * 1e6);
@@ -302,6 +334,8 @@ void btcf_frame_cost() {
       vals.push_back(median(era_us));
     }
     vals.push_back(median(ctl_us));
+    vals.push_back(median(qry_us));
+    g_query_hits = hits;
     bench::print_series_row(log_size, vals);
     const auto btcf = store::backend_kind::bulk_tcf;
     emit_json(btcf, 1, log_size, "btcf_frame_insert_us", vals[0]);
@@ -309,12 +343,11 @@ void btcf_frame_cost() {
     emit_json(btcf, 1, log_size, "btcf_frame128_insert_us", vals[2]);
     emit_json(btcf, 1, log_size, "btcf_frame128_erase_us", vals[3]);
     emit_json(btcf, 1, log_size, "btcf_frame_control_us", vals[4]);
+    emit_json(btcf, 1, log_size, "btcf_frame_query_us", vals[5]);
   }
 }
 
 constexpr uint64_t kTcfFrameKeys = 2048;
-/// Keeps the timed QUERY frames' answers live.
-volatile uint64_t g_query_hits = 0;
 constexpr int kTcfFrameSizes[] = {16, 26};
 
 /// Median microseconds per 2048-key QUERY, INSERT and ERASE frame (one
@@ -337,11 +370,9 @@ void tcf_frame_cost() {
     auto keys = util::hashed_xorwow_items(
         prefill + kFramesTimed * kTcfFrameKeys, 9600 + log_size);
     f.insert_bulk(std::span<const uint64_t>(keys).first(prefill));
-    const auto absent = util::hashed_xorwow_items(
-        kFramesTimed * kTcfFrameKeys / 2, 9700 + log_size);
-    std::vector<uint64_t> query(kFramesTimed * kTcfFrameKeys);
-    for (uint64_t i = 0; i < query.size(); ++i)
-      query[i] = i % 2 ? absent[i / 2] : keys[(i / 2 * 7919) % prefill];
+    const auto query = query_frames(keys, prefill,
+                                    kFramesTimed * kTcfFrameKeys,
+                                    9700 + log_size);
     std::vector<double> qry_us, ins_us, era_us, ctl_us;
     uint64_t hits = 0;
     gpu::launch_ranges(1, [&](unsigned, uint64_t, uint64_t) {

@@ -9,6 +9,7 @@
 #include "util/counters.h"
 #include "util/hash.h"
 #include "util/io.h"
+#include "util/prefetch.h"
 
 namespace gf::baselines {
 
@@ -59,21 +60,6 @@ bool blocked_bloom_filter::contains(uint64_t key) const {
 // ranges keep each worker's chunk pipeline private; the read pipeline is
 // contains_each, which count_contained runs over each worker range.
 
-namespace {
-
-#if defined(__GNUC__) || defined(__clang__)
-inline void prefetch_line(const void* p, int rw) {
-  if (rw)
-    __builtin_prefetch(p, 1);
-  else
-    __builtin_prefetch(p, 0);
-}
-#else
-inline void prefetch_line(const void*, int) {}
-#endif
-
-}  // namespace
-
 void blocked_bloom_filter::insert_bulk(std::span<const uint64_t> keys) {
   gpu::launch_ranges(keys.size(), [&](unsigned, uint64_t begin, uint64_t end) {
     uint64_t h2s[kProbeChunk];
@@ -84,7 +70,7 @@ void blocked_bloom_filter::insert_bulk(std::span<const uint64_t> keys) {
         auto [h1, h2] = util::hash2(keys[i + j]);
         h2s[j] = h2;
         bases[j] = &words_[util::fast_range(h1, blocks_) * kWordsPerBlock];
-        prefetch_line(bases[j], 1);
+        util::prefetch_line(bases[j], /*write=*/true);
       }
       GF_COUNT(cache_lines_touched, m);
       for (uint64_t j = 0; j < m; ++j) {
@@ -127,7 +113,7 @@ uint64_t blocked_bloom_filter::contains_each(std::span<const uint64_t> keys,
       auto [h1, h2] = util::hash2(keys[i + j]);
       h2s[j] = h2;
       bases[j] = &words_[util::fast_range(h1, blocks_) * kWordsPerBlock];
-      prefetch_line(bases[j], 0);
+      util::prefetch_line(bases[j]);
     }
     GF_COUNT(cache_lines_touched, m);
     for (uint64_t j = 0; j < m; ++j) {

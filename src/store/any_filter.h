@@ -369,8 +369,11 @@ class bloom_backend final : public any_filter {
 /// inserts and binary-search queries.  The structure itself is host-phased
 /// (no internal synchronization), so point ops and bulk ops are serialized
 /// through a reader-writer lock here — queries share, mutations are
-/// exclusive.  Pick it for bulk-dominated pipelines (builds, drains);
-/// point-heavy mixed traffic belongs on the lock-free point TCF.
+/// exclusive.  Every batch read (contains_each, count_each and
+/// insert_counted's attribution of refused pairs) runs through the
+/// filter's hash-ahead prefetch pipeline, bulk_tcf::contains_each, under
+/// one lock per batch.  Pick it for bulk-dominated pipelines (builds,
+/// drains); point-heavy mixed traffic belongs on the lock-free point TCF.
 class bulk_tcf_backend final : public any_filter {
  public:
   explicit bulk_tcf_backend(uint64_t capacity)
@@ -412,22 +415,21 @@ class bulk_tcf_backend final : public any_filter {
     // near capacity must show up as counts[i] failures, not one — so
     // attribute per pair by membership (fingerprint aliasing can
     // overcount a hair; refusals themselves are the rare case).
-    for (size_t i = 0; i < keys.size(); ++i)
-      if (filter_.contains(keys[i])) instances += counts[i];
+    filter_.contains_each(keys, [&](size_t i, bool hit) {
+      if (hit) instances += counts[i];
+    });
     return instances;
   }
   // One shared lock per batch instead of one per key.
   void contains_each(std::span<const uint64_t> keys,
                      std::span<uint8_t> out) const override {
     std::shared_lock lk(mu_);
-    for (size_t i = 0; i < keys.size(); ++i)
-      out[i] = filter_.contains(keys[i]);
+    filter_.contains_each(keys, [&](size_t i, bool hit) { out[i] = hit; });
   }
   void count_each(std::span<const uint64_t> keys,
                   std::span<uint64_t> out) const override {
     std::shared_lock lk(mu_);
-    for (size_t i = 0; i < keys.size(); ++i)
-      out[i] = filter_.contains(keys[i]);
+    filter_.contains_each(keys, [&](size_t i, bool hit) { out[i] = hit; });
   }
   uint64_t erase_bulk(std::span<const uint64_t> keys) override {
     std::unique_lock lk(mu_);

@@ -22,6 +22,7 @@
 #include "util/counters.h"
 #include "util/hash.h"
 #include "util/io.h"
+#include "util/prefetch.h"
 
 namespace gf::tcf {
 
@@ -84,7 +85,7 @@ class backing_table {
 
   /// Start fetching the first slot contains(h1, h2, ...) reads.
   void prefetch(uint64_t h1, uint64_t h2) const {
-    __builtin_prefetch(&slots_[position(h1, h2, 0)]);
+    util::prefetch_line(&slots_[position(h1, h2, 0)]);
   }
 
   /// Lookup returning the stored value bits.

@@ -8,7 +8,12 @@
 //
 // Differences from the point TCF, all from the paper:
 //  * Blocks keep their fingerprints in sorted order, so queries are a
-//    binary search (log-time) instead of a scan.
+//    binary search (log-time) instead of a scan.  A batch of queries
+//    (contains_each) runs through a hash-ahead pipeline: it hashes each
+//    key kPrefetchDistance keys ahead and prefetches both candidate
+//    blocks, so a batch keeps that many keys' fetches in flight, as the
+//    point TCF's batch reads do.  A 256 B block spans several cache
+//    lines; the search is cheap next to fetching them.
 //  * Inserts are phased host-side bulk operations: a batch is sorted by
 //    primary block, and each block merges three sorted lists — the items
 //    already stored, the items shortcutted into it, and the items POTC-
@@ -55,6 +60,7 @@
 #include "util/counters.h"
 #include "util/hash.h"
 #include "util/io.h"
+#include "util/prefetch.h"
 
 namespace gf::tcf {
 
@@ -222,22 +228,42 @@ class bulk_tcf {
   /// Membership for one key (binary search in up to two blocks, then the
   /// backing table).  Thread-safe against other queries, not against a
   /// concurrent insert_bulk (bulk filters are host-phased, paper Table 1).
-  bool contains(uint64_t key) const {
-    hashed h = hash_key(key);
-    GF_COUNT(cache_lines_touched, 2);
-    if (block_search(h.b1, h.fp)) return true;
-    GF_COUNT(cache_lines_touched, 2);
-    if (block_search(h.b2, h.fp)) return true;
-    if (!cfg_.enable_backing) return false;
-    uint64_t c1 = util::murmur64((h.b1 << 16) | h.fp);
-    uint64_t c2 = util::mix64_b((h.b1 << 16) | h.fp);
-    return backing_.contains(c1, c2, h.fp, 0);
+  bool contains(uint64_t key) const { return probe(hash_key(key)); }
+
+  /// Keys hashed ahead of the one contains_each probes, and runs ahead of
+  /// the one an insert or erase phase merges, whose blocks are prefetched.
+  /// A key or a run costs mostly the wait for its block's lines; the
+  /// distance keeps that many fetches in flight.
+  static constexpr uint64_t kPrefetchDistance = 8;
+
+  /// Batched membership: calls sink(i, contains(keys[i])) for every i, in
+  /// order, on the calling thread (no pool launch).  The hash-ahead
+  /// pipeline: each key is hashed kPrefetchDistance keys ahead of its probe
+  /// and the fill bytes and lines of both candidate blocks are prefetched.
+  /// Hashing reads only the table geometry and a prefetch changes nothing,
+  /// so the answer is contains()'s: the same probe runs on the same hash.
+  /// Host-phased like contains().
+  template <class Sink>
+  void contains_each(std::span<const uint64_t> keys, Sink&& sink) const {
+    constexpr uint64_t kMask = kPrefetchDistance - 1;
+    static_assert((kPrefetchDistance & kMask) == 0);
+    const uint64_t n = keys.size();
+    hashed ring[kPrefetchDistance]{};
+    for (uint64_t i = 0; i < n && i < kPrefetchDistance; ++i)
+      ring[i] = prefetch(hash_key(keys[i]));
+    for (uint64_t i = 0; i < n; ++i) {
+      const hashed h = ring[i & kMask];
+      if (n - i > kPrefetchDistance)
+        ring[i & kMask] = prefetch(hash_key(keys[i + kPrefetchDistance]));
+      sink(i, probe(h));
+    }
   }
 
   uint64_t count_contained(std::span<const uint64_t> keys) const {
     return gpu::launch_sum(keys.size(), [&](uint64_t begin, uint64_t end) {
       uint64_t found = 0;
-      for (uint64_t i = begin; i < end; ++i) found += contains(keys[i]);
+      contains_each(keys.subspan(begin, end - begin),
+                    [&](size_t, bool hit) { found += hit; });
       return found;
     });
   }
@@ -400,6 +426,37 @@ class bulk_tcf {
             util::fast_range(h2, num_blocks_), fp};
   }
 
+  /// contains() on an already-hashed key.  The backing table's digests
+  /// are derived here, for the keys that miss both blocks only: the table
+  /// is a hundredth of the main one and stays cached, so hashing them
+  /// ahead for every key, to prefetch its first slot, cost more than the
+  /// fetch it hid.
+  bool probe(const hashed& h) const {
+    GF_COUNT(cache_lines_touched, 2);
+    if (block_search(h.b1, h.fp)) return true;
+    GF_COUNT(cache_lines_touched, 2);
+    if (block_search(h.b2, h.fp)) return true;
+    if (!cfg_.enable_backing) return false;
+    uint64_t c1 = util::murmur64((h.b1 << 16) | h.fp);
+    uint64_t c2 = util::mix64_b((h.b1 << 16) | h.fp);
+    return backing_.contains(c1, c2, h.fp, 0);
+  }
+
+  /// Start the line fetches probe(h) will need; returns h.
+  const hashed& prefetch(const hashed& h) const {
+    prefetch_block(h.b1);
+    prefetch_block(h.b2);
+    return h;
+  }
+
+  /// Start the fetches of block b's fill byte and of its lines.
+  void prefetch_block(uint64_t b) const {
+    util::prefetch_line(&fills_[b]);
+    const char* p = reinterpret_cast<const char*>(block(b));
+    for (unsigned line = 0; line < NumSlots * sizeof(uint16_t); line += 64)
+      util::prefetch_line(p + line);
+  }
+
   uint16_t* block(uint64_t b) { return &slots_[b * NumSlots]; }
   const uint16_t* block(uint64_t b) const { return &slots_[b * NumSlots]; }
 
@@ -486,43 +543,28 @@ class bulk_tcf {
     return par::touched_runs(items, [](uint64_t v) { return v >> 16; });
   }
 
-  /// Runs ahead of the one being merged whose blocks a phase prefetches.
-  /// A wire frame touches about one block per key, so a run's time is
-  /// mostly the wait for its block's lines; the distance keeps that many
-  /// fetches in flight, as the point TCF's kPrefetchDistance does.
-  static constexpr uint64_t kPrefetchRuns = 8;
   /// Runs per pool task in a phase launch; a phase of at most this many
   /// runs stays on the caller.  A run costs about 60 ns and a pool launch
   /// about 15 us (perfbench's gpu.pool.launch_ns), so a smaller phase
   /// would pay more to wake the pool than to merge its blocks.
   static constexpr uint64_t kRunGrain = 256;
 
-  /// Start the fetches of run r's fill byte and block, if there is a run r.
-  /// A task (kRunGrain runs from a multiple of kRunGrain) first starts its
-  /// opening kPrefetchRuns - 1 runs' fetches.
+  /// Start the fetches of run r's block, if there is a run r.  A task
+  /// (kRunGrain runs from a multiple of kRunGrain) first starts its
+  /// opening kPrefetchDistance - 1 runs' fetches.  A wire frame touches
+  /// about one block per key, so a run's time is mostly the wait for its
+  /// block's lines.
   void prefetch_ahead(const std::vector<par::touched_run>& runs,
                       uint64_t r) const {
     if (r % kRunGrain == 0)
-      for (uint64_t j = 1; j < kPrefetchRuns; ++j) prefetch_run(runs, r + j);
-    prefetch_run(runs, r + kPrefetchRuns);
+      for (uint64_t j = 1; j < kPrefetchDistance; ++j)
+        prefetch_run(runs, r + j);
+    prefetch_run(runs, r + kPrefetchDistance);
   }
 
   void prefetch_run(const std::vector<par::touched_run>& runs,
                     uint64_t r) const {
-    if (r >= runs.size()) return;
-    const uint64_t b = runs[r].region;
-    prefetch_line(&fills_[b]);
-    const char* p = reinterpret_cast<const char*>(block(b));
-    for (unsigned line = 0; line < NumSlots * sizeof(uint16_t); line += 64)
-      prefetch_line(p + line);
-  }
-
-  /// Start the fetch of p's cache line.  The empty asm marks the address
-  /// as used: without it gcc 12 -O1 and up deletes these prefetches (their
-  /// addresses feed nothing else), and the phases emit no prefetch at all.
-  static void prefetch_line(const void* p) {
-    asm volatile("" : : "r"(p));
-    __builtin_prefetch(p);
+    if (r < runs.size()) prefetch_block(runs[r].region);
   }
 
   /// One insert phase: `items` are (target block << 16 | fp), sorted.  For

@@ -52,6 +52,7 @@
 #include "util/bits.h"
 #include "util/counters.h"
 #include "util/hash.h"
+#include "util/prefetch.h"
 
 namespace gf::tcf {
 
@@ -496,12 +497,15 @@ class tcf {
   }
 
   /// Start the line fetches an op on h will need; returns h.  A block is
-  /// not line-aligned, so both of its end bytes are prefetched.
-  const hashed& prefetch(const hashed& h) const {
+  /// not line-aligned, so both of its end bytes are prefetched.  Always
+  /// inlined: the pipeline's loops exist to issue these fetches, and the
+  /// address guards in util::prefetch_line would otherwise tip gcc into
+  /// calling it out of line in some of them.
+  [[gnu::always_inline]] const hashed& prefetch(const hashed& h) const {
     for (uint64_t b : {h.b1, h.b2}) {
       const char* p = reinterpret_cast<const char*>(&blocks_[b]);
-      __builtin_prefetch(p);
-      __builtin_prefetch(p + sizeof(block_type) - 1);
+      util::prefetch_line(p);
+      util::prefetch_line(p + sizeof(block_type) - 1);
     }
     if (cfg_.enable_backing) backing_.prefetch(h.h1, h.h2);
     return h;

@@ -477,16 +477,18 @@ TEST(StoreBulk, CascadeBulkEraseMatchesPointWalk) {
 //
 // contains_each/count_each must answer exactly like the point loop, key by
 // key, on every backend, at cascade depth 1 and on grown cascades, at the
-// TCF pipeline's and the blocked Bloom chunk's edge batch sizes, with and
-// without duplicate keys — and move the shard stats exactly as far as the
-// point loop does.
+// point and bulk TCF pipelines' and the blocked Bloom chunk's edge batch
+// sizes, with and without duplicate keys — and move the shard stats
+// exactly as far as the point loop does.
 
 namespace read_tier {
 
 constexpr size_t kDist = tcf::point_tcf::kPrefetchDistance;
+constexpr size_t kBulkDist = tcf::bulk_tcf<>::kPrefetchDistance;
 constexpr size_t kChunk = baselines::blocked_bloom_filter::kProbeChunk;
 constexpr size_t kBatchSizes[] = {
-    0, 1, kChunk - 1, kChunk, kChunk + 1, kDist - 1, kDist, kDist + 1, 4096};
+    0, 1, kChunk - 1, kChunk, kChunk + 1, kDist - 1, kDist, kDist + 1,
+    kBulkDist - 1, kBulkDist, kBulkDist + 1, 4096};
 
 /// Half inserted keys, half absent ones; with `dups`, every third key
 /// repeats an earlier one.

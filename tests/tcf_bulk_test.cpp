@@ -138,5 +138,55 @@ TEST(BulkTcf, BackingDisabledHasNoFalseNegatives) {
   EXPECT_TRUE(f.validate());
 }
 
+/// contains_each(batch) against the contains() loop, on batches of half
+/// stored keys and half never-inserted ones, every third key repeating an
+/// earlier one, at the pipeline's edge sizes.  The sink must see every
+/// index once, in order.
+void expect_contains_each_matches(const bulk_tcf<>& f,
+                                  std::span<const uint64_t> stored,
+                                  uint64_t seed) {
+  constexpr size_t kDist = bulk_tcf<>::kPrefetchDistance;
+  for (size_t n : {size_t{0}, size_t{1}, kDist - 1, kDist, kDist + 1,
+                   size_t{4096}}) {
+    auto absent = util::hashed_xorwow_items(n + 1, seed + n);
+    std::vector<uint64_t> batch(n);
+    for (size_t i = 0; i < n; ++i)
+      batch[i] = i % 2 ? absent[i] : stored[(i * 7919) % stored.size()];
+    for (size_t i = 3; i < n; i += 3) batch[i] = batch[i / 3];
+    std::vector<int> got;
+    f.contains_each(batch, [&](size_t i, bool hit) {
+      ASSERT_EQ(i, got.size()) << "batch of " << n;
+      got.push_back(hit);
+    });
+    ASSERT_EQ(got.size(), n);
+    uint64_t hits = 0;
+    for (size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(got[i], f.contains(batch[i])) << "key " << i << " of " << n;
+      hits += got[i];
+    }
+    EXPECT_EQ(f.count_contained(batch), hits) << "batch of " << n;
+  }
+}
+
+TEST(BulkTcf, ContainsEachMatchesContains) {
+  for (unsigned load : {30u, 60u, 95u}) {
+    SCOPED_TRACE(load);
+    bulk_tcf<> f(1 << 14);
+    auto keys = util::hashed_xorwow_items(f.capacity() * load / 100, 20 + load);
+    ASSERT_EQ(f.insert_bulk(keys), keys.size());
+    if (load == 95) {
+      ASSERT_GT(f.backing_size(), 0u);  // backing residents are probed
+    }
+    expect_contains_each_matches(f, keys, 900 + load);
+  }
+  tcf_config cfg;
+  cfg.enable_backing = false;
+  bulk_tcf<> f(1 << 14, cfg);
+  auto keys = util::hashed_xorwow_items(f.capacity() * 95 / 100, 21);
+  f.insert_bulk(keys);
+  ASSERT_EQ(f.backing_size(), 0u);
+  expect_contains_each_matches(f, keys, 1000);
+}
+
 }  // namespace
 }  // namespace gf::tcf
