@@ -1,13 +1,17 @@
 // Google-benchmark micro-suite for the primitives everything rests on:
-// hashing, rank/select words, radix sort, and the single-item filter ops.
+// hashing, rank/select words, radix sort, the cost of a pool launch, and
+// the single-item filter ops.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "baselines/blocked_bloom.h"
+#include "gpu/thread_pool.h"
 #include "gqf/gqf.h"
 #include "par/radix_sort.h"
+#include "store/store.h"
 #include "tcf/tcf.h"
 #include "util/bits.h"
 #include "util/hash.h"
@@ -83,6 +87,75 @@ BENCHMARK(BM_SortTier)
     ->ArgsProduct({{0, 1},
                    {8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096},
                    {29, 44, 64}});
+
+// Per-item cost of a pool launch against the inline loop — args (body:
+// 0 a shard_of partition pass, 1 a point-TCF contains_each probe; mode: 0
+// one range on the caller, 1 one static range per worker through
+// run_on_all, the split parallel_ranges launches above gpu::kLaunchFloor;
+// n) — at the process pool's width (GF_NUM_WORKERS).  The partition pass
+// counts the shards of an 8-shard store into per-worker histograms, as
+// filter_store::partition_by_shard does; the probe reads a 2^22-slot
+// point TCF at 33 % load with stored keys alternating with never-inserted
+// ones, as a wire QUERY part does.  Successive iterations take successive
+// batches of a 2^16-key pool.  gpu::kLaunchFloor comes from this row.
+static void BM_PoolLaunch(benchmark::State& state) {
+  const int body = static_cast<int>(state.range(0));
+  const bool launch = state.range(1) != 0;
+  const auto n = static_cast<uint64_t>(state.range(2));
+  constexpr uint64_t kPool = uint64_t{1} << 16;
+  static const store::filter_store routes([] {
+    store::store_config cfg;
+    cfg.num_shards = 8;
+    cfg.capacity = uint64_t{1} << 12;
+    return cfg;
+  }());
+  static const tcf::point_tcf table = [] {
+    tcf::point_tcf f(uint64_t{1} << 22);
+    f.insert_bulk(util::hashed_xorwow_items(f.capacity() * 33 / 100, 19));
+    return f;
+  }();
+  static const std::vector<uint64_t> keys = [] {
+    const auto stored = util::hashed_xorwow_items(table.capacity() / 4, 19);
+    const auto absent = util::hashed_xorwow_items(kPool, 23);
+    std::vector<uint64_t> k(kPool + 8192);
+    for (uint64_t i = 0; i < k.size(); ++i)
+      k[i] = i % 2 ? absent[i / 2] : stored[i * 7919 % stored.size()];
+    return k;
+  }();
+  auto& pool = gpu::thread_pool::instance();
+  const unsigned p = pool.size();
+  std::vector<uint64_t> rows(p * 8);  // one line-sized row per worker
+  uint64_t at = 0;
+  auto range = [&](unsigned w, uint64_t begin, uint64_t end) {
+    uint64_t* row = &rows[w * 8];
+    const std::span<const uint64_t> part(keys.data() + at + begin,
+                                         end - begin);
+    if (body == 0) {
+      for (uint64_t k : part) ++row[routes.shard_of(k)];
+    } else {
+      table.contains_each(part, [&](size_t, bool hit) { row[0] += hit; });
+    }
+  };
+  for (auto _ : state) {
+    if (launch) {
+      pool.run_on_all([&](unsigned w) {
+        const uint64_t begin = n * w / p, end = n * (w + 1) / p;
+        if (begin < end) range(w, begin, end);
+      });
+    } else {
+      range(0, 0, n);
+    }
+    at = (at + n) % kPool;
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(2));
+  state.counters["width"] = p;
+}
+BENCHMARK(BM_PoolLaunch)
+    ->ArgNames({"body", "launch", "n"})
+    ->ArgsProduct({{0, 1}, {0, 1}, {64, 128, 256, 512, 1024, 2048, 4096, 8192}})
+    ->UseRealTime();
 
 static void BM_TcfPointInsert(benchmark::State& state) {
   tcf::point_tcf f(1 << 20);

@@ -9,8 +9,8 @@
 //                             one add per worker: a batch's tally
 //                             (block-reduce, then one atomicAdd per block)
 //
-// Grain sizes are chosen so that scheduling overhead stays below the cost
-// of the per-item filter operation.
+// When a launch pays for itself is the pool's one rule, kLaunchFloor
+// (gpu/thread_pool.h).
 #pragma once
 
 #include <atomic>
@@ -20,11 +20,9 @@
 
 namespace gf::gpu {
 
-inline constexpr uint64_t kDefaultGrain = 1024;
-
 /// One logical GPU thread per index in [0, n).
 template <class Fn>
-void launch_threads(uint64_t n, Fn&& fn, uint64_t grain = kDefaultGrain) {
+void launch_threads(uint64_t n, Fn&& fn, uint64_t grain = kLaunchFloor) {
   thread_pool::instance().parallel_for(0, n, grain,
                                        [&](uint64_t i) { fn(i); });
 }
@@ -36,12 +34,9 @@ void launch_ranges(uint64_t n, Fn&& fn) {
   thread_pool::instance().parallel_ranges(n, std::forward<Fn>(fn));
 }
 
-/// Sum of range(begin, end) over one static range of [0, n) per pool
-/// worker.  A batch of at most one launch grain runs as a single range
-/// on the caller: waking the pool costs more than such a batch.
+/// Sum of range(begin, end) over the static ranges of launch_ranges(n).
 template <class Range>
 uint64_t launch_sum(uint64_t n, Range&& range) {
-  if (n <= kDefaultGrain) return n == 0 ? 0 : range(0, n);
   std::atomic<uint64_t> total{0};
   launch_ranges(n, [&](unsigned, uint64_t begin, uint64_t end) {
     const uint64_t local = range(begin, end);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 namespace gf::gpu {
 
@@ -83,6 +84,10 @@ thread_pool::~thread_pool() {
 
 bool thread_pool::in_worker() const { return tls_owner == this; }
 
+thread_pool::worker_scope::worker_scope(const thread_pool* pool)
+    : prev(std::exchange(tls_owner, pool)) {}
+thread_pool::worker_scope::~worker_scope() { tls_owner = prev; }
+
 void thread_pool::spawn_workers(uint64_t epoch) {
   workers_.reserve(width_ - 1);
   for (auto i = static_cast<unsigned>(workers_.size()) + 1; i < width_; ++i)
@@ -116,10 +121,6 @@ void thread_pool::fork_child() {
 }
 
 void thread_pool::run_on_all(const std::function<void(unsigned)>& fn) {
-  if (width_ == 1) {
-    fn(0);
-    return;
-  }
   // Top-level launches are exclusive: job_ / remaining_ / epoch_ describe
   // exactly one launch at a time.  Two independent non-worker threads (two
   // net::server event loops sharing the process pool, or a server plus a
@@ -129,15 +130,14 @@ void thread_pool::run_on_all(const std::function<void(unsigned)>& fn) {
   // launch now degrades to inline serial execution of every worker id on
   // the caller (the same discipline nested launches already follow), so
   // exclusivity is never traded for a blocking wait that could stall an
-  // event loop behind a long foreign launch.
-  if (!launch_mu_.try_lock()) {
+  // event loop behind a long foreign launch.  A width-1 pool runs its one
+  // id the same way, uncounted.
+  if (width_ == 1 || !launch_mu_.try_lock()) {
     // relaxed: monotone statistic; no data is published through it.
-    contended_launches_.fetch_add(1, std::memory_order_relaxed);
-    const thread_pool* prev_inline = tls_owner;
-    tls_owner = this;
-    const unsigned p = size();
-    for (unsigned w = 0; w < p; ++w) fn(w);
-    tls_owner = prev_inline;
+    if (width_ > 1)
+      contended_launches_.fetch_add(1, std::memory_order_relaxed);
+    const worker_scope as_worker(this);
+    for (unsigned w = 0; w < width_; ++w) fn(w);
     return;
   }
   std::lock_guard launch_guard(launch_mu_, std::adopt_lock);
@@ -156,10 +156,10 @@ void thread_pool::run_on_all(const std::function<void(unsigned)>& fn) {
   // that launches (e.g. a per-shard bulk sort) would start a second
   // top-level launch while this one is in flight, double-booking job_ /
   // remaining_ (an unsigned underflow parks everyone forever).
-  const thread_pool* prev = tls_owner;
-  tls_owner = this;
-  fn(0);
-  tls_owner = prev;
+  {
+    const worker_scope as_worker(this);
+    fn(0);
+  }
   std::unique_lock lock(mu_);
   cv_done_.wait(lock, [&] { return remaining_ == 0; });
   job_ = nullptr;

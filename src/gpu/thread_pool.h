@@ -27,6 +27,13 @@
 
 namespace gf::gpu {
 
+/// The pool's one launch rule: parallel_ranges runs a batch of at most
+/// this many items as one range on the caller, and it is launch_threads'
+/// default grain.  From micro_primitives' BM_PoolLaunch row (README,
+/// "Benchmarks"): a width-4 launch costs about 20 us on a 4-vCPU host, and
+/// a point-TCF probe batch first gains from one between 1024 and 2048.
+inline constexpr uint64_t kLaunchFloor = 1024;
+
 /// Number of workers the global pool uses: GF_NUM_WORKERS env var when set,
 /// otherwise hardware concurrency.
 unsigned query_pool_size();
@@ -79,12 +86,15 @@ class thread_pool {
 
   /// Static partition of [0, n) into one contiguous range per worker:
   /// fn(worker_id, begin, end).  Used where per-worker state matters
-  /// (e.g. per-worker histograms in the radix sort).
+  /// (e.g. per-worker histograms in the radix sort).  At most kLaunchFloor
+  /// items, a nested launch or a width-1 pool run fn(0, 0, n) on the
+  /// caller, marked as a worker so that launches nested in fn run inline.
   template <class Fn>
   void parallel_ranges(uint64_t n, Fn&& fn) {
-    unsigned p = size();
     if (n == 0) return;
-    if (in_worker() || p == 1) {
+    const unsigned p = size();
+    if (n <= kLaunchFloor || p == 1 || in_worker()) {
+      const worker_scope as_worker(this);
       fn(0u, uint64_t{0}, n);
       return;
     }
@@ -107,6 +117,14 @@ class thread_pool {
 
  private:
   friend struct fork_guard;
+
+  /// Marks the calling thread as this pool's worker while alive, so
+  /// launches nested in an inline run execute inline too.
+  struct worker_scope {
+    explicit worker_scope(const thread_pool* pool);
+    ~worker_scope();
+    const thread_pool* prev;
+  };
 
   /// Start the missing workers; they wait for the launch after `epoch`.
   /// Caller holds launch_mu_ (or is the constructor).

@@ -12,8 +12,9 @@
 // trusted for routing) and handed to owners over bounded SPSC mailboxes
 // (net/mailbox.h); results fold back on the requesting reactor, which
 // releases the one wire response.  A reactor that owns every shard skips
-// the partition (its part is the whole batch, in request order) and reads
-// through the thread pool, which no other reactor contends for.  Each
+// the partition (its part is the whole batch, in request order).  Every
+// part reads through the store the same way at any reactor count: the
+// pool's launch floor decides whether a part launches.  Each
 // mutating part goes through net::apply_mutation (net/mutation.h, shared
 // with WAL replay) into the store's key-span bulk tier, which keeps the
 // paper's batch-amortization lesson (§4.2/§5.4) intact across the socket.

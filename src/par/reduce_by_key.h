@@ -89,17 +89,18 @@ keyed_counts reduce_by_key_impl(std::span<const uint64_t> sorted,
       range_begin[w] = range_begin[w - 1];
   range_begin[workers] = n;
 
-  // Recount per final ranges: distinct keys whose run *ends* inside the
-  // range.  (Simpler and safe: a run ends at i when sorted[i] != sorted[i+1]
-  // or i == n-1; every run ends exactly once.)
+  // Phases 2 and 3 launch over phase 1's n, so the pool splits all three
+  // alike and worker w walks its own snapped range (empty when phase 1
+  // gave it none).
+  // Phase 2: recount per final ranges: distinct keys whose run *ends*
+  // inside the range.  (Simpler and safe: a run ends at i when
+  // sorted[i] != sorted[i+1] or i == n-1; every run ends exactly once.)
   std::vector<uint64_t> distinct(workers, 0);
-  pool.parallel_ranges(workers, [&](unsigned, uint64_t wb, uint64_t we) {
-    for (uint64_t w = wb; w < we; ++w) {
-      uint64_t begin = range_begin[w], end = range_begin[w + 1], u = 0;
-      for (uint64_t i = begin; i < end; ++i)
-        if (i + 1 == n || sorted[i] != sorted[i + 1]) ++u;
-      distinct[w] = u;
-    }
+  pool.parallel_ranges(n, [&](unsigned w, uint64_t, uint64_t) {
+    uint64_t begin = range_begin[w], end = range_begin[w + 1], u = 0;
+    for (uint64_t i = begin; i < end; ++i)
+      if (i + 1 == n || sorted[i] != sorted[i + 1]) ++u;
+    distinct[w] = u;
   });
 
   uint64_t total = 0;
@@ -113,29 +114,26 @@ keyed_counts reduce_by_key_impl(std::span<const uint64_t> sorted,
   out.keys.resize(total);
   out.counts.resize(total);
 
-  // Phase 2: emit.  Begins are boundary-snapped, but a run longer than a
+  // Phase 3: emit.  Begins are boundary-snapped, but a run longer than a
   // whole nominal range swallows the ranges it covers and *ends* inside a
   // later worker's range — that worker owns the run (a run ends exactly
   // once, so ownership is unambiguous) and must walk back to the run's
   // true start to pick up the weight that accrued in earlier ranges.
-  pool.parallel_ranges(workers, [&](unsigned, uint64_t wb, uint64_t we) {
-    for (uint64_t w = wb; w < we; ++w) {
-      uint64_t begin = range_begin[w], end = range_begin[w + 1];
-      uint64_t slot = offset[w];
-      uint64_t run_weight = 0;
-      if (begin < end && begin > 0 && sorted[begin] == sorted[begin - 1]) {
-        for (uint64_t i = begin; i > 0 && sorted[i - 1] == sorted[begin];
-             --i)
-          run_weight += weight_of(i - 1);
-      }
-      for (uint64_t i = begin; i < end; ++i) {
-        run_weight += weight_of(i);
-        if (i + 1 == n || sorted[i] != sorted[i + 1]) {
-          out.keys[slot] = sorted[i];
-          out.counts[slot] = run_weight;
-          ++slot;
-          run_weight = 0;
-        }
+  pool.parallel_ranges(n, [&](unsigned w, uint64_t, uint64_t) {
+    uint64_t begin = range_begin[w], end = range_begin[w + 1];
+    uint64_t slot = offset[w];
+    uint64_t run_weight = 0;
+    if (begin < end && begin > 0 && sorted[begin] == sorted[begin - 1]) {
+      for (uint64_t i = begin; i > 0 && sorted[i - 1] == sorted[begin]; --i)
+        run_weight += weight_of(i - 1);
+    }
+    for (uint64_t i = begin; i < end; ++i) {
+      run_weight += weight_of(i);
+      if (i + 1 == n || sorted[i] != sorted[i + 1]) {
+        out.keys[slot] = sorted[i];
+        out.counts[slot] = run_weight;
+        ++slot;
+        run_weight = 0;
       }
     }
   });

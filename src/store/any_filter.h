@@ -31,11 +31,11 @@
 // The per-key read tier (contains_each / count_each) answers a batch key
 // by key: out[i] is exactly what contains(keys[i]) / count(keys[i]) would
 // return.  It runs serially on the calling thread (never a pool launch —
-// the store and the server decide where batches run), so a backend can
-// pipeline a batch's cache-line fetches the way the point TCF does.  Like
-// every bulk op it is host-phased: no concurrent writer on the filter
-// while a batch is probed (concurrent readers are fine).  It is the
-// filter layer's only batched read (contains_bulk is its sum).  Every
+// the store's one launch over the batch decides where it runs), so a
+// backend can pipeline a batch's cache-line fetches the way the point TCF
+// does.  Like every bulk op it is host-phased: no concurrent writer on
+// the filter while a batch is probed (concurrent readers are fine).  It is
+// the filter layer's only batched read (contains_bulk is its sum).  Every
 // backend implements all five batch methods itself; there are no
 // point-loop defaults.
 #pragma once

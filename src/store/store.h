@@ -25,13 +25,13 @@
 //                     the async tier's runs share.  The wire server and
 //                     WAL replay mutate through this tier only.
 //   * Per-key reads — contains_each()/count_each() answer a batch key by
-//                     key: grouped by shard, one batched backend probe per
-//                     group and cascade level, at most one pool launch.
-//                     They are the store's only batched read (apply()'s
-//                     query runs call shard::contains_each too), and the
-//                     backend probes are serial: a read reaches the pool
-//                     only through probe_each() or, for flush()'s query
-//                     runs, per_shard().
+//                     key: at most one pool launch, each range grouped by
+//                     shard, one batched backend probe per group and
+//                     cascade level.  They are the store's only batched
+//                     read (apply()'s query runs call shard::contains_each
+//                     too), and the backend probes are serial: a read
+//                     reaches the pool only through probe_each() or, for
+//                     flush()'s query runs, per_shard().
 //
 // Skew relief: routing is static, so a hot shard cannot shed load to its
 // neighbours — and filters cannot enumerate their keys, so it cannot be
@@ -231,31 +231,23 @@ class filter_store {
 
   // -- Per-key read tier (host-phased) ---------------------------------------
 
-  /// Where a per-key read batch runs.
-  enum class launch {
-    pool,    ///< one pool launch; each worker probes a contiguous key range
-    caller,  ///< serially on the calling thread, no pool launch
-  };
-
   /// out[i] = contains(keys[i]) as 0/1, with the same per-shard stats.
-  /// Each key range is grouped by owning shard and every group is one
-  /// shard::contains_each call, so each level answers through its
-  /// backend's batched probe.  At most one pool launch (none with
-  /// launch::caller — the multi-reactor server probes the slice it owns on
-  /// its own event loop).  Host-phased: no concurrent writers.  Throws
-  /// std::invalid_argument unless out.size() == keys.size().
-  void contains_each(std::span<const uint64_t> keys, std::span<uint8_t> out,
-                     launch where = launch::pool) const {
-    probe_each(keys, out, where,
+  /// One launch_ranges over the batch (one range on the caller at or below
+  /// gpu::kLaunchFloor keys); each range is grouped by owning shard and
+  /// every group is one shard::contains_each call, so each level answers
+  /// through its backend's batched probe.  Host-phased: no concurrent
+  /// writers.  Throws std::invalid_argument unless out.size() == keys.size().
+  void contains_each(std::span<const uint64_t> keys,
+                     std::span<uint8_t> out) const {
+    probe_each(keys, out,
                [](const shard& s, std::span<const uint64_t> k,
                   std::span<uint8_t> o) { s.contains_each(k, o); });
   }
 
-  /// out[i] = count(keys[i]); same grouping and launch rule as
-  /// contains_each().
-  void count_each(std::span<const uint64_t> keys, std::span<uint64_t> out,
-                  launch where = launch::pool) const {
-    probe_each(keys, out, where,
+  /// out[i] = count(keys[i]); same grouping and launch as contains_each().
+  void count_each(std::span<const uint64_t> keys,
+                  std::span<uint64_t> out) const {
+    probe_each(keys, out,
                [](const shard& s, std::span<const uint64_t> k,
                   std::span<uint64_t> o) { s.count_each(k, o); });
   }
@@ -343,6 +335,7 @@ class filter_store {
   /// position p of the caller's output.  Shard ids are recomputed in the
   /// scatter pass (a mix64 is cheaper than streaming an id array through
   /// memory).  Returns shard offsets (size num_shards + 1) into the output.
+  /// Both passes launch over n, so they get the same ranges.
   template <class KeyAt, class Place>
   std::vector<uint64_t> partition_by_shard(uint64_t n, const KeyAt& key_at,
                                            const Place& place) const {
@@ -430,53 +423,42 @@ class filter_store {
     });
   }
 
-  /// Runs contains_each()/count_each(): either one range on the caller
-  /// or one static range per pool worker.
+  /// Runs contains_each()/count_each() over launch_ranges(keys.size()).
   template <class T, class Probe>
   void probe_each(std::span<const uint64_t> keys, std::span<T> out,
-                  launch where, const Probe& probe) const {
+                  const Probe& probe) const {
     if (out.size() != keys.size())
       throw std::invalid_argument("gf: per-key read keys/out mismatch");
-    if (where == launch::caller) {
-      probe_range(keys, out, probe);
-      return;
-    }
     gpu::launch_ranges(keys.size(), [&](unsigned, uint64_t b, uint64_t e) {
       probe_range(keys.subspan(b, e - b), out.subspan(b, e - b), probe);
     });
   }
 
-  /// Group one key range by owning shard (a serial counting sort), probe
-  /// each group with one shard call, and scatter the answers back.
+  /// Group one key range by owning shard, probe each group with one shard
+  /// call, and scatter the answers back.
   template <class T, class Probe>
   void probe_range(std::span<const uint64_t> keys, std::span<T> out,
                    const Probe& probe) const {
-    const size_t n = keys.size();
-    if (n == 0) return;
     util::counters_scope cs(metrics_->gf_counters);
-    const size_t m = shards_.size();
-    if (m == 1) {
+    if (shards_.size() == 1) {
       probe(*shards_[0], keys, out);
       return;
     }
-    std::vector<uint32_t> sid(n);
-    std::vector<size_t> cursor(m + 1, 0);
-    for (size_t i = 0; i < n; ++i) ++cursor[(sid[i] = shard_of(keys[i])) + 1];
-    for (size_t s = 0; s < m; ++s) cursor[s + 1] += cursor[s];
+    const size_t n = keys.size();
     std::vector<uint64_t> grouped(n);
     std::vector<size_t> from(n);
-    for (size_t i = 0; i < n; ++i) {
-      const size_t p = cursor[sid[i]]++;
-      grouped[p] = keys[i];
-      from[p] = i;
-    }
-    // The scatter left cursor[s] at the end of group s.
+    const auto offsets = partition_by_shard(
+        n, [&](uint64_t i) { return keys[i]; },
+        [&](uint64_t i, uint64_t p) {
+          grouped[p] = keys[i];
+          from[p] = i;
+        });
     std::vector<T> res(n);
-    for (size_t s = 0, b = 0; s < m; b = cursor[s++]) {
-      const size_t e = cursor[s];
-      if (b < e)
-        probe(*shards_[s], std::span<const uint64_t>(grouped).subspan(b, e - b),
-              std::span<T>(res).subspan(b, e - b));
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      const auto group = slice(grouped, offsets, s);
+      if (!group.empty())
+        probe(*shards_[s], group,
+              std::span<T>(res).subspan(offsets[s], group.size()));
     }
     for (size_t p = 0; p < n; ++p) out[from[p]] = res[p];
   }

@@ -449,12 +449,15 @@ class bulk_tcf {
     return h;
   }
 
-  /// Start the fetches of block b's fill byte and of its lines.
+  /// Start the fetches of block b's fill byte and of its lines.  A block
+  /// is not line-aligned, so its last byte is prefetched too.
   void prefetch_block(uint64_t b) const {
     util::prefetch_line(&fills_[b]);
     const char* p = reinterpret_cast<const char*>(block(b));
-    for (unsigned line = 0; line < NumSlots * sizeof(uint16_t); line += 64)
+    constexpr unsigned kBytes = NumSlots * sizeof(uint16_t);
+    for (unsigned line = 0; line < kBytes; line += 64)
       util::prefetch_line(p + line);
+    util::prefetch_line(p + kBytes - 1);
   }
 
   uint16_t* block(uint64_t b) { return &slots_[b * NumSlots]; }

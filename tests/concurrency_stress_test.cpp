@@ -236,10 +236,11 @@ TEST(ConcurrencyStress, PhasedBulkRoundsWithParallelVerification) {
   // The host-phased discipline for every backend, including the
   // slot-shifting ones: bulk rounds alternate with a *parallel* read-only
   // verification pass (readers race each other, never a writer).  Readers
-  // verify through the point ops and the per-key read tier on their own
-  // thread, while one pool-launched batch probe runs alongside them — the
-  // GQF's batched reads are lockless, so this is where TSan sees them.
-  using launch = store::filter_store::launch;
+  // verify through the point ops and the per-key read tier, and the main
+  // thread's batch probe runs alongside them; every batch is above the
+  // launch floor, so they race for the pool and the losers run their
+  // ranges inline — the GQF's batched reads are lockless, so this is where
+  // TSan sees them.
   constexpr backend_kind kAllBackends[] = {
       backend_kind::tcf, backend_kind::gqf, backend_kind::blocked_bloom,
       backend_kind::bulk_tcf};
@@ -263,15 +264,15 @@ TEST(ConcurrencyStress, PhasedBulkRoundsWithParallelVerification) {
           }
           std::vector<uint8_t> hit(mine.size());
           std::vector<uint64_t> count(mine.size());
-          s.contains_each(mine, hit, launch::caller);
-          s.count_each(mine, count, launch::caller);
+          s.contains_each(mine, hit);
+          s.count_each(mine, count);
           for (size_t i = 0; i < mine.size(); ++i)
             local += (hit[i] ? 0 : 1) + (count[i] ? 0 : 1);
           misses.fetch_add(local, std::memory_order_relaxed);
         });
       }
       std::vector<uint8_t> hit(all.size());
-      s.contains_each(all, hit, launch::pool);
+      s.contains_each(all, hit);
       for (auto& th : readers) th.join();
       ASSERT_EQ(misses.load(), 0u)
           << backend_name(backend) << " round " << round;

@@ -1,6 +1,6 @@
 // Every filter batch helper that tallies through gpu::launch_sum against
 // the serial loop over its point op.  Batches mix stored and absent keys
-// at sizes around the launch grain (launch_sum runs up to kDefaultGrain
+// at sizes around the launch floor (launch_sum runs up to kLaunchFloor
 // keys as one range on the caller, more as one range per worker), so a
 // range that drops, repeats or miscounts keys shows as a different return
 // value.  Writes must also leave the same save() bytes on a serial path.
@@ -30,7 +30,7 @@
 namespace gf {
 namespace {
 
-static_assert(gpu::kDefaultGrain == 1024);
+static_assert(gpu::kLaunchFloor == 1024);
 constexpr size_t kSizes[] = {0, 1, 1024, 1025, 100000};
 
 // Every filter below is sized for the largest batch plus its stored half

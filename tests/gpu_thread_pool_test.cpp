@@ -8,11 +8,14 @@
 #include <atomic>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "gpu/launch.h"
+#include "par/reduce_by_key.h"
 #include "store/store.h"
 #include "util/xorwow.h"
 
@@ -61,9 +64,97 @@ TEST(ThreadPool, ParallelRangesPartition) {
   for (uint64_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i].load(), 1) << i;
 }
 
+TEST(ThreadPool, ParallelRangesAtFloorRunsOnCaller) {
+  // A batch of kLaunchFloor items is one range on the caller, marked as a
+  // pool worker, and wakes no worker: the pool stays free, so another
+  // thread's launch made meanwhile is admitted onto every worker rather
+  // than counted as contended and run inline.
+  thread_pool pool(4);
+  const auto caller = std::this_thread::get_id();
+  const uint64_t contended = pool.contended_launches();
+  std::vector<std::tuple<unsigned, uint64_t, uint64_t>> calls;
+  std::set<std::thread::id> foreign_threads;
+  pool.parallel_ranges(kLaunchFloor, [&](unsigned w, uint64_t b, uint64_t e) {
+    calls.emplace_back(w, b, e);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    EXPECT_TRUE(pool.in_worker());
+    std::mutex mu;
+    std::thread foreign([&] {
+      pool.run_on_all([&](unsigned) {
+        std::lock_guard lk(mu);
+        foreign_threads.insert(std::this_thread::get_id());
+      });
+    });
+    foreign.join();
+  });
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0], std::make_tuple(0u, uint64_t{0}, kLaunchFloor));
+  EXPECT_FALSE(pool.in_worker());
+  EXPECT_EQ(foreign_threads.size(), pool.size());
+  EXPECT_EQ(pool.contended_launches(), contended);
+}
+
+TEST(ThreadPool, ParallelRangesAboveFloorGivesEveryWorkerARange) {
+  thread_pool pool(4);
+  constexpr uint64_t kN = kLaunchFloor + 1;
+  std::mutex mu;
+  std::vector<std::tuple<unsigned, uint64_t, uint64_t>> calls;
+  std::set<std::thread::id> threads;
+  pool.parallel_ranges(kN, [&](unsigned w, uint64_t b, uint64_t e) {
+    std::lock_guard lk(mu);
+    calls.emplace_back(w, b, e);
+    threads.insert(std::this_thread::get_id());
+  });
+  ASSERT_EQ(calls.size(), pool.size());
+  EXPECT_EQ(threads.size(), pool.size());
+  std::sort(calls.begin(), calls.end());
+  uint64_t covered = 0;  // worker w's range follows worker w - 1's
+  for (unsigned w = 0; w < pool.size(); ++w) {
+    const auto [id, begin, end] = calls[w];
+    EXPECT_EQ(id, w);
+    EXPECT_EQ(begin, covered);
+    EXPECT_LT(begin, end);
+    covered = end;
+  }
+  EXPECT_EQ(covered, kN);
+}
+
+TEST(ThreadPool, ReduceByKeyAboveFloorMatchesSerialRuns) {
+  // reduce_by_key's three phases launch over the same n, so a batch above
+  // the floor spreads all three over the process pool (4 workers in the
+  // _w4 registration).  One run is longer than a worker's whole range, so
+  // it swallows the next worker's range and ends inside a later one.
+  constexpr uint64_t kN = 4 * kLaunchFloor;
+  std::vector<uint64_t> sorted, weights;
+  for (uint64_t i = 0; sorted.size() < kN; ++i) {
+    const uint64_t len = i == 3 ? kN / 2 : 1 + i % 5;
+    for (uint64_t j = 0; j < len && sorted.size() < kN; ++j) {
+      sorted.push_back(i * 10);
+      weights.push_back(1 + sorted.size() % 3);
+    }
+  }
+  par::keyed_counts serial, weighted_serial;
+  for (uint64_t i = 0; i < kN; ++i) {
+    if (i == 0 || sorted[i] != sorted[i - 1]) {
+      for (auto* r : {&serial, &weighted_serial}) {
+        r->keys.push_back(sorted[i]);
+        r->counts.push_back(0);
+      }
+    }
+    serial.counts.back() += 1;
+    weighted_serial.counts.back() += weights[i];
+  }
+  const auto plain = par::reduce_by_key(sorted);
+  EXPECT_EQ(plain.keys, serial.keys);
+  EXPECT_EQ(plain.counts, serial.counts);
+  const auto weighted = par::reduce_by_key(sorted, weights);
+  EXPECT_EQ(weighted.keys, weighted_serial.keys);
+  EXPECT_EQ(weighted.counts, weighted_serial.counts);
+}
+
 TEST(ThreadPool, LaunchSumMatchesSerialSum) {
-  for (uint64_t n : {uint64_t{0}, uint64_t{1}, kDefaultGrain,
-                     kDefaultGrain + 1, uint64_t{100000}}) {
+  for (uint64_t n : {uint64_t{0}, uint64_t{1}, kLaunchFloor,
+                     kLaunchFloor + 1, uint64_t{100000}}) {
     std::vector<uint64_t> v(n);
     std::iota(v.begin(), v.end(), uint64_t{7});
     std::mutex mu;
@@ -78,7 +169,7 @@ TEST(ThreadPool, LaunchSumMatchesSerialSum) {
     EXPECT_EQ(sum, std::accumulate(v.begin(), v.end(), uint64_t{0})) << n;
     if (n == 0) {
       EXPECT_TRUE(calls.empty());
-    } else if (n <= kDefaultGrain) {
+    } else if (n <= kLaunchFloor) {
       // One range, on the caller: too small to wake the pool for.
       ASSERT_EQ(calls.size(), 1u) << n;
       EXPECT_EQ(calls[0], std::make_pair(uint64_t{0}, n));

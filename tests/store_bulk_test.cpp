@@ -542,30 +542,23 @@ std::vector<std::pair<uint64_t, uint64_t>> stats_delta(
 void expect_matches_point(const store::filter_store& st,
                           std::span<const uint64_t> batch,
                           const std::string& what) {
-  using launch = store::filter_store::launch;
-  for (launch where : {launch::pool, launch::caller}) {
-    const std::string ctx =
-        what + (where == launch::pool ? " pool" : " caller");
-    std::vector<uint8_t> point_hit(batch.size()), hit(batch.size(), 7);
-    const auto point_q = stats_delta(st, [&] {
-      for (size_t i = 0; i < batch.size(); ++i)
-        point_hit[i] = st.contains(batch[i]);
-    });
-    const auto each_q =
-        stats_delta(st, [&] { st.contains_each(batch, hit, where); });
-    ASSERT_EQ(hit, point_hit) << ctx;
-    EXPECT_EQ(each_q, point_q) << ctx;
+  std::vector<uint8_t> point_hit(batch.size()), hit(batch.size(), 7);
+  const auto point_q = stats_delta(st, [&] {
+    for (size_t i = 0; i < batch.size(); ++i)
+      point_hit[i] = st.contains(batch[i]);
+  });
+  const auto each_q = stats_delta(st, [&] { st.contains_each(batch, hit); });
+  ASSERT_EQ(hit, point_hit) << what;
+  EXPECT_EQ(each_q, point_q) << what;
 
-    std::vector<uint64_t> point_count(batch.size()), count(batch.size(), 7);
-    const auto point_c = stats_delta(st, [&] {
-      for (size_t i = 0; i < batch.size(); ++i)
-        point_count[i] = st.count(batch[i]);
-    });
-    const auto each_c =
-        stats_delta(st, [&] { st.count_each(batch, count, where); });
-    ASSERT_EQ(count, point_count) << ctx;
-    EXPECT_EQ(each_c, point_c) << ctx;
-  }
+  std::vector<uint64_t> point_count(batch.size()), count(batch.size(), 7);
+  const auto point_c = stats_delta(st, [&] {
+    for (size_t i = 0; i < batch.size(); ++i)
+      point_count[i] = st.count(batch[i]);
+  });
+  const auto each_c = stats_delta(st, [&] { st.count_each(batch, count); });
+  ASSERT_EQ(count, point_count) << what;
+  EXPECT_EQ(each_c, point_c) << what;
 }
 
 }  // namespace read_tier
@@ -576,7 +569,8 @@ TEST(StoreBulk, ContainsEachAndCountEachMatchPointLoop) {
     store::filter_store flat(config(backend, 4, 1 << 15));
     flat.insert_bulk(keys);
     ASSERT_EQ(read_tier::max_depth(flat), 1u) << backend_name(backend);
-    // One shard: a launch::caller batch reaches the backend unsplit.
+    // One shard: a batch at or below the launch floor reaches the backend
+    // unsplit.
     store::filter_store flat1(config(backend, 1, 1 << 15));
     flat1.insert_bulk(keys);
     ASSERT_EQ(read_tier::max_depth(flat1), 1u) << backend_name(backend);
@@ -626,26 +620,24 @@ TEST(StoreBulk, ShardContainsEachMatchesPointWalkOnGrownCascade) {
 }
 
 // An `out` whose size differs from the batch is rejected before any probe
-// runs, on the one-shard path and the grouped one, at either launch site.
+// runs, on the one-shard path and the grouped one.
 // The buffers are larger than `out`, so a probe that ran anyway would
 // stay in bounds and show up only as the missing throw.
 TEST(StoreBulk, PerKeyReadsRejectMismatchedOutput) {
-  using launch = store::filter_store::launch;
   auto keys = util::hashed_xorwow_items(64, 731);
   for (uint32_t shards : {1u, 4u}) {
     store::filter_store st(config(backend_kind::tcf, shards, 1 << 12));
     st.insert_bulk(keys);
     std::vector<uint8_t> hit(keys.size() + 1, 7);
     std::vector<uint64_t> count(keys.size() + 1, 7);
-    for (launch where : {launch::pool, launch::caller})
-      for (size_t n : {keys.size() - 1, keys.size() + 1}) {
-        EXPECT_THROW(st.contains_each(keys, std::span(hit).first(n), where),
-                     std::invalid_argument)
-            << shards << " shards, out " << n;
-        EXPECT_THROW(st.count_each(keys, std::span(count).first(n), where),
-                     std::invalid_argument)
-            << shards << " shards, out " << n;
-      }
+    for (size_t n : {keys.size() - 1, keys.size() + 1}) {
+      EXPECT_THROW(st.contains_each(keys, std::span(hit).first(n)),
+                   std::invalid_argument)
+          << shards << " shards, out " << n;
+      EXPECT_THROW(st.count_each(keys, std::span(count).first(n)),
+                   std::invalid_argument)
+          << shards << " shards, out " << n;
+    }
     EXPECT_EQ(hit, std::vector<uint8_t>(keys.size() + 1, 7));
     EXPECT_EQ(count, std::vector<uint64_t>(keys.size() + 1, 7));
   }
