@@ -26,7 +26,10 @@
 // block fetches in flight, so the DRAM-sized table costs a bounded
 // multiple of the cache-resident one) and the 2^16 QUERY frame against a
 // host-speed control (the whole-block scan, tcf_block.h, keeps a probe
-// to one SIMD compare per block).
+// to one SIMD compare per block).  Each point-TCF row also prints where
+// its timed table sits: the block array's address mod 2 MiB and the
+// AnonHugePages (KiB) of the mapping holding it, read from
+// /proc/self/smaps, so a row's speed can be read against its pages.
 //
 // --json FILE writes one JSON object per line per measurement (plus
 // derived bulk-vs-point speedups and insert-failure rates); CI gates on
@@ -45,17 +48,21 @@
 //             btcf_frame128_insert_us, btcf_frame128_erase_us,
 //             btcf_frame_control_us, btcf_frame_query_us,
 //             tcf_frame_query_us,
-//             tcf_frame_insert_us, tcf_frame_erase_us, tcf_frame_control_us
+//             tcf_frame_insert_us, tcf_frame_erase_us, tcf_frame_control_us,
+//             tcf_frame_table_mod2m, tcf_frame_anon_huge_kb
 //   value     4 decimal places: Mops/s unless the name says otherwise
 //             (*_fail_rate is a fraction in [0,1], *_depth a cascade
-//             level count, *_us microseconds per frame)
+//             level count, *_us microseconds per frame, *_mod2m bytes,
+//             *_kb KiB, -1 where smaps cannot be read)
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <span>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -68,6 +75,7 @@
 #include "util/hash.h"
 #include "util/json.h"
 #include "util/timer.h"
+#include "util/zeroed_array.h"
 #include "util/zipf.h"
 
 using namespace gf;
@@ -347,6 +355,31 @@ void btcf_frame_cost() {
   }
 }
 
+/// AnonHugePages (KiB) of the /proc/self/smaps mapping that holds p, or
+/// -1 when smaps cannot be read.  Only reads.
+double anon_huge_kb(const void* p) {
+  const auto addr = reinterpret_cast<uintptr_t>(p);
+  std::ifstream smaps("/proc/self/smaps");
+  std::string line;
+  bool inside = false;
+  while (std::getline(smaps, line)) {
+    std::istringstream in(line);
+    std::string field;
+    in >> field;
+    // A mapping starts with "lo-hi perms ...", its fields follow.
+    const size_t dash = field.find('-');
+    if (dash != std::string::npos && field.back() != ':') {
+      inside = std::stoull(field.substr(0, dash), nullptr, 16) <= addr &&
+               addr < std::stoull(field.substr(dash + 1), nullptr, 16);
+    } else if (inside && field == "AnonHugePages:") {
+      double kb = -1;
+      in >> kb;
+      return kb;
+    }
+  }
+  return -1;
+}
+
 constexpr uint64_t kTcfFrameKeys = 2048;
 constexpr int kTcfFrameSizes[] = {16, 26};
 
@@ -360,9 +393,12 @@ constexpr int kTcfFrameSizes[] = {16, 26};
 /// alternates stored keys with never-inserted ones, so half its keys scan
 /// both candidate blocks (and the backing table) to answer no; it runs
 /// through contains_each, the store's read path.  The control
-/// (control_us) is timed before each QUERY frame.
+/// (control_us) is timed before each QUERY frame.  The last two columns
+/// are the block array's address mod 2 MiB and its mapping's
+/// AnonHugePages in KiB, read after the timed frames.
 void tcf_frame_cost() {
-  std::vector<std::string> cols = {"query", "insert", "erase", "control"};
+  std::vector<std::string> cols = {"query",   "insert",  "erase",
+                                   "control", "addr%2M", "hugeKiB"};
   bench::print_series_header("tcf 2048-key frame us (33% load)", cols);
   for (int log_size : kTcfFrameSizes) {
     tcf::point_tcf f(uint64_t{1} << log_size);
@@ -394,14 +430,23 @@ void tcf_frame_cost() {
       }
     });
     g_query_hits = hits;
-    std::vector<double> vals = {median(qry_us), median(ins_us),
-                                median(era_us), median(ctl_us)};
+    const void* table = f.blocks().data();
+    std::vector<double> vals = {
+        median(qry_us),
+        median(ins_us),
+        median(era_us),
+        median(ctl_us),
+        static_cast<double>(reinterpret_cast<uintptr_t>(table) %
+                            util::kHugePageBytes),
+        anon_huge_kb(table)};
     bench::print_series_row(log_size, vals);
     const auto backend = store::backend_kind::tcf;
     emit_json(backend, 1, log_size, "tcf_frame_query_us", vals[0]);
     emit_json(backend, 1, log_size, "tcf_frame_insert_us", vals[1]);
     emit_json(backend, 1, log_size, "tcf_frame_erase_us", vals[2]);
     emit_json(backend, 1, log_size, "tcf_frame_control_us", vals[3]);
+    emit_json(backend, 1, log_size, "tcf_frame_table_mod2m", vals[4]);
+    emit_json(backend, 1, log_size, "tcf_frame_anon_huge_kb", vals[5]);
   }
 }
 

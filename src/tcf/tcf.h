@@ -28,6 +28,19 @@
 //    whose size is not a multiple of 16 bytes (8-8) keep the per-slot
 //    loop.  Both give the same answers, and inserts keep Algorithm 1's
 //    per-lane ballot order, so placement does not change.
+//  * The block array is a util::zeroed_array: from 2 MiB up it is its own
+//    2 MiB-aligned mapping advised for transparent huge pages and left
+//    untouched at construction, because the empty slot is all-zero bytes
+//    (kEmpty) and fresh pages already read as zero.  Every insert or query
+//    fetches one or two random blocks across the whole table; in 4 KiB
+//    pages a DRAM-sized table makes nearly each such fetch a TLB miss as
+//    well, and in 2 MiB pages it does not.  The page faults move from
+//    construction into the first writes.  The bulk TCF (bulk_tcf.h) keeps
+//    a std::vector: its empty slot is 0xFFFF, so its table has to be
+//    written at construction anyway.
+//  * The live-item count is a gauge: the point insert() and erase() bump
+//    it per key, a batch call once per worker range with the placements
+//    its range made, so parallel batch writes share no per-key write.
 //
 // Template parameters: FpBits ∈ {8, 12, 16} fingerprint bits, NumSlots
 // slots per block, ValBits associated-value bits (FpBits + ValBits must be
@@ -53,6 +66,7 @@
 #include "util/counters.h"
 #include "util/hash.h"
 #include "util/prefetch.h"
+#include "util/zeroed_array.h"
 
 namespace gf::tcf {
 
@@ -79,16 +93,14 @@ class tcf {
   /// whole number of blocks).
   explicit tcf(uint64_t min_slots, tcf_config cfg = {})
       : cfg_(cfg),
-        blocks_((min_slots + NumSlots - 1) / NumSlots),
+        blocks_(std::max<uint64_t>((min_slots + NumSlots - 1) / NumSlots, 1)),
         backing_(cfg.enable_backing
                      ? static_cast<uint64_t>(
                            static_cast<double>(blocks_.size()) * NumSlots *
                            cfg.backing_fraction)
                      : backing_table::kMaxProbes),
         shortcut_threshold_(static_cast<unsigned>(
-            cfg.shortcut_cutoff * static_cast<double>(NumSlots))) {
-    if (blocks_.empty()) blocks_.resize(1);
-  }
+            cfg.shortcut_cutoff * static_cast<double>(NumSlots))) {}
 
   tcf(tcf&& other) noexcept
       : cfg_(other.cfg_),
@@ -113,7 +125,10 @@ class tcf {
   /// Insert a key; returns false only when both blocks and the backing
   /// table are full (the filter is beyond its stable load factor).
   bool insert(uint64_t key, uint16_t value = 0) {
-    return insert_hashed(hash_key(key), value);
+    if (!place(hash_key(key), value)) return false;
+    // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
+    live_.fetch_add(1, std::memory_order_relaxed);
+    return true;
   }
 
   /// Membership query: probes the two candidate blocks, then (for negative
@@ -149,13 +164,19 @@ class tcf {
   }
 
   /// Delete one instance of the key (tombstone CAS; §6.4).
-  bool erase(uint64_t key) { return erase_hashed(hash_key(key)); }
+  bool erase(uint64_t key) {
+    if (!tombstone(hash_key(key))) return false;
+    // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
+    live_.fetch_sub(1, std::memory_order_relaxed);
+    return true;
+  }
 
   // -- Host-side bulk helpers (parallel over the device) -------------------
   //
   // Each batch call is a gpu::launch_sum: every pool worker takes one
   // contiguous range of the batch, runs it through pipelined() (or the
-  // serial contains_each) and adds its tally once.  A worker keeps up to
+  // serial contains_each) and adds its tally once, to the return value
+  // and (for writes) to the live-item gauge.  A worker keeps up to
   // kPrefetchDistance keys' block fetches in flight — the CPU analogue of
   // the thousands of GPU threads whose outstanding loads make the TCF
   // fast (§4).  Within a range keys are applied in batch order, so on a
@@ -168,7 +189,9 @@ class tcf {
     return gpu::launch_sum(keys.size(), [&](uint64_t begin, uint64_t end) {
       uint64_t ok = 0;
       pipelined(begin, end, [&](uint64_t i) { return keys[i]; },
-                [&](uint64_t, const hashed& h) { ok += insert_hashed(h); });
+                [&](uint64_t, const hashed& h) { ok += place(h); });
+      // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
+      live_.fetch_add(ok, std::memory_order_relaxed);
       return ok;
     });
   }
@@ -186,7 +209,9 @@ class tcf {
     return gpu::launch_sum(keys.size(), [&](uint64_t begin, uint64_t end) {
       uint64_t ok = 0;
       pipelined(begin, end, [&](uint64_t i) { return keys[i]; },
-                [&](uint64_t, const hashed& h) { ok += erase_hashed(h); });
+                [&](uint64_t, const hashed& h) { ok += tombstone(h); });
+      // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
+      live_.fetch_sub(ok, std::memory_order_relaxed);
       return ok;
     });
   }
@@ -250,11 +275,15 @@ class tcf {
                              std::max(util::log2_ceil(blocks_.size()), 1));
     }
     return gpu::launch_sum(n, [&](uint64_t begin, uint64_t end) {
-      uint64_t instances = 0;
+      uint64_t placed = 0, instances = 0;
       pipelined(begin, end, [&](uint64_t i) { return keys[index[i]]; },
                 [&](uint64_t i, const hashed& h) {
-                  if (insert_hashed(h)) instances += counts[index[i]];
+                  if (!place(h)) return;
+                  ++placed;
+                  instances += counts[index[i]];
                 });
+      // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
+      live_.fetch_add(placed, std::memory_order_relaxed);
       return instances;
     });
   }
@@ -305,7 +334,11 @@ class tcf {
   }
   uint64_t backing_size() const { return backing_.size(); }
   size_t memory_bytes() const {
-    return blocks_.size() * sizeof(block_type) + backing_.memory_bytes();
+    return blocks_.bytes() + backing_.memory_bytes();
+  }
+  /// The main table's blocks (read-only; for layout and page checks).
+  std::span<const block_type> blocks() const {
+    return {blocks_.data(), blocks_.size()};
   }
 
   // -- Serialization ---------------------------------------------------------
@@ -326,7 +359,7 @@ class tcf {
     util::write_pod(out, shortcut_threshold_);
     // relaxed: save()/load() are not thread-safe against writers by contract.
     util::write_pod(out, live_.load(std::memory_order_relaxed));
-    util::write_vec(out, blocks_);
+    util::write_array(out, blocks_.data(), blocks_.size());
     backing_.save(out);
   }
 
@@ -346,9 +379,11 @@ class tcf {
     f.cfg_.cg_size = util::read_pod<uint32_t>(in);
     f.shortcut_threshold_ = util::read_pod<unsigned>(in);
     uint64_t live = util::read_pod<uint64_t>(in);
-    f.blocks_ = util::read_vec<block_type>(in);
-    if (f.blocks_.empty() || live > (f.blocks_.size() * NumSlots) * 2)
+    const uint64_t blocks = util::read_pod<uint64_t>(in);
+    if (blocks == 0 || live > blocks * NumSlots * 2)
       throw std::runtime_error("gf: TCF geometry mismatch");
+    f.blocks_ = util::zeroed_array<block_type>(blocks);
+    util::read_elements(in, f.blocks_.data(), blocks);
     f.backing_.load(in);
     // relaxed: save()/load() are not thread-safe against writers by contract.
     f.live_.store(live, std::memory_order_relaxed);
@@ -384,8 +419,9 @@ class tcf {
     return h;
   }
 
-  /// insert() on an already-hashed key.
-  bool insert_hashed(const hashed& h, uint16_t value = 0) {
+  /// Place an already-hashed key in a slot; the caller counts it in
+  /// live_.
+  bool place(const hashed& h, uint16_t value = 0) {
     const uint16_t composite = make_composite(h.fp, value);
     gpu::cooperative_group cg(cfg_.cg_size);
 
@@ -395,8 +431,6 @@ class tcf {
     if (cfg_.enable_shortcut && fill1 < shortcut_threshold_) {
       if (block_insert(primary, composite, cg)) {
         GF_COUNT(shortcut_inserts, 1);
-        // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
-        live_.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
     }
@@ -406,22 +440,18 @@ class tcf {
     block_type& first = fill1 <= fill2 ? primary : secondary;
     block_type& second = fill1 <= fill2 ? secondary : primary;
     if (block_insert(first, composite, cg) ||
-        block_insert(second, composite, cg)) {
-      // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
-      live_.fetch_add(1, std::memory_order_relaxed);
+        block_insert(second, composite, cg))
       return true;
-    }
     if (cfg_.enable_backing && backing_.insert(h.h1, h.h2, composite)) {
       GF_COUNT(backing_inserts, 1);
-      // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
-      live_.fetch_add(1, std::memory_order_relaxed);
       return true;
     }
     return false;
   }
 
-  /// erase() on an already-hashed key.
-  bool erase_hashed(const hashed& h) {
+  /// Tombstone one instance of an already-hashed key; the caller takes it
+  /// out of live_.
+  bool tombstone(const hashed& h) {
     for (uint64_t b : {h.b1, h.b2}) {
       block_type& blk = blocks_[b];
       // Retry while a matching slot exists: a failed claim means some other
@@ -432,19 +462,11 @@ class tcf {
         if (slot < 0) break;
         uint16_t observed = blk.load(static_cast<unsigned>(slot));
         if (static_cast<uint16_t>(observed >> ValBits) == h.fp &&
-            blk.try_delete(static_cast<unsigned>(slot), observed)) {
-          // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
-          live_.fetch_sub(1, std::memory_order_relaxed);
+            blk.try_delete(static_cast<unsigned>(slot), observed))
           return true;
-        }
       }
     }
-    if (cfg_.enable_backing && backing_.erase(h.h1, h.h2, h.fp, ValBits)) {
-      // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
-      live_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
+    return cfg_.enable_backing && backing_.erase(h.h1, h.h2, h.fp, ValBits);
   }
 
   /// The hash-ahead prefetch pipeline: op(i, hash of key_at(i)) for i in
@@ -474,15 +496,20 @@ class tcf {
   /// Insert key_at(i) for i in [begin, end), where equal keys are
   /// adjacent: each run of equal keys is inserted once, and every copy
   /// is answered (or charged as failed) with it.  Returns the copies
-  /// answered.
+  /// answered; the runs placed go to live_ in one add.
   template <class KeyAt>
   uint64_t insert_runs(uint64_t begin, uint64_t end, KeyAt&& key_at) {
-    uint64_t ok = 0;
+    uint64_t ok = 0, placed = 0;
     bool run_ok = false;
     pipelined(begin, end, key_at, [&](uint64_t i, const hashed& h) {
-      if (i == begin || key_at(i) != key_at(i - 1)) run_ok = insert_hashed(h);
+      if (i == begin || key_at(i) != key_at(i - 1)) {
+        run_ok = place(h);
+        placed += run_ok ? 1 : 0;
+      }
       ok += run_ok ? 1 : 0;
     });
+    // relaxed: live-item gauge; slot visibility is ordered by the claim CAS.
+    live_.fetch_add(placed, std::memory_order_relaxed);
     return ok;
   }
 
@@ -557,7 +584,7 @@ class tcf {
   static constexpr uint32_t kFileVersion = 2;
 
   tcf_config cfg_;
-  std::vector<block_type> blocks_;
+  util::zeroed_array<block_type> blocks_;
   backing_table backing_;
   unsigned shortcut_threshold_;
   std::atomic<uint64_t> live_{0};

@@ -30,22 +30,33 @@ T read_pod(std::istream& in) {
   return value;
 }
 
+/// An array as a u64 element count, then the raw elements.
+template <class T>
+void write_array(std::ostream& out, const T* data, uint64_t n) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  write_pod<uint64_t>(out, n);
+  out.write(reinterpret_cast<const char*>(data),
+            static_cast<std::streamsize>(n * sizeof(T)));
+}
+
+/// Read the n raw elements that follow write_array's count into data.
+template <class T>
+void read_elements(std::istream& in, T* data, uint64_t n) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  in.read(reinterpret_cast<char*>(data),
+          static_cast<std::streamsize>(n * sizeof(T)));
+  if (!in) throw std::runtime_error("gf: truncated filter file");
+}
+
 template <class T>
 void write_vec(std::ostream& out, const std::vector<T>& vec) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  write_pod<uint64_t>(out, vec.size());
-  out.write(reinterpret_cast<const char*>(vec.data()),
-            static_cast<std::streamsize>(vec.size() * sizeof(T)));
+  write_array(out, vec.data(), vec.size());
 }
 
 template <class T>
 std::vector<T> read_vec(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  uint64_t n = read_pod<uint64_t>(in);
-  std::vector<T> vec(n);
-  in.read(reinterpret_cast<char*>(vec.data()),
-          static_cast<std::streamsize>(n * sizeof(T)));
-  if (!in) throw std::runtime_error("gf: truncated filter file");
+  std::vector<T> vec(read_pod<uint64_t>(in));
+  read_elements(in, vec.data(), vec.size());
   return vec;
 }
 

@@ -201,5 +201,46 @@ TEST(FilterBatchTally, WritesMatchPointLoop) {
   });
 }
 
+/// The entries a TCF holds, counted slot by slot.
+uint64_t stored_entries(const tcf::point_tcf& f) {
+  uint64_t n = 0;
+  f.for_each([&](uint64_t, uint16_t, uint16_t) { ++n; });
+  return n;
+}
+
+// The point TCF's batch writes add each range's placements to the
+// live-item gauge once, not per key: after every batch write path, at any
+// pool width (filter_batch_tally_test_w4 runs this binary at 4 workers),
+// size() is what the point loop leaves and what the table holds.
+TEST(FilterBatchTally, TcfBatchWritesKeepPointLoopSize) {
+  for (size_t n : kSizes) {
+    const mixed_batch b = make_batch(n);
+    tcf::point_tcf bulk(kSlots), point(kSlots);
+    store_all(bulk, b.stored);
+    store_all(point, b.stored);
+    const auto point_loop = [&](const std::vector<uint64_t>& keys, auto op) {
+      for (uint64_t k : keys) op(k);
+    };
+    bulk.insert_bulk(b.keys);
+    point_loop(b.keys, [&](uint64_t k) { point.insert(k); });
+    EXPECT_EQ(bulk.size(), point.size()) << "insert_bulk n=" << n;
+    bulk.erase_bulk(b.stored);
+    point_loop(b.stored, [&](uint64_t k) { point.erase(k); });
+    EXPECT_EQ(bulk.size(), point.size()) << "erase_bulk n=" << n;
+    const std::vector<uint64_t> counts(b.keys.size(), 3);
+    bulk.insert_counted_sorted(b.keys, counts);
+    point_loop(b.keys, [&](uint64_t k) { point.insert(k); });
+    EXPECT_EQ(bulk.size(), point.size()) << "insert_counted_sorted n=" << n;
+    EXPECT_EQ(bulk.size(), stored_entries(bulk)) << "n=" << n;
+    // 64 hot keys: the sorted insert places each run once per range, so
+    // the count to match is the table's own.
+    std::vector<uint64_t> hot(n);
+    for (size_t i = 0; i < n; ++i) hot[i] = b.keys[i % 64];
+    bulk.insert_bulk_sorted(hot);
+    EXPECT_EQ(bulk.size(), stored_entries(bulk))
+        << "insert_bulk_sorted n=" << n;
+  }
+}
+
 }  // namespace
 }  // namespace gf

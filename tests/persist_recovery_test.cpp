@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <iterator>
 #include <memory>
 #include <span>
@@ -176,6 +177,33 @@ net::fault_plan one_cut(uint64_t at_bytes) {
   plan.events.push_back(
       {net::fault_kind::cut, net::fault_dir::recv, at_bytes, 0});
   return plan;
+}
+
+/// faulty_connector(), but every connect first waits for `opened` (at most
+/// 15 s, so a test that fails before opening it cannot hang its replica's
+/// loop).  A supervised replica reconnects on its loop thread, so the test,
+/// not the backoff timer, decides what the primary has logged by the time
+/// the replica resumes.
+net::connect_fn gated_connector(std::shared_future<void> opened) {
+  return [opened = std::move(opened), inner = net::faulty_connector()](
+             const std::string& host, uint16_t port) {
+    opened.wait_for(std::chrono::seconds(15));
+    return inner(host, port);
+  };
+}
+
+/// A read-only replica config supervised against `primary`: it reconnects
+/// after 2-100 ms through `connector`.
+net::server_config supervised_config(const net::server& primary,
+                                     net::connect_fn connector) {
+  net::server_config rcfg;
+  rcfg.read_only = true;
+  rcfg.feed_addr = "127.0.0.1:" + std::to_string(primary.port());
+  rcfg.reconnect_base_ms = 2;
+  rcfg.reconnect_max_ms = 100;
+  rcfg.reconnect_jitter_seed = 0x5eed;
+  rcfg.connector = std::move(connector);
+  return rcfg;
 }
 
 }  // namespace
@@ -374,7 +402,10 @@ TEST(PersistRecovery, WrappedRingResumeServedAsDeltaFromDiskWal) {
 // Same property under the supervisor and scripted fault injection: the
 // feed is cut mid-workload, the missed traffic overflows the ring, and
 // the replica's self-healing re-sync comes back as a WAL-served delta —
-// where PR 8 (no WAL) was forced to move a whole snapshot.
+// where a primary without a WAL is forced to move a whole snapshot.  The
+// reconnect is held until the whole workload is logged: a replica that
+// resumes earlier can find its missed range still in the ring (the next
+// test).
 TEST(PersistRecovery, SupervisedReplicaResyncsFromDiskAfterRingWrap) {
   fault_guard guard;
   const std::string dir = fresh_dir("supervised");
@@ -389,18 +420,16 @@ TEST(PersistRecovery, SupervisedReplicaResyncsFromDiskAfterRingWrap) {
   cli.insert(util::hashed_xorwow_items(8000, 4501));
 
   // Bootstrap a supervised replica whose feed dies after 30000 stream
-  // bytes; the reconnect draws an empty plan queue and lives.
+  // bytes; the reconnect waits for `reconnect`, then draws an empty plan
+  // queue and lives.
   auto sr = net::sync_from("127.0.0.1", primary.srv.port());
   net::fault_engine::instance().arm(sr.feed.get(), one_cut(30000));
-  net::server_config rcfg;
-  rcfg.read_only = true;
-  rcfg.feed_addr = "127.0.0.1:" + std::to_string(primary.srv.port());
-  rcfg.reconnect_base_ms = 2;
-  rcfg.reconnect_max_ms = 100;
-  rcfg.reconnect_jitter_seed = 0x5eed;
-  rcfg.connector = net::faulty_connector();
-  live_server replica(std::move(sr.store), rcfg, std::move(sr.feed),
-                      std::move(sr.dec), sr.repl_seq + 1);
+  std::promise<void> reconnect;
+  live_server replica(
+      std::move(sr.store),
+      supervised_config(primary.srv,
+                        gated_connector(reconnect.get_future().share())),
+      std::move(sr.feed), std::move(sr.dec), sr.repl_seq + 1);
 
   // Mixed traffic well past the 30000-byte cut AND far past the 2 KiB
   // ring: when the supervisor resumes, only the disk WAL can cover it.
@@ -409,6 +438,7 @@ TEST(PersistRecovery, SupervisedReplicaResyncsFromDiskAfterRingWrap) {
   for (size_t lo = 0; lo < keys.size(); lo += 4000)
     cli.insert(span.subspan(lo, 4000));
   cli.erase(span.subspan(0, 1000));
+  reconnect.set_value();
   ASSERT_TRUE(
       wait_until([&] { return replica.srv.stats().feed_lost >= 1; }))
       << "scripted cut never fired";
@@ -422,6 +452,55 @@ TEST(PersistRecovery, SupervisedReplicaResyncsFromDiskAfterRingWrap) {
   EXPECT_EQ(stats.feed_gaps, 0u);
   EXPECT_EQ(primary.srv.stats().wal_deltas_served, 1u);
 
+  replica.stop();
+  primary.stop();
+  EXPECT_EQ(store::serialize_store(replica.srv.store()),
+            store::serialize_store(primary.srv.store()));
+  std::filesystem::remove_all(dir);
+}
+
+// The race the gate above closes, made deterministic: the feed dies inside
+// the first frame after the bootstrap, and nothing follows that frame until
+// the replica has resumed.  The ring always keeps the newest frame, so the
+// one-frame delta is served from memory and the WAL serves nothing.
+TEST(PersistRecovery, SupervisedReplicaResumingAtOnceIsServedFromRing) {
+  fault_guard guard;
+  const std::string dir = fresh_dir("supervised_ring");
+  persist::durability_engine eng(wal_at(dir));
+  auto st = eng.recover(fresh_boot());
+
+  net::server_config pcfg;
+  pcfg.replay_ring_bytes = 2048;
+  pcfg.durability = &eng;
+  live_server primary{std::move(st), pcfg};
+  auto cli = primary.connect();
+  cli.insert(util::hashed_xorwow_items(8000, 4601));
+
+  auto sr = net::sync_from("127.0.0.1", primary.srv.port());
+  net::fault_engine::instance().arm(sr.feed.get(), one_cut(30000));
+  live_server replica(std::move(sr.store),
+                      supervised_config(primary.srv, net::faulty_connector()),
+                      std::move(sr.feed), std::move(sr.dec),
+                      sr.repl_seq + 1);
+
+  // One 4000-key frame (over 32000 bytes) carries the stream past the cut.
+  auto keys = util::hashed_xorwow_items(12000, 4602);
+  std::span<const uint64_t> span(keys);
+  cli.insert(span.subspan(0, 4000));
+  ASSERT_TRUE(
+      wait_until([&] { return replica.srv.stats().feed_reconnects >= 1; }))
+      << "the replica never resumed";
+  ASSERT_TRUE(converged(primary, replica));
+  auto stats = replica.srv.stats();
+  EXPECT_EQ(stats.feed_lost, 1u);
+  EXPECT_EQ(stats.resyncs_delta, 1u);
+  EXPECT_EQ(stats.resyncs_snapshot, 0u);
+  EXPECT_EQ(primary.srv.stats().deltas_served, 1u);
+  EXPECT_EQ(primary.srv.stats().wal_deltas_served, 0u);
+
+  cli.insert(span.subspan(4000, 8000));
+  ASSERT_TRUE(converged(primary, replica));
+  EXPECT_EQ(replica.srv.stats().feed_gaps, 0u);
   replica.stop();
   primary.stop();
   EXPECT_EQ(store::serialize_store(replica.srv.store()),
