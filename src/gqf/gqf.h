@@ -31,6 +31,7 @@
 // item counter.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -152,92 +153,79 @@ class gqf_filter {
 
   // -- Core fingerprint-level operations ------------------------------------
 
-  /// Insert `count` instances of a fingerprint.  Returns false when no
-  /// empty slot can be found (filter beyond capacity).
-  bool insert_hash(uint64_t hash, uint64_t count = 1) {
+  /// Insert `count` instances of a fingerprint in one walk: locate the
+  /// slot the new head or digits go to, find the k empty slots the shift
+  /// fills, then write.  Every slot and metadata block it reads or writes
+  /// lies below `slot_limit` (a multiple of kBlockSlots; the whole table
+  /// by default), and when the run or the k empty slots reach the limit it
+  /// returns false before any write, so a refusal leaves the filter
+  /// byte-identical.  The even-odd bulk phases pass their region's limit
+  /// (gqf_bulk.h); at the default, false means the table is full.
+  bool insert_hash(uint64_t hash, uint64_t count = 1,
+                   uint64_t slot_limit = ~uint64_t{0}) {
     if (count == 0) return true;
+    const uint64_t limit = std::min(slot_limit, total_slots_);
     const uint64_t q = quotient_of(hash);
-    const uint64_t rem = remainder_of(hash);
+    const SlotT rem = static_cast<SlotT>(remainder_of(hash));
+    if (q >= limit) return false;
 
-    if (!is_occupied(q) && !is_runend(q) && is_slot_empty(q)) {
-      // Fast path: canonical slot free and unclaimed.
-      set_slot(q, static_cast<SlotT>(rem));
-      set_runend(q, true);
-      set_occupied(q, true);
-      // relaxed: size/distinct gauges; slot words are ordered by the region locks.
-      size_.fetch_add(count, std::memory_order_relaxed);
-      distinct_.fetch_add(1, std::memory_order_relaxed);
-      if (count > 1 && !append_digits(q, q, count - 1)) return false;
-      return true;
-    }
-
-    const uint64_t rend = run_end(q);
-    if (!is_occupied(q)) {
-      // New run appended after the runs currently covering q.
-      uint64_t pos = rend + 1;
-      if (!insert_one_slot(q, pos, static_cast<SlotT>(rem), /*digit=*/false,
-                           runend_op::new_run))
-        return false;
-      set_occupied(q, true);
-      // relaxed: size/distinct gauges; slot words are ordered by the region locks.
-      size_.fetch_add(count, std::memory_order_relaxed);
-      distinct_.fetch_add(1, std::memory_order_relaxed);
-      if (count > 1 && !append_digits(q, pos, count - 1)) return false;
-      return true;
-    }
-
-    // Walk the (sorted) run.
-    uint64_t pos = run_start(q);
-    while (pos <= rend) {
-      SlotT head = get_slot(pos);
-      uint64_t digits_end = pos + 1;
-      while (digits_end <= rend && is_count(digits_end)) ++digits_end;
-      if (head == static_cast<SlotT>(rem)) {
-        // relaxed: size/distinct gauges; slot words are ordered by the region locks.
-        size_.fetch_add(count, std::memory_order_relaxed);
-        return bump_counter(q, pos, digits_end - pos - 1, count);
+    // Locate where the new slots open (`pos`) and the head whose counter
+    // then holds value + 1 in ndigits(value) digits.  A new head opens at
+    // pos itself; a free canonical slot takes a new run's head as it is.
+    uint64_t pos = q, head = q, value = count - 1, old_digits = 0;
+    bool new_head = true;
+    runend_op op = runend_op::new_run;
+    if (is_occupied(q) || is_runend(q) || !is_slot_empty(q)) {
+      const uint64_t rend = run_end(q, limit);
+      if (rend >= limit) return false;
+      pos = rend + 1;  // a new run, or the run's largest remainder
+      if (is_occupied(q)) {
+        op = runend_op::extend;
+        for (uint64_t at = run_start(q); at <= rend;) {
+          const SlotT h = get_slot(at);
+          uint64_t digits_end = at + 1;
+          while (digits_end <= rend && is_count(digits_end)) ++digits_end;
+          if (h == rem) {  // bump: the digit string may grow at its end
+            new_head = false;
+            head = at;
+            old_digits = digits_end - at - 1;
+            value += 1 + decode_digits(at + 1, digits_end);
+            pos = digits_end;
+            op = is_runend(pos - 1) ? runend_op::extend : runend_op::interior;
+            break;
+          }
+          if (h > rem) {  // insert before this head
+            pos = at;
+            op = runend_op::interior;
+            break;
+          }
+          at = digits_end;
+        }
       }
-      if (head > static_cast<SlotT>(rem)) {
-        // Insert before this head (interior of the run).
-        if (!insert_one_slot(q, pos, static_cast<SlotT>(rem),
-                             /*digit=*/false, runend_op::interior))
-          return false;
-        // relaxed: size/distinct gauges; slot words are ordered by the region locks.
-        size_.fetch_add(count, std::memory_order_relaxed);
-        distinct_.fetch_add(1, std::memory_order_relaxed);
-        if (count > 1 && !append_digits(q, pos, count - 1)) return false;
-        return true;
-      }
-      pos = digits_end;
     }
-    // Largest remainder in the run: append at the end, moving the runend.
-    if (!insert_one_slot(q, rend + 1, static_cast<SlotT>(rem),
-                         /*digit=*/false, runend_op::extend))
-      return false;
+    if (new_head) head = pos;
+    const uint64_t digits = ndigits(value);
+    const uint64_t k = (new_head ? 1 : 0) + digits - old_digits;
+
+    // Find the k empty slots the shift fills, all below the limit; a head
+    // and at most 64 digits (r >= 1).
+    uint64_t empties[1 + 64];
+    for (uint64_t j = 0, from = pos; j < k; from = empties[j++] + 1) {
+      empties[j] = find_first_empty_slot(from, limit);
+      if (empties[j] >= limit) return false;
+    }
+
+    // Write.
+    if (k > 0) open_slots(q, pos, empties, k, op, new_head);
+    if (new_head) {
+      set_slot(head, rem);
+      if (op == runend_op::new_run) set_occupied(q, true);
+    }
+    write_digits(head + 1, value, digits);
     // relaxed: size/distinct gauges; slot words are ordered by the region locks.
     size_.fetch_add(count, std::memory_order_relaxed);
-    distinct_.fetch_add(1, std::memory_order_relaxed);
-    if (count > 1 && !append_digits(q, rend + 1, count - 1)) return false;
+    if (new_head) distinct_.fetch_add(1, std::memory_order_relaxed);
     return true;
-  }
-
-  /// Bounded insert for the even-odd bulk phases: succeeds only when every
-  /// slot the operation could touch lies strictly below `slot_limit`
-  /// (pre-flighted, so a refusal leaves no partial state).  Items refused
-  /// here are retried by the bulk driver's serial cleanup pass.
-  bool insert_hash_bounded(uint64_t hash, uint64_t count,
-                           uint64_t slot_limit) {
-    if (count == 0) return true;
-    // Worst-case slots touched: one head plus counter-digit growth, which
-    // adding `count` can enlarge by at most ndigits(count) + 1.
-    uint64_t needed = 2 + ndigits(count);
-    uint64_t e = quotient_of(hash);
-    for (uint64_t i = 0; i < needed; ++i) {
-      e = find_first_empty_slot(e);
-      if (e >= slot_limit) return false;
-      ++e;
-    }
-    return insert_hash(hash, count);
   }
 
   /// Count of a fingerprint (0 if absent; never under-counts an inserted
@@ -473,10 +461,11 @@ class gqf_filter {
     return offset_lower_bound(idx) == 0;
   }
 
-  /// First empty slot at or after `from`; total_slots_ when none.
-  uint64_t find_first_empty_slot(uint64_t from) const {
+  /// First empty slot at or after `from`; `limit` when none lies below
+  /// it.  Reads no block at or past `limit` (a multiple of kBlockSlots).
+  uint64_t find_first_empty_slot(uint64_t from, uint64_t limit) const {
     for (;;) {
-      if (from >= total_slots_) return total_slots_;
+      if (from >= limit) return limit;
       uint64_t t = offset_lower_bound(from);
       if (t == 0) return from;
       from += t;
@@ -484,8 +473,10 @@ class gqf_filter {
   }
 
   /// Position of the runend of quotient q's run (or q itself when the run
-  /// is empty/in place) — the CQF run_end routine.
-  uint64_t run_end(uint64_t q) const {
+  /// is empty/in place) — the CQF run_end routine.  It reads no block at
+  /// or past `limit` (a multiple of kBlockSlots): a run end there comes
+  /// back as some value >= limit.
+  uint64_t run_end(uint64_t q, uint64_t limit = ~uint64_t{0}) const {
     const uint64_t block_idx = q / 64;
     const uint64_t intra = q % 64;
     const uint64_t boffset = blocks_[block_idx].offset;
@@ -495,23 +486,18 @@ class gqf_filter {
     if (intra_rank == 0)
       return boffset <= intra ? q : 64 * block_idx + boffset - 1;
 
-    uint64_t rend_block = block_idx + boffset / 64;
-    uint64_t ignore = boffset % 64;
     uint64_t rank = intra_rank - 1;
-    int off = util::select64v(blocks_[rend_block].runends,
-                              static_cast<int>(ignore),
-                              static_cast<int>(rank));
-    while (off == 64) {
-      rank -= static_cast<uint64_t>(
-          util::popcountv(blocks_[rend_block].runends,
-                          static_cast<int>(ignore)));
-      ++rend_block;
-      ignore = 0;
-      off = util::select64v(blocks_[rend_block].runends, 0,
-                            static_cast<int>(rank));
+    int ignore = static_cast<int>(boffset % 64);
+    for (uint64_t b = block_idx + boffset / 64;; ++b, ignore = 0) {
+      if (64 * b >= limit) return limit;
+      const uint64_t runends = blocks_[b].runends;
+      const int off = util::select64v(runends, ignore, static_cast<int>(rank));
+      if (off < 64) {
+        const uint64_t rend = 64 * b + static_cast<uint64_t>(off);
+        return rend < q ? q : rend;
+      }
+      rank -= static_cast<uint64_t>(util::popcountv(runends, ignore));
     }
-    uint64_t rend = 64 * rend_block + static_cast<uint64_t>(off);
-    return rend < q ? q : rend;
   }
 
   /// First slot of quotient q's run (valid when is_occupied(q)).
@@ -521,82 +507,41 @@ class gqf_filter {
 
   // -- Shifting inserts ---------------------------------------------------------
 
-  /// Insert one slot at `pos` for quotient `q`, shifting [pos, e) right by
-  /// one into the first empty slot e.  Returns false when the table is
-  /// out of space.
-  bool insert_one_slot(uint64_t q, uint64_t pos, SlotT value, bool digit,
-                       runend_op op) {
-    uint64_t e = find_first_empty_slot(pos);
-    if (e >= total_slots_) return false;
-    GF_COUNT(slots_shifted, e - pos);
-
-    // Shift slots and the runends/counts bit ranges right by one.
-    for (uint64_t i = e; i > pos; --i) set_slot(i, get_slot(i - 1));
-    shift_bit_range_right(&block::runends, pos, e);
-    shift_bit_range_right(&block::counts, pos, e);
-
-    set_slot(pos, value);
-    set_count(pos, digit);
-    switch (op) {
-      case runend_op::new_run:
-        set_runend(pos, true);
-        break;
-      case runend_op::extend:
-        set_runend(pos, true);
-        if (pos > 0) set_runend(pos - 1, false);
-        break;
-      case runend_op::interior:
-        set_runend(pos, false);
-        break;
+  /// Open the k slots [pos, pos + k) in quotient q's run: shift the full
+  /// slots of [pos, empties[k-1]) right into `empties`, the first k empty
+  /// slots at or after pos in ascending order, so a stretch between two
+  /// of them moves by the number of empties at or after its end.  The
+  /// opened slots are flagged as counter digits, except a new head at
+  /// pos; `op` says whether the last of them ends the run.
+  void open_slots(uint64_t q, uint64_t pos, const uint64_t* empties,
+                  uint64_t k, runend_op op, bool new_head) {
+    uint64_t dst = empties[k - 1];
+    for (uint64_t src = dst, j = k - 1; src-- > pos;) {
+      if (j > 0 && src == empties[j - 1]) {
+        --j;  // an empty slot: the stretch below it moves one slot less
+        continue;
+      }
+      set_slot(dst, get_slot(src));
+      set_runend(dst, is_runend(src));
+      set_count(dst, is_count(src));
+      --dst;
     }
+    for (uint64_t i = pos; i < pos + k; ++i) {
+      set_runend(i, false);
+      set_count(i, !(new_head && i == pos));
+    }
+    if (op != runend_op::interior) set_runend(pos + k - 1, true);
+    if (op == runend_op::extend) set_runend(pos - 1, false);
 
-    // Offsets: blocks whose first slot lies in (q, e] gained one covered
-    // slot (CQF insert bookkeeping).
-    for (uint64_t b = q / 64 + 1; b <= e / 64; ++b) {
-      // The offset is bounded by the cluster length, which stays well
-      // under 2^16 at supported load factors.
-      ++blocks_[b].offset;
+    // Offsets: blocks whose first slot lies in (q, empties[j]] gained one
+    // covered slot per opened slot (CQF insert bookkeeping).  An offset is
+    // bounded by the cluster length, which stays well under 2^16 at
+    // supported load factors.
+    for (uint64_t j = 0; j < k; ++j) {
+      GF_COUNT(slots_shifted, empties[j] - pos - j);
+      for (uint64_t b = q / 64 + 1; b <= empties[j] / 64; ++b)
+        ++blocks_[b].offset;
     }
-    return true;
-  }
-
-  /// Append counter digits encoding `v` right after the head at
-  /// `head_pos` in quotient q's run (head currently has no digits).
-  bool append_digits(uint64_t q, uint64_t head_pos, uint64_t v) {
-    uint64_t m = ndigits(v);
-    uint64_t base_mask = util::bitmask(r_bits_);
-    for (uint64_t d = 0; d < m; ++d) {
-      SlotT dig = static_cast<SlotT>(v & base_mask);
-      v >>= r_bits_;
-      uint64_t pos = head_pos + 1 + d;
-      runend_op op =
-          is_runend(pos - 1) ? runend_op::extend : runend_op::interior;
-      if (!insert_one_slot(q, pos, dig, /*digit=*/true, op)) return false;
-    }
-    return true;
-  }
-
-  /// Increase the counter of the head at `pos` (which currently has
-  /// `old_digits` digit slots) by `delta`.
-  bool bump_counter(uint64_t q, uint64_t pos, uint64_t old_digits,
-                    uint64_t delta) {
-    uint64_t c = 1 + decode_digits(pos + 1, pos + 1 + old_digits) + delta;
-    uint64_t v = c - 1;
-    uint64_t m = ndigits(v);
-    if (m == old_digits) {
-      write_digits(pos + 1, v, m);  // in-place, no shifting (§6.7)
-      return true;
-    }
-    // Grow the digit string one slot at a time (most-significant last).
-    for (uint64_t d = old_digits; d < m; ++d) {
-      uint64_t dpos = pos + 1 + d;
-      runend_op op =
-          is_runend(dpos - 1) ? runend_op::extend : runend_op::interior;
-      if (!insert_one_slot(q, dpos, SlotT{0}, /*digit=*/true, op))
-        return false;
-    }
-    write_digits(pos + 1, v, m);
-    return true;
   }
 
   uint64_t decode_digits(uint64_t begin, uint64_t end) const {
@@ -622,22 +567,6 @@ class gqf_filter {
       v >>= r_bits_;
     }
     return m;
-  }
-
-  /// Shift one metadata bitvector right by one within [start, end):
-  /// bit i moves to i+1 (for i in [start, end-1)), bit `start` clears.
-  void shift_bit_range_right(uint64_t block::* vec, uint64_t start,
-                             uint64_t end) {
-    if (end <= start) return;
-    for (uint64_t i = end; i > start; --i) {
-      bool bit = (blocks_[(i - 1) / 64].*vec >> ((i - 1) % 64)) & 1;
-      uint64_t m = uint64_t{1} << (i % 64);
-      if (bit)
-        blocks_[i / 64].*vec |= m;
-      else
-        blocks_[i / 64].*vec &= ~m;
-    }
-    blocks_[start / 64].*vec &= ~(uint64_t{1} << (start % 64));
   }
 
   // -- Deletion (cluster rewrite) ----------------------------------------------
@@ -682,8 +611,9 @@ void gqf_filter<SlotT>::remove_slots(uint64_t q, uint64_t from,
   while (cs > 0 && !is_slot_empty(cs - 1)) --cs;
   // Tighten: the cluster begins at the first occupied quotient >= cs whose
   // run starts there; scanning from cs is correct because slots in
-  // [cs, cluster end) are all full.
-  uint64_t ce = find_first_empty_slot(q);  // first empty after the cluster
+  // [cs, cluster end) are all full.  ce is the first empty slot after
+  // the cluster.
+  uint64_t ce = find_first_empty_slot(q, total_slots_);
   // (q's run is inside [cs, ce); runs of later quotients may extend past q
   // but the removal only shifts slots in [from+count, ce).)
 

@@ -13,9 +13,11 @@
 // and region buffers are the batch's touched runs, found by one linear
 // scan over the sorted batch instead of atomics (§5.3); each phase
 // launches one thread per touched region of its parity, so a small batch
-// never pays for the whole table.  For skewed batches, the map-reduce
-// option compresses duplicates into (item, count) pairs before insertion
-// (§5.4), turning hot-key storms into single counted inserts.
+// never pays for the whole table (and a batch of at most
+// gpu::kLaunchFloor keys does not launch at all).  For skewed batches,
+// the map-reduce option compresses duplicates into (item, count) pairs
+// before insertion (§5.4), turning hot-key storms into single counted
+// inserts.
 //
 // Deletions follow the same even-odd scheme and process each region's
 // batch in descending order ("deleting larger items first", §6.4) so runs
@@ -43,32 +45,41 @@ struct bulk_stats {
 
 namespace detail {
 
+/// One thread per touched region of a phase, as the paper's kernels
+/// assign one region per GPU thread.  A batch of at most
+/// gpu::kLaunchFloor keys runs its phases on the caller (the pool's one
+/// launch rule), since a launch would cost more than the inserts.
+template <class Fn>
+void launch_regions(uint64_t batch_keys,
+                    std::span<const par::touched_run> runs, Fn&& fn) {
+  gpu::launch_threads(runs.size(), fn,
+                      batch_keys <= gpu::kLaunchFloor ? runs.size() : 1);
+}
+
 /// Run one even/odd phase over the touched regions of one parity: each
-/// region's sorted span is inserted by exactly one logical thread, bounded
-/// to stay short of the next active region; refusals are deferred.
+/// region's sorted span is inserted by exactly one logical thread, with a
+/// slot limit one metadata block short of the next active region.  An
+/// insert that would reach the limit is refused before it writes
+/// anything (gqf_filter::insert_hash) and is deferred to the serial
+/// cleanup pass.
 template <class SlotT, class Emit>
 void run_phase(gqf_filter<SlotT>& f, std::span<const uint64_t> hashes,
                std::span<const uint64_t> counts,
                std::span<const par::touched_run> runs, Emit&& defer) {
-  const uint64_t num_regions = f.num_regions();
-  gpu::launch_threads(
-      runs.size(),
-      [&](uint64_t ri) {
-        const auto [region, begin, end] = runs[ri];
-        // Stop one metadata block short of the next active region: its
-        // first operation reads run_end(q-1), which touches the preceding
-        // block's offset word; keeping our writes out of that block makes
-        // the phases genuinely disjoint.  The last region may use the
-        // padding slots freely (nothing is active beyond it).
-        uint64_t limit = (region + 2) * kRegionSlots - kBlockSlots;
-        if (region + 2 >= num_regions || limit > f.total_slots())
-          limit = f.total_slots();
-        for (uint64_t i = begin; i < end; ++i) {
-          uint64_t c = counts.empty() ? 1 : counts[i];
-          if (!f.insert_hash_bounded(hashes[i], c, limit)) defer(hashes[i], c);
-        }
-      },
-      /*grain=*/1);
+  launch_regions(hashes.size(), runs, [&](uint64_t ri) {
+    const auto [region, begin, end] = runs[ri];
+    // Stop one metadata block short of the next active region: its
+    // first operation reads run_end(q-1), which touches the preceding
+    // block's offset word; keeping our writes out of that block makes
+    // the phases genuinely disjoint.  The last regions' limit lies past
+    // the table's end, which insert_hash clamps it to, so they may use
+    // the padding slots freely (nothing is active beyond them).
+    const uint64_t limit = (region + 2) * kRegionSlots - kBlockSlots;
+    for (uint64_t i = begin; i < end; ++i) {
+      uint64_t c = counts.empty() ? 1 : counts[i];
+      if (!f.insert_hash(hashes[i], c, limit)) defer(hashes[i], c);
+    }
+  });
 }
 
 /// Shared even-odd core: `hashes` are sorted (and, when `counts` is
@@ -99,7 +110,9 @@ void insert_sorted_hashes(gqf_filter<SlotT>& f,
   for (const auto& phase : phases) run_phase(f, hashes, counts, phase, defer);
 
   // Serial cleanup: items whose region neighbourhood was too dense (only
-  // happens near capacity) get unbounded single-threaded inserts.
+  // happens near capacity) get unbounded single-threaded inserts.  A
+  // refusal here means the table is full and wrote nothing, so the
+  // failed count and size() agree.
   uint64_t deferred = cursor.load();
   stats.deferred = deferred;
   for (uint64_t i = 0; i < deferred; ++i) {
@@ -211,18 +224,15 @@ uint64_t bulk_erase(gqf_filter<SlotT>& f, std::span<const uint64_t> keys) {
       /*stride=*/4);
   std::atomic<uint64_t> removed{0};
   for (const auto& phase : phases) {
-    gpu::launch_threads(
-        phase.size(),
-        [&](uint64_t ri) {
-          const par::touched_run& run = phase[ri];
-          // Descending order: larger remainders first (§6.4).
-          uint64_t local = 0;
-          for (uint64_t i = run.end; i > run.begin; --i)
-            if (f.remove_hash(hashes[i - 1], 1)) ++local;
-          // relaxed: worker-private tally; the launch join publishes it to the reader.
-          if (local) removed.fetch_add(local, std::memory_order_relaxed);
-        },
-        /*grain=*/1);
+    detail::launch_regions(n, phase, [&](uint64_t ri) {
+      const par::touched_run& run = phase[ri];
+      // Descending order: larger remainders first (§6.4).
+      uint64_t local = 0;
+      for (uint64_t i = run.end; i > run.begin; --i)
+        if (f.remove_hash(hashes[i - 1], 1)) ++local;
+      // relaxed: worker-private tally; the launch join publishes it to the reader.
+      if (local) removed.fetch_add(local, std::memory_order_relaxed);
+    });
   }
   return removed.load();
 }

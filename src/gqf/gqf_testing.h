@@ -24,7 +24,7 @@ struct gqf_introspect {
   uint64_t run_end(uint64_t q) const { return f.run_end(q); }
   uint64_t run_start(uint64_t q) const { return f.run_start(q); }
   uint64_t find_first_empty(uint64_t from) const {
-    return f.find_first_empty_slot(from);
+    return f.find_first_empty_slot(from, f.total_slots());
   }
   bool slot_empty(uint64_t i) const { return f.is_slot_empty(i); }
 };

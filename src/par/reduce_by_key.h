@@ -22,8 +22,11 @@ namespace gf::par {
 /// ≥0.5% of the batch appears twice in the sample with high probability,
 /// and the flood rates that actually endanger a filter (a key claiming
 /// whole blocks) are far above that; a uniform 64-bit batch essentially
-/// never trips it.  O(1k) work regardless of batch size — noise next to
-/// one radix pass.
+/// never trips it.  The converse is not promised: keys repeated a few
+/// times each, far apart in the batch, rarely land twice in the sample,
+/// so such a batch passes as duplicate-free and the point TCF's sorted
+/// insert then stores one slot per copy.  O(1k) work regardless of batch
+/// size — noise next to one radix pass.
 inline bool sample_has_duplicates(std::span<const uint64_t> keys) {
   const uint64_t n = keys.size();
   if (n < 2) return false;

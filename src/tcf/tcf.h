@@ -248,6 +248,13 @@ class tcf {
     par::radix_sort_by_key(order, payload,
                            util::log2_ceil(blocks_.size()) + 16);
     return gpu::launch_sum(n, [&](uint64_t begin, uint64_t end) {
+      // A run of equal keys belongs to the range it starts in, as in
+      // par::reduce_by_key's phase 1: skip the tail of a run begun before
+      // this range, and finish the run this range ends inside.
+      while (begin < end && begin > 0 && payload[begin] == payload[begin - 1])
+        ++begin;
+      if (begin < end)
+        while (end < n && payload[end] == payload[end - 1]) ++end;
       return insert_runs(begin, end, [&](uint64_t i) { return payload[i]; });
     });
   }

@@ -232,14 +232,28 @@ TEST(FilterBatchTally, TcfBatchWritesKeepPointLoopSize) {
     point_loop(b.keys, [&](uint64_t k) { point.insert(k); });
     EXPECT_EQ(bulk.size(), point.size()) << "insert_counted_sorted n=" << n;
     EXPECT_EQ(bulk.size(), stored_entries(bulk)) << "n=" << n;
-    // 64 hot keys: the sorted insert places each run once per range, so
-    // the count to match is the table's own.
+    // 64 hot keys: the sorted insert places each run once, whichever
+    // ranges it spans, so the count to match is the table's own.
     std::vector<uint64_t> hot(n);
     for (size_t i = 0; i < n; ++i) hot[i] = b.keys[i % 64];
     bulk.insert_bulk_sorted(hot);
     EXPECT_EQ(bulk.size(), stored_entries(bulk))
         << "insert_bulk_sorted n=" << n;
   }
+}
+
+// The sorted insert stores a run of equal keys once, even when the run
+// spans several worker ranges: 10^5 draws from 64 hot keys into an empty
+// table leave 64 entries at any pool width.
+TEST(FilterBatchTally, TcfSortedInsertStoresEachHotKeyOnce) {
+  const auto hot_keys = util::hashed_xorwow_items(64, 77);
+  util::xorwow rng(78);
+  std::vector<uint64_t> draws(100000);
+  for (uint64_t& k : draws) k = hot_keys[rng.next_below(64)];
+  tcf::point_tcf f(kSlots);
+  EXPECT_EQ(f.insert_bulk_sorted(draws), draws.size());
+  EXPECT_EQ(stored_entries(f), 64u);
+  EXPECT_EQ(f.size(), 64u);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
+#include <string>
 
 #include "util/xorwow.h"
 #include "util/zipf.h"
@@ -161,6 +163,101 @@ TEST(GqfBulk, SmallBatchIntoManyRegionsMatchesPointBuilt) {
   ASSERT_TRUE(bulk.validate(&why)) << why;
   EXPECT_EQ(bulk.size(), point.size());
   for (uint64_t k : distinct) ASSERT_EQ(bulk.query(k), point.query(k)) << k;
+}
+
+uint64_t fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+uint64_t save_digest(const gqf_filter<uint8_t>& f) {
+  std::ostringstream out;
+  f.save(out);
+  return fnv1a(out.str());
+}
+
+/// Distinct keys with their counts, filling `load_pct` % of a 2^16-slot
+/// filter's canonical slots with heads and counter digits (8-bit
+/// remainders: a count c > 1 takes ndigits(c - 1) digit slots).
+struct counted_keys {
+  std::vector<uint64_t> keys, counts;
+};
+
+enum class mix { distinct, duplicates, big_counts };
+
+counted_keys make_counted_keys(unsigned load_pct, mix m) {
+  const uint64_t target = (uint64_t{1} << 16) * load_pct / 100;
+  const auto pool = util::hashed_xorwow_items(target, 3300 + load_pct);
+  counted_keys s;
+  for (uint64_t i = 0, used = 0; used < target; ++i) {
+    uint64_t c = 1;
+    if (m != mix::distinct && i % 4 == 1) c = 2 + i % 3;
+    // Counts of 257 and up take two digits; the first key takes three.
+    if (m == mix::big_counts && i % 128 == 0) c = i ? 257 + i % 300 : 70000;
+    used += 1;
+    for (uint64_t v = c - 1; v; v >>= 8) ++used;
+    s.keys.push_back(pool[i]);
+    s.counts.push_back(c);
+  }
+  return s;
+}
+
+// The GQF layout is canonical: the saved bytes depend only on the
+// (fingerprint, count) multiset, not on the order or the path that built
+// it.  The digests were recorded from the insert that checked its region
+// limit in a separate pre-walk; every build path must reproduce them, at
+// any pool width.
+TEST(GqfBulk, EveryInsertPathBuildsTheCanonicalLayout) {
+  struct expected {
+    unsigned load_pct;
+    mix m;
+    uint64_t digest;
+  };
+  const expected cases[] = {
+      {50, mix::distinct, 16744826010331881856ull},
+      {50, mix::duplicates, 2146826323272229429ull},
+      {50, mix::big_counts, 4731048882005810625ull},
+      {85, mix::distinct, 10939038675453705818ull},
+      {85, mix::duplicates, 5273823840798945031ull},
+      {85, mix::big_counts, 6434837700367326584ull},
+      {95, mix::distinct, 12181689714167184884ull},
+      {95, mix::duplicates, 9132742585101704138ull},
+      {95, mix::big_counts, 11719754157853479823ull},
+  };
+  for (const expected& e : cases) {
+    const counted_keys s = make_counted_keys(e.load_pct, e.m);
+    std::vector<uint64_t> copies;
+    uint64_t total = 0;
+    for (size_t i = 0; i < s.keys.size(); ++i) {
+      copies.insert(copies.end(), s.counts[i], s.keys[i]);
+      total += s.counts[i];
+    }
+    const std::string what = "load " + std::to_string(e.load_pct) +
+                             " mix " + std::to_string(static_cast<int>(e.m));
+
+    gqf_filter<uint8_t> point(16, 8), plain(16, 8), reduced(16, 8),
+        counted(16, 8);
+    for (size_t i = 0; i < s.keys.size(); ++i)
+      ASSERT_TRUE(point.insert(s.keys[i], s.counts[i])) << what;
+    EXPECT_EQ(bulk_insert(plain, copies, /*map_reduce=*/false).inserted, total)
+        << what;
+    EXPECT_EQ(bulk_insert(reduced, copies, /*map_reduce=*/true).inserted,
+              total)
+        << what;
+    EXPECT_EQ(bulk_insert_counted(counted, s.keys, s.counts).inserted, total)
+        << what;
+
+    std::string why;
+    EXPECT_TRUE(point.validate(&why)) << what << ": " << why;
+    EXPECT_EQ(save_digest(point), e.digest) << what << " point";
+    EXPECT_EQ(save_digest(plain), e.digest) << what << " bulk_insert";
+    EXPECT_EQ(save_digest(reduced), e.digest) << what << " map_reduce";
+    EXPECT_EQ(save_digest(counted), e.digest) << what << " counted";
+  }
 }
 
 }  // namespace

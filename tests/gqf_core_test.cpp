@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "gqf/gqf_testing.h"
 #include "util/xorwow.h"
 
 namespace gf::gqf {
@@ -163,6 +168,83 @@ TEST(GqfCore, SlotWidths32And64) {
     ASSERT_TRUE(f32.contains(k));
     ASSERT_EQ(f64.query(k), k % 7 + 1);
   }
+}
+
+template <class SlotT>
+std::string saved(const gqf_filter<SlotT>& f) {
+  std::ostringstream out;
+  f.save(out);
+  return out.str();
+}
+
+TEST(GqfCore, RefusedCountedInsertLeavesNoTrace) {
+  // 8255 distinct fingerprints in quotients 1..33 fill all but slot 0 of
+  // the 8256 slots.  A count of 1000 at quotient 0 needs a head and two
+  // digits: the head would fit in the free canonical slot, the digits
+  // cannot, so the insert is refused before it writes anything.
+  gqf_filter<uint8_t> f(6, 8);
+  ASSERT_EQ(f.total_slots(), 8256u);
+  for (uint64_t i = 0; i < 8255; ++i) ASSERT_TRUE(f.insert_hash(256 + i));
+  const std::string before = saved(f);
+  const uint64_t h = 5;  // quotient 0, remainder 5
+  EXPECT_FALSE(f.insert_hash(h, 1000));
+  EXPECT_EQ(f.size(), 8255u);
+  EXPECT_EQ(f.distinct_items(), 8255u);
+  EXPECT_EQ(f.query_hash(h), 0u);
+  EXPECT_TRUE(saved(f) == before);
+  // One slot is still free for a single instance.
+  EXPECT_TRUE(f.insert_hash(h));
+  std::string why;
+  EXPECT_TRUE(f.validate(&why)) << why;
+}
+
+TEST(GqfCore, SlotLimitRefusalsAreByteIdentical) {
+  // Keys just below a region-phase limit (one block short of region 2) at
+  // 90 % load: a bounded insert either stays wholly below the limit or is
+  // refused with the filter unchanged.  Counts cover a new head, digit
+  // growth on a bump and multi-digit heads.
+  gqf_filter<uint8_t> f(14, 8);
+  for (uint64_t k : util::hashed_xorwow_items(f.num_slots() * 90 / 100, 21))
+    ASSERT_TRUE(f.insert(k));
+  const uint64_t limit = 2 * kRegionSlots - kBlockSlots;
+  const gqf_introspect<uint8_t> x{f};
+  auto tail = [&] {
+    std::vector<uint64_t> t;
+    for (uint64_t i = limit; i < f.total_slots(); ++i)
+      t.push_back(uint64_t{x.slot(i)} << 2 | x.runend(i) << 1 |
+                  x.count_flag(i));
+    for (uint64_t b = limit / kBlockSlots; b < f.total_slots() / kBlockSlots;
+         ++b)
+      t.push_back(x.block_offset(b));
+    return t;
+  };
+  constexpr uint64_t kCounts[] = {1, 2, 300, 70000};
+  util::xorwow rng(4);
+  std::vector<std::pair<uint64_t, uint64_t>> refused;
+  uint64_t accepted = 0;
+  for (int i = 0; i < 400; ++i) {
+    const uint64_t q = limit - 1 - rng.next_below(512);
+    const uint64_t h = q << 8 | rng.next_below(256);
+    const uint64_t c = kCounts[i % 4];
+    const std::string before = saved(f);
+    const auto before_tail = tail();
+    const uint64_t had = f.query_hash(h);
+    if (f.insert_hash(h, c, limit)) {
+      ++accepted;
+      ASSERT_EQ(f.query_hash(h), had + c) << i;
+      ASSERT_EQ(tail(), before_tail) << "wrote past the limit, insert " << i;
+    } else {
+      ASSERT_TRUE(saved(f) == before) << "refusal wrote, insert " << i;
+      refused.emplace_back(h, c);
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(refused.size(), 0u);
+  std::string why;
+  ASSERT_TRUE(f.validate(&why)) << why;
+  // Unbounded, the refused inserts fit.
+  for (auto [h, c] : refused) ASSERT_TRUE(f.insert_hash(h, c));
+  EXPECT_TRUE(f.validate(&why)) << why;
 }
 
 }  // namespace
