@@ -93,8 +93,10 @@ BENCHMARK(BM_SortTier)
 // one range on the caller, 1 one static range per worker through
 // run_on_all, the split parallel_ranges launches above gpu::kLaunchFloor;
 // n) — at the process pool's width (GF_NUM_WORKERS).  The partition pass
-// counts the shards of an 8-shard store into per-worker histograms, as
-// filter_store::partition_by_shard does; the probe reads a 2^22-slot
+// counts the shards of an 8-shard store into per-worker histograms, the
+// histogram pass of the store's shard partition; since the launched pass
+// lost to the inline one up to 8192 keys, that partition runs serially on
+// the caller (filter_store::group).  The probe reads a 2^22-slot
 // point TCF at 33 % load with stored keys alternating with never-inserted
 // ones, as a wire QUERY part does.  Successive iterations take successive
 // batches of a 2^16-key pool.  gpu::kLaunchFloor comes from this row.

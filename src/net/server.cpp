@@ -228,13 +228,13 @@ struct server::reactor_msg {
   uint64_t ticket = 0;   ///< work/done: pending_resp key on the origin
   opcode op = opcode::ping;
   bool from_feed = false;  ///< work: a feed frame (applied, not replicated)
-  uint32_t begin = 0, end = 0, depth = 0;  ///< maintain: work's shard
+  uint32_t begin = 0, end = 0, depth = 0;  ///< work/done: the part's shard
                                            ///< slice; done's deepest cascade
-  std::vector<uint64_t> keys;    ///< work: this reactor's slice of the batch
-  std::vector<uint64_t> counts;  ///< work: insert_counted companions
+  /// work/done: the batch grouped by shard, shared by every part of it
+  /// (null for MAINTAIN and for a part that is the whole batch).
+  std::shared_ptr<const store::filter_store::grouped> batch;
   std::vector<uint64_t> vals;    ///< done: per-key counts (count)
   std::vector<uint8_t> hits;     ///< done: per-key membership (query)
-  std::vector<uint32_t> idx;     ///< positions in the original batch
   uint64_t a = 0, b = 0;         ///< done: (ok, failed) or (grown,
                                  ///< levels); ctrl: t_start
   uint64_t part_seq = 0;         ///< done: stream sequence this part landed on
@@ -243,6 +243,16 @@ struct server::reactor_msg {
   frame fr;                      ///< ctrl: the control frame (owned payload)
   std::shared_ptr<sub_entry> sub;                 ///< fwd: target subscriber
   std::shared_ptr<std::vector<uint8_t>> bytes;    ///< fwd: encoded frame
+
+  /// The part's run of one column of `batch`: the positions of shards
+  /// [begin, end) (empty without a batch or for an absent column).
+  std::span<const uint64_t> run(
+      std::vector<uint64_t> store::filter_store::grouped::*column) const {
+    if (batch == nullptr || ((*batch).*column).empty()) return {};
+    const auto& o = batch->offsets;
+    return std::span<const uint64_t>((*batch).*column)
+        .subspan(o[begin], o[end] - o[begin]);
+  }
 };
 
 /// A response waiting for its batch parts to fold back.
@@ -259,7 +269,8 @@ struct server::pending_resp {
   std::vector<uint64_t> part_seqs;  ///< one stream sequence per lane touched
   uint64_t t_start = 0;
 
-  /// Fold one part's done reply in (an empty index is the identity).
+  /// Fold one part's done reply in; its answers land at the batch
+  /// positions of its run (in order when the part is the whole batch).
   void fold(const reactor_msg& d) {
     if (is_mutating(d.op) || d.op == opcode::maintain) {
       a += d.a;
@@ -268,10 +279,11 @@ struct server::pending_resp {
       if (d.part_seq != 0) part_seqs.push_back(d.part_seq);
       return;
     }
+    const auto at = d.run(&store::filter_store::grouped::index);
     for (size_t j = 0; j < d.vals.size(); ++j)
-      words[d.idx.empty() ? j : d.idx[j]] = d.vals[j];
+      words[at.empty() ? j : at[j]] = d.vals[j];
     for (size_t j = 0; j < d.hits.size(); ++j) {
-      const size_t i = d.idx.empty() ? j : d.idx[j];
+      const size_t i = at.empty() ? j : at[j];
       words[i >> 6] |= uint64_t{d.hits[j] != 0} << (i & 63);
     }
   }
@@ -381,12 +393,10 @@ server::server(server_config cfg, store::filter_store st)
 void server::assign_shards() {
   // Contiguous shard ownership: reactor k owns [k*S/N, (k+1)*S/N).
   const uint32_t shards = store_.num_shards();
-  shard_owner_.assign(shards, 0);
   for (uint32_t k = 0; k < nr_; ++k) {
     reactor& r = *reactors_[k];
     r.shard_begin = static_cast<uint32_t>((uint64_t{k} * shards) / nr_);
     r.shard_end = static_cast<uint32_t>((uint64_t{k + 1} * shards) / nr_);
-    for (uint32_t s = r.shard_begin; s < r.shard_end; ++s) shard_owner_[s] = k;
   }
 }
 
@@ -1071,8 +1081,8 @@ void server::dispatch_msg(reactor& r, reactor_msg& m) {
       d.origin = r.id;
       d.ticket = m.ticket;
       d.op = m.op;
-      d.idx = std::move(m.idx);
-      apply_work(r, m, d);
+      apply_work(r, m, d, m.run(&store::filter_store::grouped::keys),
+                 m.run(&store::filter_store::grouped::counts));
       post(r, m.origin, std::move(d));
       break;
     }
@@ -1863,8 +1873,8 @@ bool server::owns_every_shard(const reactor& r) const {
 
 void server::route_batch(reactor& r, connection& c, const frame& f,
                          bool from_feed, uint64_t t_start) {
-  // `w` is this reactor's part (a batch part starts as the whole batch),
-  // `d` its answers for pending_resp::fold().
+  using grouped = store::filter_store::grouped;
+  // `w` is this reactor's part, `d` its answers for pending_resp::fold().
   reactor_msg w, d;
   w.op = d.op = f.op;
   w.from_feed = from_feed;
@@ -1877,75 +1887,62 @@ void server::route_batch(reactor& r, connection& c, const frame& f,
   p.from_feed = from_feed;
   p.t_start = t_start;
   bool local = false;  // this reactor applies a part itself
-  auto hand_off = [&](uint32_t k, reactor_msg&& m) {
-    m.k = reactor_msg::kind::work;
-    m.origin = r.id;
-    m.ticket = ticket;
-    m.op = f.op;
-    m.from_feed = from_feed;
-    post(r, k, std::move(m));
-  };
+  std::vector<uint64_t> keys, counts;
+  shard_range sr;  // shards the frame reaches: every one unless MAINTAIN
   if (f.op == opcode::maintain) {
-    // One part per reactor whose slice meets the requested range, clipped
-    // to that slice: every shard is grown by its owner.
-    const shard_range sr = decode_maintain_range(f);
-    for (uint32_t k = 0; k < nr_; ++k) {
-      reactor_msg remote;
-      reactor_msg& m = k == r.id ? w : remote;
-      m.begin = std::max(sr.begin, reactors_[k]->shard_begin);
-      m.end = std::min(sr.end, reactors_[k]->shard_end);
-      if (m.begin >= m.end) continue;
-      ++p.parts_left;
-      if (k != r.id) hand_off(k, std::move(m));
-    }
-    local = w.begin < w.end;
+    sr = decode_maintain_range(f);
   } else {
-    decode_batch(f, w.keys, w.counts);
-    const size_t n = w.keys.size();
+    decode_batch(f, keys, counts);
+    const size_t n = keys.size();
     live<&server_stats::keys_processed>().add(n);
     if (f.op == opcode::query)
       p.words.assign(bitmap_words(n), 0);
     else if (f.op == opcode::count)
       p.words.assign(n, 0);
     if (owns_every_shard(r)) {
-      // The store groups the batch by shard inside each pool range: a
-      // serial partition here first cost an 8192-key read frame of an
-      // 8-shard bulk-TCF store 57-112 us more (medians, width 2 and 4).
+      // The part is the whole batch in request order; the store groups it
+      // itself, a read inside each pool range.  A serial grouping here
+      // first cost an 8192-key read frame of an 8-shard bulk-TCF store
+      // 57-112 us more (medians, width 2 and 4).
       local = n != 0;
       p.parts_left = local ? 1 : 0;
     } else {
-      // Partition per key by the store's own shard function — the
-      // wire-level shard_hint is advisory and never trusted for ownership.
-      std::vector<std::vector<uint64_t>> pk(nr_), pc(nr_);
-      std::vector<std::vector<uint32_t>> pi(nr_);
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t owner = shard_owner_[store_.shard_of(w.keys[i])];
-        pk[owner].push_back(w.keys[i]);
-        if (f.op == opcode::insert_counted) pc[owner].push_back(w.counts[i]);
-        pi[owner].push_back(static_cast<uint32_t>(i));
-      }
-      for (uint32_t k = 0; k < nr_; ++k) {
-        if (pk[k].empty()) continue;
-        ++p.parts_left;
-        if (k == r.id) continue;
-        reactor_msg m;
-        m.keys = std::move(pk[k]);
-        m.counts = std::move(pc[k]);
-        m.idx = std::move(pi[k]);
-        hand_off(k, std::move(m));
-      }
-      local = !pk[r.id].empty();
-      if (local && pk[r.id].size() != n) {
-        w.keys = std::move(pk[r.id]);
-        w.counts = std::move(pc[r.id]);
-        d.idx = std::move(pi[r.id]);
-      }
+      // Group once by the store's own shard function — the wire-level
+      // shard_hint is advisory and never trusted for ownership — and hand
+      // each reactor the run of its contiguous shard slice.
+      w.batch = std::make_shared<const grouped>(store_.group(keys, counts));
     }
   }
+  // Otherwise one part per reactor whose slice meets the frame's shards
+  // (and, for a grouped batch, holds keys), clipped to that slice: every
+  // shard is written and grown by its owner.
+  const bool split = w.batch != nullptr || f.op == opcode::maintain;
+  for (uint32_t k = 0; split && k < nr_; ++k) {
+    reactor_msg remote;
+    reactor_msg& m = k == r.id ? w : remote;
+    m.batch = w.batch;
+    m.begin = std::max(sr.begin, reactors_[k]->shard_begin);
+    m.end = std::min(sr.end, reactors_[k]->shard_end);
+    if (m.begin >= m.end || (m.batch && m.run(&grouped::keys).empty()))
+      continue;
+    ++p.parts_left;
+    m.k = reactor_msg::kind::work;
+    m.origin = r.id;
+    m.ticket = ticket;
+    m.op = f.op;
+    m.from_feed = from_feed;
+    if (k == r.id)
+      local = true;
+    else
+      post(r, k, std::move(m));
+  }
   if (local) {
-    // An empty index is the identity: the part is the whole batch in
-    // request order, and replicates the decoded frame itself.
-    apply_work(r, w, d, d.idx.empty() ? &f : nullptr);
+    // A grouped part applies its run; the whole batch applies as decoded
+    // and replicates the decoded frame itself.
+    if (w.batch != nullptr)
+      apply_work(r, w, d, w.run(&grouped::keys), w.run(&grouped::counts));
+    else
+      apply_work(r, w, d, keys, counts, &f);
     p.fold(d);
     --p.parts_left;
   } else if (p.parts_left == 0) {
@@ -1966,8 +1963,13 @@ void server::route_batch(reactor& r, connection& c, const frame& f,
 }
 
 void server::apply_work(reactor& r, const reactor_msg& w, reactor_msg& d,
+                        std::span<const uint64_t> keys,
+                        std::span<const uint64_t> counts,
                         const frame* whole) {
   const uint64_t t0 = obs::now_ns();
+  d.batch = w.batch;  // the fold finds the part's answers through its run
+  d.begin = w.begin;
+  d.end = w.end;
   if (w.op == opcode::maintain) {
     const auto m = maintain_slice(r, w.begin, w.end, w.from_feed);
     d.a = m.shards_grown;
@@ -1983,7 +1985,7 @@ void server::apply_work(reactor& r, const reactor_msg& w, reactor_msg& d,
       r.parts_since_maintain = 0;
       maintain_slice(r, r.shard_begin, r.shard_end, /*from_feed=*/false);
     }
-    const pair_result res = apply_mutation(store_, w.op, w.keys, w.counts);
+    const pair_result res = apply_mutation(store_, w.op, keys, counts);
     d.a = res.ok;
     d.b = res.failed;
     // Replicate this reactor's part as its own lane-stamped frame: a
@@ -1992,13 +1994,13 @@ void server::apply_work(reactor& r, const reactor_msg& w, reactor_msg& d,
     if (!w.from_feed)
       d.part_seq = whole != nullptr
                        ? replicate(r, *whole)
-                       : replicate(r, batch_frame(w.op, w.keys, w.counts));
+                       : replicate(r, batch_frame(w.op, keys, counts));
   } else if (w.op == opcode::query) {
-    d.hits.resize(w.keys.size());
-    store_.contains_each(w.keys, d.hits);
+    d.hits.resize(keys.size());
+    store_.contains_each(keys, d.hits);
   } else {
-    d.vals.resize(w.keys.size());
-    store_.count_each(w.keys, d.vals);
+    d.vals.resize(keys.size());
+    store_.count_each(keys, d.vals);
   }
   r.stage_apply_ns.record(obs::now_ns() - t0);
 }
@@ -2006,12 +2008,9 @@ void server::apply_work(reactor& r, const reactor_msg& w, reactor_msg& d,
 store::filter_store::maintain_result server::maintain_slice(
     reactor& r, uint32_t begin, uint32_t end, bool from_feed) {
   // Growth swaps a shard's levels_ vector, so only the shard's one writer
-  // may run it: r owns [begin, end), and every mutation of those shards is
-  // applied on r.  Other reactors' bulk launches still visit these shards
-  // (per_shard runs one logical thread per shard of the store), but with
-  // empty spans, and insert_span, insert_counted_span and erase_span
-  // return before they touch levels_ when handed no keys; their reads
-  // probe only the keys routed to them, so only the shards they own.
+  // may run it: r owns [begin, end), and every access to those shards is
+  // applied on r.  Another reactor's part holds only its own shards' keys,
+  // and the store runs only the shards a batch has keys for.
   const uint64_t t0 = obs::now_ns();
   const auto m = store_.maintain_range(begin, end);
   r.trace.add("store", "maintain", t0, obs::now_ns() - t0, "levels",

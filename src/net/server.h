@@ -6,13 +6,14 @@
 // round-robin by handing the raw fd to the target reactor over its
 // mailbox; each reactor then runs its own poll loop with per-connection
 // frame decoders and write buffers.  Every reactor owns a disjoint
-// contiguous slice of the store's shards: decoded batches are partitioned
-// once at decode time by owning reactor (per key, via
-// filter_store::shard_of — the client's shard_hint is advisory and never
-// trusted for routing) and handed to owners over bounded SPSC mailboxes
-// (net/mailbox.h); results fold back on the requesting reactor, which
-// releases the one wire response.  A reactor that owns every shard skips
-// the partition (its part is the whole batch, in request order).  Every
+// contiguous slice of the store's shards: a decoded batch is grouped once
+// by shard with the store's own bulk-tier partition (filter_store::group —
+// the client's shard_hint is advisory and never trusted for routing), and
+// each owner is handed the run of its slice in that one shared grouping
+// over bounded SPSC mailboxes (net/mailbox.h); results fold back on the
+// requesting reactor, which releases the one wire response.  A reactor
+// that owns every shard skips the grouping (its part is the whole batch,
+// in request order).  Every
 // part reads through the store the same way at any reactor count: the
 // pool's launch floor decides whether a part launches.  Each
 // mutating part goes through net::apply_mutation (net/mutation.h, shared
@@ -22,7 +23,7 @@
 // (SO_REUSEPORT was considered for connection distribution and rejected:
 // kernel hashing balances *connections*, not *shard ownership* — a frame
 // would still land on the wrong reactor for most of its keys, so the
-// explicit fd handoff plus decode-time partition is the design.)
+// explicit fd handoff plus decode-time grouping is the design.)
 //
 // Pipelining: each reactor decodes and serves *every* complete frame
 // buffered on a connection before returning to poll, and each response
@@ -440,15 +441,18 @@ class server {
   /// current store.
   void assign_shards();
   bool owns_every_shard(const reactor& r) const;
-  /// Apply a data batch: partition it by owning reactor (unless r owns
-  /// every shard; a MAINTAIN splits by slice), apply the local part
-  /// inline, hand remote parts to their owners, and park the response
-  /// until every part folded back.
+  /// Apply a data batch: group it by shard once (unless r owns every
+  /// shard) and give each reactor the run of its slice (a MAINTAIN splits
+  /// by slice), apply the local part inline, hand remote parts to their
+  /// owners, and park the response until every part folded back.
   void route_batch(reactor& r, connection& c, const frame& f, bool from_feed,
                    uint64_t t_start);
-  /// Execute one part on its owning reactor, filling the done reply.
-  /// `whole` is the request frame when the part is all of it.
+  /// Execute one part (its keys and counts, empty for MAINTAIN) on its
+  /// owning reactor, filling the done reply.  `whole` is the request frame
+  /// when the part is all of it.
   void apply_work(reactor& r, const reactor_msg& w, reactor_msg& d,
+                  std::span<const uint64_t> keys,
+                  std::span<const uint64_t> counts,
                   const frame* whole = nullptr);
   /// Grow the pressured shards of [begin, end) — a slice r owns — and,
   /// unless the pass came off the feed, replicate it on r's lane.
@@ -491,7 +495,6 @@ class server {
   /// Every replicated frame, per lane: memory tails + the WAL.
   repl_log log_;
   std::vector<std::unique_ptr<reactor>> reactors_;
-  std::vector<uint32_t> shard_owner_;  ///< shard index → owning reactor
   uint32_t rr_next_ = 0;               ///< accept round-robin cursor
   std::vector<std::thread> threads_;   ///< reactors 1..N-1 while run() lives
   bool threads_live_ = false;          ///< reactor-0-thread flag

@@ -16,14 +16,18 @@
 //                     over gf::gpu::thread_pool, the paper's
 //                     one-thread-per-region bulk discipline (§5.3).
 //   * Bulk          — insert_bulk(), insert_counted(), erase_bulk() take
-//                     key spans, partition them by shard id with a
-//                     single-allocation parallel counting sort (per-worker
-//                     histograms + one stable scatter pass — shard ids are
-//                     tiny keys, so a full radix sort would be wasted
-//                     work), and apply each slice shard-parallel through
-//                     the shard's span entry points (store/shard.h), which
-//                     the async tier's runs share.  The wire server and
-//                     WAL replay mutate through this tier only.
+//                     key spans, partition them by shard id with one
+//                     serial stable counting sort on the caller (one
+//                     histogram, one prefix scan, one scatter — shard ids
+//                     are tiny keys, so a full radix sort would be wasted
+//                     work, and a pool launch costs more than the pass up
+//                     to 8192 keys), and apply each non-empty slice
+//                     shard-parallel through the shard's span entry points
+//                     (store/shard.h), which the async tier's runs share.
+//                     group() hands the same partition to a caller (the
+//                     wire server splits a batch between reactors with
+//                     it).  The wire server and WAL replay mutate through
+//                     this tier only.
 //   * Per-key reads — contains_each()/count_each() answer a batch key by
 //                     key: at most one pool launch, each range grouped by
 //                     shard, one batched backend probe per group and
@@ -142,7 +146,7 @@ class filter_store {
 
   /// Drain every shard's queue, one logical thread per shard.
   batch_result flush() {
-    return per_shard<batch_result>(metrics_->drain_shard_ns,
+    return per_shard<batch_result>(metrics_->drain_shard_ns, {},
                                    [](shard& sh, uint64_t) {
                                      return sh.drain();
                                    });
@@ -157,7 +161,7 @@ class filter_store {
         ops.size(), [&](uint64_t i) { return ops[i].key; },
         [&](uint64_t i, uint64_t p) { parted[p] = ops[i]; });
     return per_shard<batch_result>(
-        metrics_->apply_shard_ns, [&](shard& sh, uint64_t s) {
+        metrics_->apply_shard_ns, offsets, [&](shard& sh, uint64_t s) {
           return sh.apply(slice(parted, offsets, s));
         });
   }
@@ -189,6 +193,36 @@ class filter_store {
   uint64_t erase_bulk(std::span<const uint64_t> keys) {
     return per_slice(metrics_->apply_shard_ns, keys, {},
                      [](shard& sh, auto k, auto) { return sh.erase_span(k); });
+  }
+
+  /// A batch grouped by owning shard: shard s holds positions
+  /// [offsets[s], offsets[s + 1]), in batch order within each shard.
+  struct grouped {
+    std::vector<uint64_t> keys;
+    std::vector<uint64_t> counts;   ///< empty unless counts were given
+    std::vector<uint64_t> index;    ///< index[p]: keys[p]'s batch position
+    std::vector<uint64_t> offsets;  ///< num_shards() + 1 entries
+  };
+
+  /// The bulk tier's shard partition of keys (and counts, when given),
+  /// run on the caller.  A caller that splits a batch between owners of
+  /// contiguous shard ranges hands each one its run of this grouping.
+  grouped group(std::span<const uint64_t> keys,
+                std::span<const uint64_t> counts = {}) const {
+    if (!counts.empty() && counts.size() != keys.size())
+      throw std::invalid_argument("gf: group keys/counts mismatch");
+    grouped g;
+    g.keys.resize(keys.size());
+    g.counts.resize(counts.size());
+    g.index.resize(keys.size());
+    g.offsets = partition_by_shard(
+        keys.size(), [&](uint64_t i) { return keys[i]; },
+        [&](uint64_t i, uint64_t p) {
+          g.keys[p] = keys[i];
+          if (!counts.empty()) g.counts[p] = counts[i];
+          g.index[p] = i;
+        });
+    return g;
   }
 
   // -- Maintenance -----------------------------------------------------------
@@ -329,47 +363,20 @@ class filter_store {
   }
 
  private:
-  /// Stable parallel counting-sort partition of n elements by owning
-  /// shard: per-worker histograms, an exclusive scan, and one scatter pass
-  /// over identical static ranges, in which place(i, p) moves element i to
-  /// position p of the caller's output.  Shard ids are recomputed in the
-  /// scatter pass (a mix64 is cheaper than streaming an id array through
-  /// memory).  Returns shard offsets (size num_shards + 1) into the output.
-  /// Both passes launch over n, so they get the same ranges.
+  /// Stable counting-sort partition of n elements by owning shard, on the
+  /// caller: one histogram, one prefix scan, and one scatter pass in which
+  /// place(i, p) moves element i to position p of the caller's output.
+  /// Shard ids are recomputed in the scatter pass (a mix64 is cheaper than
+  /// streaming an id array through memory).  Returns shard offsets (size
+  /// num_shards + 1) into the output.
   template <class KeyAt, class Place>
   std::vector<uint64_t> partition_by_shard(uint64_t n, const KeyAt& key_at,
                                            const Place& place) const {
-    const uint64_t m = shards_.size();
-    auto& pool = gpu::thread_pool::instance();
-    const unsigned workers = pool.size();
-    // Histogram rows are padded to a cache line so scatter cursors of
-    // neighbouring workers never false-share.
-    const uint64_t stride = (m + 7) & ~uint64_t{7};
-    std::vector<uint64_t> hist(workers * stride, 0);
-    pool.parallel_ranges(n, [&](unsigned w, uint64_t begin, uint64_t end) {
-      uint64_t* row = &hist[w * stride];
-      for (uint64_t i = begin; i < end; ++i) ++row[shard_of(key_at(i))];
-    });
-    // Exclusive scan in (shard, worker) order: worker w's slice of shard s
-    // lands after every earlier worker's slice of s — stable overall.
-    std::vector<uint64_t> offsets(m + 1);
-    uint64_t running = 0;
-    for (uint64_t s = 0; s < m; ++s) {
-      offsets[s] = running;
-      for (unsigned w = 0; w < workers; ++w) {
-        uint64_t c = hist[w * stride + s];
-        hist[w * stride + s] = running;
-        running += c;
-      }
-    }
-    offsets[m] = running;
-    // parallel_ranges partitions [0, n) identically both times, so each
-    // worker scatters exactly the elements it counted.
-    pool.parallel_ranges(n, [&](unsigned w, uint64_t begin, uint64_t end) {
-      uint64_t* cursor = &hist[w * stride];
-      for (uint64_t i = begin; i < end; ++i)
-        place(i, cursor[shard_of(key_at(i))]++);
-    });
+    std::vector<uint64_t> offsets(shards_.size() + 1, 0);
+    for (uint64_t i = 0; i < n; ++i) ++offsets[shard_of(key_at(i)) + 1];
+    for (size_t s = 1; s < offsets.size(); ++s) offsets[s] += offsets[s - 1];
+    std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (uint64_t i = 0; i < n; ++i) place(i, cursor[shard_of(key_at(i))]++);
     return offsets;
   }
 
@@ -386,17 +393,23 @@ class filter_store {
   /// The bulk tier's launch: one logical thread per shard over the pool
   /// (§5.3's one-thread-per-region discipline), each running fn(shard, s)
   /// inside this store's counters scope, timed into lane s of `hist`.
-  /// Returns the sum of fn's per-shard results.
+  /// Given a partition's offsets, only the shards whose slice is non-empty
+  /// run and record; with none, every shard does.  Returns the sum of fn's
+  /// per-shard results.
   template <class R, class Fn>
-  R per_shard(obs::latency_histogram& hist, const Fn& fn) {
-    std::vector<R> out(shards_.size());
+  R per_shard(obs::latency_histogram& hist, std::span<const uint64_t> offsets,
+              const Fn& fn) {
+    std::vector<uint32_t> run;
+    for (uint32_t s = 0; s < shards_.size(); ++s)
+      if (offsets.empty() || offsets[s] != offsets[s + 1]) run.push_back(s);
+    std::vector<R> out(run.size());
     gpu::launch_threads(
-        shards_.size(),
-        [&](uint64_t s) {
+        run.size(),
+        [&](uint64_t i) {
           util::counters_scope cs(metrics_->gf_counters);
           const uint64_t t0 = obs::now_ns();
-          out[s] = fn(*shards_[s], s);
-          hist.record_lane(static_cast<unsigned>(s), obs::now_ns() - t0);
+          out[i] = fn(*shards_[run[i]], run[i]);
+          hist.record_lane(run[i], obs::now_ns() - t0);
         },
         /*grain=*/1);
     R sum{};
@@ -418,7 +431,7 @@ class filter_store {
           pk[p] = keys[i];
           if (!pc.empty()) pc[p] = counts[i];
         });
-    return per_shard<uint64_t>(hist, [&](shard& sh, uint64_t s) {
+    return per_shard<uint64_t>(hist, offsets, [&](shard& sh, uint64_t s) {
       return fn(sh, slice(pk, offsets, s), slice(pc, offsets, s));
     });
   }
@@ -444,23 +457,15 @@ class filter_store {
       probe(*shards_[0], keys, out);
       return;
     }
-    const size_t n = keys.size();
-    std::vector<uint64_t> grouped(n);
-    std::vector<size_t> from(n);
-    const auto offsets = partition_by_shard(
-        n, [&](uint64_t i) { return keys[i]; },
-        [&](uint64_t i, uint64_t p) {
-          grouped[p] = keys[i];
-          from[p] = i;
-        });
-    std::vector<T> res(n);
+    const grouped g = group(keys);
+    std::vector<T> res(keys.size());
     for (size_t s = 0; s < shards_.size(); ++s) {
-      const auto group = slice(grouped, offsets, s);
-      if (!group.empty())
-        probe(*shards_[s], group,
-              std::span<T>(res).subspan(offsets[s], group.size()));
+      const auto run = slice(g.keys, g.offsets, s);
+      if (!run.empty())
+        probe(*shards_[s], run,
+              std::span<T>(res).subspan(g.offsets[s], run.size()));
     }
-    for (size_t p = 0; p < n; ++p) out[from[p]] = res[p];
+    for (size_t p = 0; p < res.size(); ++p) out[g.index[p]] = res[p];
   }
 
   static void validate_config(const store_config& cfg) {

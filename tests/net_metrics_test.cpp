@@ -305,6 +305,30 @@ TEST(NetMetrics, MultiReactorScrapeUnderFloodIsConsistent) {
   loop.join();
 }
 
+// A multi-reactor INSERT frame is grouped once and each reactor applies
+// only its own shards' run, so a frame that reaches all 8 shards of a
+// 2-reactor store times each shard once: 8 samples, not 8 per reactor.
+TEST(NetMetrics, BulkShardSamplesCountShardsWithKeys) {
+  store::store_config cfg;
+  cfg.backend = store::backend_kind::tcf;
+  cfg.num_shards = 8;
+  cfg.capacity = 1 << 16;
+  net::server_config scfg;
+  scfg.reactors = 2;
+  live_server ls{store::filter_store(cfg), std::move(scfg)};
+  auto cli = ls.connect();
+  const auto keys = util::hashed_xorwow_items(4096, 611);
+  const store::filter_store layout(cfg);
+  std::vector<bool> hit(cfg.num_shards);
+  for (uint64_t k : keys) hit[layout.shard_of(k)] = true;
+  ASSERT_EQ(std::count(hit.begin(), hit.end(), true), 8);
+
+  const std::string line = "gf_store_bulk_shard_ns_count{path=\"insert\"}";
+  const uint64_t before = scrape(cli.metrics_text(), line);
+  EXPECT_EQ(cli.insert(std::span<const uint64_t>(keys)).ok, keys.size());
+  EXPECT_EQ(scrape(cli.metrics_text(), line) - before, 8u);
+}
+
 TEST(NetMetrics, SingleReactorScrapeHasNoLaneLabels) {
   // The nr == 1 exposition must stay byte-compatible with the pre-reactor
   // schema: no lane labels, no per-reactor gauge families.

@@ -1,9 +1,9 @@
 // Multi-reactor wire path tests: a net::server running N event loops
 // (server_config::reactors), each owning a disjoint contiguous shard
 // slice, with accepted connections distributed round-robin.  Covers:
-//   * answer equivalence at 4 reactors — batches partitioned per key to
-//     their owning reactor and folded back must answer exactly like the
-//     single-loop server and a direct store;
+//   * answer equivalence at 4 reactors — batches grouped by shard once,
+//     each reactor applying its slice's run, and folded back must answer
+//     exactly like the single-loop server and a direct store;
 //   * the shutdown fan-out regression: request_stop() must wake *every*
 //     reactor, including ones whose only connections are idle or parked
 //     mid-frame — a stop that only woke reactor 0 deadlocks the join;
@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -171,6 +172,75 @@ TEST(NetReactor, FourReactorEquivalence) {
     for (uint32_t reactors : {1u, 4u})
       for (bool grow : {false, true})
         expect_wire_matches_direct(backend, reactors, grow);
+}
+
+// Frames whose parts are not a plain per-reactor split of the batch: one
+// whose keys all fall in reactor 3's slice (shards [6, 8)), so the one
+// remote part is the whole batch; duplicates spread across every slice;
+// INSERT_COUNTED with counts above one; an ERASE.  Every reply, QUERY bit
+// and COUNT value, and the store's save() bytes, must equal a direct
+// store's that took the same batches.
+TEST(NetReactor, GroupedPartsAnswerLikeDirectStore) {
+  for (auto backend : {store::backend_kind::tcf, store::backend_kind::gqf}) {
+    const std::string ctx = store::backend_name(backend);
+    auto scfg = shard_config();
+    scfg.backend = backend;
+    net::server_config ncfg = reactor_config(4);
+    ncfg.maintain_every = 0;
+    live_server ls{std::move(ncfg), store::filter_store(scfg)};
+    store::filter_store direct(scfg);
+    auto cli = ls.connect();  // on reactor 0
+
+    std::vector<uint64_t> last, spread, counts;
+    for (uint64_t k : util::hashed_xorwow_items(16384, 801))
+      if (direct.shard_of(k) >= 6 && last.size() < 2048) last.push_back(k);
+    ASSERT_EQ(last.size(), 2048u);
+    const auto pool = util::hashed_xorwow_items(1500, 802);
+    for (size_t i = 0; i < 3000; ++i) spread.push_back(pool[i * 7 % 1500]);
+    for (size_t i = 0; i < spread.size(); ++i) counts.push_back(2 + i % 5);
+    std::vector<uint64_t> victims(spread.begin(), spread.begin() + 700);
+    victims.insert(victims.end(), last.begin(), last.begin() + 300);
+
+    EXPECT_EQ(cli.insert(std::span<const uint64_t>(last)).ok,
+              direct.insert_bulk(last))
+        << ctx;
+    EXPECT_EQ(cli.insert(std::span<const uint64_t>(spread)).ok,
+              direct.insert_bulk(spread))
+        << ctx;
+    EXPECT_EQ(cli.insert_counted(spread, counts).ok,
+              direct.insert_counted(spread, counts))
+        << ctx;
+    const auto wire_erase = cli.erase(std::span<const uint64_t>(victims));
+    const uint64_t direct_erased = direct.erase_bulk(victims);
+    EXPECT_EQ(wire_erase.ok, direct_erased) << ctx;
+    EXPECT_EQ(wire_erase.failed, victims.size() - direct_erased) << ctx;
+
+    // Reads of each shape: one slice's keys, duplicates across slices
+    // mixed with never-inserted keys.
+    auto mixed = spread;
+    for (uint64_t k : util::hashed_xorwow_items(2000, 803)) mixed.push_back(k);
+    for (const auto* probes : {&last, &mixed}) {
+      std::span<const uint64_t> span(*probes);
+      const auto bitmap = cli.query_bitmap(span);
+      const auto wire_counts = cli.counts(span);
+      std::vector<uint8_t> hit(span.size());
+      std::vector<uint64_t> count(span.size());
+      direct.contains_each(span, hit);
+      direct.count_each(span, count);
+      ASSERT_EQ(wire_counts.size(), span.size()) << ctx;
+      for (size_t i = 0; i < span.size(); ++i) {
+        ASSERT_EQ((bitmap[i >> 6] >> (i & 63)) & 1, hit[i]) << ctx << " " << i;
+        ASSERT_EQ(wire_counts[i], count[i]) << ctx << " " << i;
+      }
+    }
+
+    ls.srv.request_stop();
+    ls.loop.join();
+    std::ostringstream wire_bytes, direct_bytes;
+    store::save_store(ls.srv.store(), wire_bytes);
+    store::save_store(direct, direct_bytes);
+    EXPECT_TRUE(wire_bytes.str() == direct_bytes.str()) << ctx;
+  }
 }
 
 TEST(NetReactor, ControlPlaneUnderTraffic) {

@@ -206,6 +206,34 @@ TEST(StoreBulk, InsertSpanStatsCountOneBatch) {
   EXPECT_GE(batches, 1u);
 }
 
+// The bulk tier runs, and times, only the shards a batch has keys for: a
+// batch that routes to one shard of eight is one logical thread and one
+// shard-time sample, and the other shards see no batch at all.
+TEST(StoreBulk, OnlyShardsWithKeysRunAndRecord) {
+  constexpr uint32_t kTarget = 5;
+  for (backend_kind backend : kAllBackends) {
+    SCOPED_TRACE(backend_name(backend));
+    store::filter_store st(config(backend, 8, 1 << 16));
+    std::vector<uint64_t> keys, counts;
+    for (uint64_t k : util::hashed_xorwow_items(32768, 381))
+      if (st.shard_of(k) == kTarget) keys.push_back(k);
+    ASSERT_GT(keys.size(), 2048u);  // above the pool's launch floor
+    counts.assign(keys.size(), 2);
+    auto& m = st.metrics();
+    EXPECT_EQ(st.insert_bulk(keys), keys.size());
+    EXPECT_EQ(m.bulk_insert_shard_ns.snapshot().count(), 1u);
+    // insert_counted() and apply() take the same partition.
+    st.insert_counted(keys, counts);
+    std::vector<store::op> ops;
+    for (uint64_t k : keys) ops.push_back(store::make_query(k));
+    st.apply(ops);
+    EXPECT_EQ(m.apply_shard_ns.snapshot().count(), 2u);
+    for (uint32_t s = 0; s < st.num_shards(); ++s)
+      EXPECT_EQ(st.shard_at(s).stats().batches_drained, s == kTarget ? 1u : 0u)
+          << "shard " << s;
+  }
+}
+
 TEST(StoreBulk, FlushStatsNotDoubleCounted) {
   // The drain path routes insert runs through the same bulk core; each
   // flush is one drained batch per non-empty shard and N insert stats.
@@ -640,6 +668,97 @@ TEST(StoreBulk, PerKeyReadsRejectMismatchedOutput) {
     }
     EXPECT_EQ(hit, std::vector<uint8_t>(keys.size() + 1, 7));
     EXPECT_EQ(count, std::vector<uint64_t>(keys.size() + 1, 7));
+  }
+}
+
+namespace save_bytes {
+
+uint64_t fnv1a(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+uint64_t digest(const store::filter_store& st) {
+  std::ostringstream out;
+  store::save_store(st, out);
+  return fnv1a(out.str());
+}
+
+}  // namespace save_bytes
+
+// The save() bytes after each bulk mutation of an 8-shard store, on every
+// backend, recorded before the shard partition became one serial counting
+// sort (batches above 1024 keys were partitioned on the pool then).  The
+// batches repeat keys, so a partition that reorders a shard's keys shows
+// up here.  Checked at the host's pool width and, through the _w1 and _w4
+// registrations, at GF_NUM_WORKERS=1 and =4.
+TEST(StoreBulk, SaveBytesPinnedAcrossBatchSizes) {
+  struct pinned {
+    backend_kind backend;
+    size_t n;
+    uint64_t after[3];  // insert_bulk, insert_counted, erase_bulk
+  };
+  const pinned kPinned[] = {
+    {backend_kind::tcf, 1024,
+     {0xec21aa5cf0e28fa5ull, 0x83b7a69f7801aa6dull,
+      0x711200a57816ef73ull}},
+    {backend_kind::tcf, 4096,
+     {0x10abd59b54d0150bull, 0xf1bdbcd4360f65ffull,
+      0xd1b3023ab47b8990ull}},
+    {backend_kind::tcf, 65536,
+     {0x1f47cb2db52ce7e7ull, 0x9b61bc42037432dfull,
+      0xf084d29d8c2fdb5cull}},
+    {backend_kind::gqf, 1024,
+     {0x7943557ffcdcf82bull, 0x50558005b5b5b795ull,
+      0x0d0af3cfbd333c89ull}},
+    {backend_kind::gqf, 4096,
+     {0x921f0b88614a703cull, 0xab636b33e0e6af8aull,
+      0x1b3b4cbba92dc710ull}},
+    {backend_kind::gqf, 65536,
+     {0x6e540d3c40fc3195ull, 0x7b25fb4e1d501b5eull,
+      0x2f8b09d6310bfd3eull}},
+    {backend_kind::blocked_bloom, 1024,
+     {0x56559a66e84dc438ull, 0x6252620ee5579975ull,
+      0x6252620ee5579975ull}},
+    {backend_kind::blocked_bloom, 4096,
+     {0xf99364ed8f9bdafaull, 0x267cdfd1ddb96e37ull,
+      0x267cdfd1ddb96e37ull}},
+    {backend_kind::blocked_bloom, 65536,
+     {0x6c5c4d2d2539b3c4ull, 0xf0ea2b5dbe174109ull,
+      0xf0ea2b5dbe174109ull}},
+    {backend_kind::bulk_tcf, 1024,
+     {0x03462bd29dbf8096ull, 0x034abe0360765ddeull,
+      0x238fcdf95211203aull}},
+    {backend_kind::bulk_tcf, 4096,
+     {0xdb5655a84ed20ed4ull, 0x48e5df747f93549cull,
+      0x8ceb3b49a7f053bdull}},
+    {backend_kind::bulk_tcf, 65536,
+     {0x5c6df362f4ff327full, 0xa8d7ed5ccafd310full,
+      0xb5bd91eb7b8f4edeull}},
+  };
+  for (const pinned& p : kPinned) {
+    SCOPED_TRACE(std::string(backend_name(p.backend)) + " n=" +
+                 std::to_string(p.n));
+    const size_t n = p.n;
+    auto pool = util::hashed_xorwow_items(2 * n, 741 + n);
+    std::vector<uint64_t> ins(n), ck(n), cc(n), del(n);
+    for (size_t i = 0; i < n; ++i) {
+      ins[i] = pool[i % (n - n / 8)];  // the last eighth repeats keys
+      ck[i] = pool[n + i % (n / 2)];   // each counted key twice
+      cc[i] = 1 + i % 4;
+      del[i] = i % 2 ? ins[i] : ck[i];
+    }
+    store::filter_store st(config(p.backend, 8, 1 << 18));
+    st.insert_bulk(ins);
+    EXPECT_EQ(save_bytes::digest(st), p.after[0]);
+    st.insert_counted(ck, cc);
+    EXPECT_EQ(save_bytes::digest(st), p.after[1]);
+    st.erase_bulk(del);
+    EXPECT_EQ(save_bytes::digest(st), p.after[2]);
   }
 }
 
